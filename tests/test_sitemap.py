@@ -140,3 +140,40 @@ def test_sniff_sitemap_no_prefix_window():
     assert sniff_sitemap(xml)
     spans = sitemap_xml_to_spans(xml)
     assert spans is None or spans  # ET may reject the comment — sniff must not
+
+
+def test_expand_levels_collects_no_page_url(ray_session, monkeypatch):
+    """Driver contract: only child-sitemap rows are pulled to the driver;
+    the is_index filter runs in a map_batches stage, so no page URL ever
+    reaches it (every table the driver fetches is recorded)."""
+    import ray
+
+    B = "http://dc.test/"
+    pages = {B + f"p{i}" for i in range(6)}
+    web = {
+        B + "root.xml": _sm(CHILD_KIND, B + "a.xml", B + "b.xml")
+        + _sm(LOC_KIND, B + "p0"),
+        B + "a.xml": _sm(LOC_KIND, B + "p1", B + "p2"),
+        B + "b.xml": _sm(LOC_KIND, B + "p3", B + "p4")
+        + _sm(CHILD_KIND, B + "c.xml"),
+        B + "c.xml": _sm(LOC_KIND, B + "p5"),
+    }
+    seen_urls: list = []
+    real_get = ray.get
+
+    def recording_get(refs, *a, **kw):
+        got = real_get(refs, *a, **kw)
+        for t in (got if isinstance(got, list) else [got]):
+            if isinstance(t, pa.Table) and "url" in t.column_names:
+                seen_urls.extend(t["url"].to_pylist())
+        return got
+
+    monkeypatch.setattr(ray, "get", recording_get)
+    links, n_files = expand_levels(web, B + "root.xml", max_depth=4)
+    monkeypatch.undo()
+    assert n_files == 4
+    assert set(seen_urls) == {B + "a.xml", B + "b.xml", B + "c.xml"}
+    assert not pages & set(seen_urls)
+    got = sorted(r["url"] for t in ray.get(links.to_arrow_refs())
+                 for r in t.to_pylist())
+    assert got == sorted(pages)

@@ -13,7 +13,8 @@ The input data model (per BASELINE.json input_hint) is a table of documents:
 
 Nothing here is a port: the reference is a sequential single-thread Ruby gem;
 this package expresses every stage as Ray Data transforms (map_batches over
-pyarrow batches, actor pools for stateful stages, groupby for the wide steps).
+pyarrow batches, per-process cached walkers for stateful stages, groupby
+for the wide steps).
 """
 
 from upton_ray.config import CrawlConfig

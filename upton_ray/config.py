@@ -70,7 +70,7 @@ class CrawlConfig:
                               # memory config; a filter FP may skip a fetch)
     num_seen_shards: int = 8
     seen_capacity_per_shard: int = 1_000_000   # filter sizing (bloom/cuckoo)
-    fetch_concurrency: int = 4         # fetch actor pool size
+    fetch_concurrency: int = 4         # max concurrent fetch/walk tasks
     fetch_batch_size: int = 256
     # CPU reservation per bucket-walk task (group-routed fetch): each task
     # decodes a whole corpus bucket into heap, so capping concurrent decodes

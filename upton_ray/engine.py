@@ -1,11 +1,11 @@
 """Crawler: the Ray-Data round loop (SURVEY.md §3.4).
 
-Round 0 (index): seeds Dataset -> IndexWalker actor pool (per-seed sequential
+Round 0 (index): seeds Dataset -> IndexWalker tasks (per-seed sequential
 pagination chains, P2) -> vectorized link extraction (M1/M2) -> deterministic
 ``instance_index`` assignment (the order Upton's sequential loop would have
 produced: seed order, then index-page order, then DOM position).
 
-Round 1 (instances): frontier Dataset -> InstanceWalker actor pool (stash
+Round 1 (instances): frontier Dataset -> InstanceWalker tasks (stash
 gate via the sharded seen-set, politeness, robots, continuation quirk) ->
 ExtractRecords (the user scrape block) -> records sorted by
 (instance_index, pagination_index, row_no) — Upton's exact output order
@@ -23,7 +23,10 @@ Scale notes (10^10-URL design point, tested single-node):
   link-count table used for the instance_index prefix-sum — one row per INDEX
   PAGE, ~1/links_per_page of the frontier — and (b) trace-mode conformance
   collections (tests only);
-* the frontier->fetch stage is an actor pool with batched seen-set RPCs;
+* walkers and probes run as plain Ray tasks over a per-process cache
+  (:func:`upton_ray.fetch.per_process`): each worker process builds a
+  stage's walker once, so no crawl starts an actor pool; the
+  frontier->fetch stage batches its seen-set RPCs;
   host-affinity (politeness) uses a host_shard groupby — the one designed
   shuffle (SURVEY.md §7.3);
 * everything else is streaming ``map_batches`` over Arrow batches.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +58,8 @@ import ray.data
 from upton_ray import schema
 from upton_ray.config import CrawlConfig
 from upton_ray.extract import ExtractRecords, extract_links_batch
-from upton_ray.fetch import IndexWalker, InstanceWalker
+from upton_ray.fetch import (IndexWalker, InstanceWalker, make_group_walker,
+                             make_store, per_process)
 from upton_ray.seen import SeenSet
 from upton_ray.shuffle import hash_reduce
 from upton_ray.urlops import hosts_of, shard_hashes
@@ -85,8 +90,11 @@ FETCHED_OUT = pa.schema([
 
 def collect(ds, fallback_schema: pa.Schema) -> pa.Table:
     """Materialize a Dataset to one Arrow table; empty datasets yield a typed
-    empty table instead of a schema-less one."""
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns > 0]
+    empty table instead of a schema-less one.  Materializes first: on a lazy
+    Dataset, ``to_arrow_refs`` runs the plan, then starts it again for the
+    schema and cancels that run mid-task."""
+    tables = [t for t in ray.get(ds.materialize().to_arrow_refs())
+              if t.num_columns > 0]
     if not tables:
         return fallback_schema.empty_table()
     return pa.concat_tables(tables, promote_options="permissive")
@@ -159,7 +167,7 @@ class Crawler:
                  seeds: Optional[list[tuple[int, str, str]]] = None):
         self.cfg = cfg
         if isinstance(web_source, dict):
-            self.web_ref = ray.put(web_source)   # broadcast once, not per actor
+            self.web_ref = ray.put(web_source)   # broadcast once, not per task
         else:
             self.web_ref = web_source
         if seeds is None and cfg.index_url is not None:
@@ -235,8 +243,6 @@ class Crawler:
     def _clean_stale_buckets(ckpt: str, done: set) -> None:
         """Drop partial bucket dirs (data written, no marker) from a crashed
         run so the re-walk starts clean."""
-        import shutil
-
         if not os.path.isdir(ckpt):
             return
         for d in os.listdir(ckpt):
@@ -280,13 +286,12 @@ class Crawler:
         cfg = self.cfg
         assert self.seeds, "no index seeds configured"
         ckpt = self._ckpt("frontier.parquet")
-        if ckpt and self._lineage_done("round0") and os.path.exists(ckpt):
+        if self._frontier_done(ckpt):
             return ray.data.read_parquet(ckpt), None
 
         seeds_ds, step, conc = self._seed_blocks()
         pages = seeds_ds.map_batches(
-            IndexWalker,
-            fn_constructor_args=(cfg, self.web_ref, self.seen),
+            per_process(IndexWalker, cfg, self.web_ref, self.seen),
             batch_size=step,
             batch_format="pyarrow",
             concurrency=conc,
@@ -305,17 +310,24 @@ class Crawler:
         links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
         links = links.materialize()   # round-0 output is ~1/links_per_page of the crawl
 
-        frontier = self._assign_instance_index(links)
-        if ckpt:
-            import shutil
+        return self._save_frontier(self._assign_instance_index(links),
+                                   ckpt), trace_info
 
-            if os.path.exists(ckpt):
-                shutil.rmtree(ckpt)   # stale partial output from a crashed run
-            frontier.write_parquet(ckpt)
-            frontier = ray.data.read_parquet(ckpt)
-            self._mark_done("round0")
-            self._dump_seen()
-        return frontier, trace_info
+    def _frontier_done(self, ckpt: Optional[str]) -> bool:
+        return bool(ckpt) and self._lineage_done("round0") \
+            and os.path.exists(ckpt)
+
+    def _save_frontier(self, frontier, ckpt: Optional[str]):
+        """Round-0 checkpoint: the frontier is written and read back, then
+        the round0 lineage unit and the seen set are saved."""
+        if not ckpt:
+            return frontier
+        if os.path.exists(ckpt):
+            shutil.rmtree(ckpt)   # stale partial output from a crashed run
+        frontier.write_parquet(ckpt)
+        self._mark_done("round0")
+        self._dump_seen()
+        return ray.data.read_parquet(ckpt)
 
     def _assign_instance_index(self, links):
         """Deterministic ``instance_index`` = exclusive prefix-sum of
@@ -467,13 +479,13 @@ class Crawler:
     def _frontier_from_sitemaps(self):
         """Sitemap-seeded frontier (cfg.sitemap_url): expand the sitemap /
         sitemap-index tree level-by-level (upton_ray.sitemap.expand_levels,
-        each level a distributed actor-pool probe over the store), then the
+        each level a distributed probe task over the store), then the
         same instance_index prefix-sum as index-page links.  Checkpoints
         under the round0 lineage marker exactly like get_index, so a
         crashed run resumes without re-expanding."""
         cfg = self.cfg
         ckpt = self._ckpt("frontier.parquet")
-        if ckpt and self._lineage_done("round0") and os.path.exists(ckpt):
+        if self._frontier_done(ckpt):
             return ray.data.read_parquet(ckpt)
         from upton_ray.sitemap import expand_levels
 
@@ -482,24 +494,15 @@ class Crawler:
             concurrency=cfg.fetch_concurrency)
         frontier = self._assign_instance_index(links).materialize()
         # sitemap frontiers arrive in one block per probe task — far fewer
-        # than the fetch pool wants; re-grain to ~2 blocks per CPU so the
-        # InstanceWalker pool fills (same rule as directory corpus reads)
+        # than the fetch stage wants; re-grain to ~2 blocks per CPU so the
+        # fetch tasks fill the cluster (same rule as directory corpus reads)
         if frontier.count() > 10_000:
             try:
                 cpus = int(ray.cluster_resources().get("CPU", 0)) or 8
             except Exception:
                 cpus = 8
             frontier = frontier.repartition(max(2, 2 * cpus))
-        if ckpt:
-            import shutil
-
-            if os.path.exists(ckpt):
-                shutil.rmtree(ckpt)
-            frontier.write_parquet(ckpt)
-            frontier = ray.data.read_parquet(ckpt)
-            self._mark_done("round0")
-            self._dump_seen()
-        return frontier
+        return self._save_frontier(frontier, ckpt)
 
     # --------------------------------------------------------------- round 1
 
@@ -522,8 +525,6 @@ class Crawler:
             # frontier-routing shuffle (SURVEY.md §7.3): co-locate each corpus
             # bucket's URLs so every bucket is decoded ONCE, not per batch —
             # the shuffle moves only (url, ints) rows, the cheap side
-            from upton_ray.fetch import make_group_walker
-
             _, path, buckets = self.web_ref
 
             def add_bucket(batch: pa.Table) -> pa.Table:
@@ -532,7 +533,6 @@ class Crawler:
                     "bucket", pa.array(shard_hashes(hosts_of(urls), buckets),
                                        pa.int32()))
 
-            token = f"walk-{os.getpid()}-{id(self)}"
             ckpt = self._ckpt("fetched_round1")
             done: set = set()
             if ckpt:
@@ -553,7 +553,7 @@ class Crawler:
                 total = int(ray.cluster_resources().get("CPU", 8))
                 walk_ncpu = max(1.0, total / 16.0)
             walked = bucketed.groupby("bucket").map_groups(
-                make_group_walker(token, *walker_args, ckpt_dir=ckpt),
+                make_group_walker(*walker_args, ckpt_dir=ckpt),
                 batch_format="pyarrow",
                 num_cpus=walk_ncpu)
             if not ckpt:
@@ -602,35 +602,10 @@ class Crawler:
                     from upton_ray.frontier import make_host_pacer
 
                     self.pacer = make_host_pacer()
-            salts = max(1, cfg.hot_host_salts)
-
-            def add_shard(batch: pa.Table) -> pa.Table:
-                from upton_ray.frontier import salt_hosts
-
-                urls = batch["url"].to_numpy(zero_copy_only=False)
-                keys = salt_hosts(hosts_of(urls), hot_hosts, salts)
-                return batch.append_column(
-                    "host_shard",
-                    pa.array(shard_hashes(keys, cfg.fetch_concurrency), pa.int32()))
-
-            from upton_ray.fetch import make_group_walker
-
-            # map_groups parallelism is bounded by the shuffled BLOCK count,
-            # not the group count: a small-block frontier would serialize the
-            # per-shard walks. The frontier rows are tiny (url + ints), so a
-            # pre-groupby repartition is cheap insurance.
-            sharded = (frontier
-                       .map_batches(add_shard, batch_format="pyarrow")
-                       .repartition(cfg.fetch_concurrency * 2))
-            token = f"hostwalk-{os.getpid()}-{id(self)}"
-            fetched = sharded.groupby("host_shard").map_groups(
-                make_group_walker(token, *walker_args, drop=("host_shard",),
-                                  pacer=self.pacer, hot_hosts=hot_hosts),
-                batch_format="pyarrow")
+            fetched = self._host_sharded_walk(frontier, self.pacer, hot_hosts)
         else:
             fetched = frontier.map_batches(
-                InstanceWalker,
-                fn_constructor_args=walker_args,
+                per_process(InstanceWalker, *walker_args),
                 batch_size=cfg.fetch_batch_size,
                 batch_format="pyarrow",
                 concurrency=cfg.fetch_concurrency,
@@ -638,12 +613,39 @@ class Crawler:
             )
         return self._maybe_checkpoint_fetch(fetched)
 
+    def _host_sharded_walk(self, frontier, pacer, hot_hosts):
+        """Host-affinity fetch: one map_groups walk per host shard.  Hosts in
+        ``hot_hosts`` split into salted sub-queues; ``hot_hosts=None`` salts
+        none and has EVERY host lease from the pacer (overlapped mode)."""
+        cfg = self.cfg
+        salted, salts = hot_hosts or frozenset(), max(1, cfg.hot_host_salts)
+
+        def add_shard(batch: pa.Table) -> pa.Table:
+            from upton_ray.frontier import salt_hosts
+
+            urls = batch["url"].to_numpy(zero_copy_only=False)
+            keys = salt_hosts(hosts_of(urls), salted, salts)
+            return batch.append_column(
+                "host_shard",
+                pa.array(shard_hashes(keys, cfg.fetch_concurrency), pa.int32()))
+
+        # map_groups parallelism is bounded by the shuffled BLOCK count,
+        # not the group count: a small-block frontier would serialize the
+        # per-shard walks. The frontier rows are tiny (url + ints), so a
+        # pre-groupby repartition is cheap insurance.
+        return (frontier.map_batches(add_shard, batch_format="pyarrow")
+                .repartition(cfg.fetch_concurrency * 2)
+                .groupby("host_shard")
+                .map_groups(make_group_walker(
+                    cfg, self.web_ref, self.seen, drop=("host_shard",),
+                    pacer=pacer, hot_hosts=hot_hosts), batch_format="pyarrow"))
+
     def _seed_blocks(self):
         """Pre-split seed blocks (block = task unit). For a bucketed parquet
         corpus, group seeds by their host's bucket so each task touches ONE
-        bucket and the per-actor bucket cache actually hits (without this,
+        bucket and the per-walker bucket cache actually hits (without this,
         every chain re-decodes a full bucket — the dominant cost at scale).
-        Returns (seeds_ds, batch_step, pool_concurrency)."""
+        Returns (seeds_ds, batch_step, walk_concurrency)."""
         cfg = self.cfg
         seeds_t = pa.table({
             "seed_id": pa.array([s[0] for s in self.seeds], pa.int32()),
@@ -703,12 +705,9 @@ class Crawler:
     def _maybe_checkpoint_fetch(self, fetched):
         ckpt = self._ckpt("fetched_round1")
         if ckpt:
-            import shutil
-
             if os.path.exists(ckpt):
                 shutil.rmtree(ckpt)   # stale partial output from a crashed run
-            cols = ["instance_index", "pagination_index", "instance_url", "spans",
-                    "from_resource", "slept", "status", "robots_blocked"]
+            cols = FETCHED_OUT.names
             from upton_ray.urlops import stash_filenames
             cfg = self.cfg
 
@@ -838,12 +837,7 @@ class Crawler:
 
         class RobotsProbe:
             def __init__(self):
-                from upton_ray.fetch import make_store
-
-                src = web_ref
-                if isinstance(src, ray.ObjectRef):
-                    src = ray.get(src)
-                self.store = make_store(src)
+                self.store = make_store(web_ref)
 
             def __call__(self, batch: pa.Table) -> pa.Table:
                 out_h, out_b = [], []
@@ -865,7 +859,7 @@ class Crawler:
             "host": pa.array(hosts),
             "scheme": pa.array([host_scheme[h] for h in hosts])}))
         found = collect(ds.map_batches(
-            RobotsProbe, batch_format="pyarrow", batch_size=1024,
+            per_process(RobotsProbe), batch_format="pyarrow", batch_size=1024,
             concurrency=min(4, max(1, len(hosts) // 256 + 1)), num_cpus=0.5),
             pa.schema([("host", pa.string()), ("body", pa.string())]))
         for h, b in zip(found["host"].to_pylist(), found["body"].to_pylist()):
@@ -974,8 +968,7 @@ class Crawler:
             hot = None           # sentinel: ALL hosts lease from the pacer
         seeds_ds, step, conc = self._seed_blocks()
         pages = seeds_ds.map_batches(
-            IndexWalker,
-            fn_constructor_args=(cfg, self.web_ref, self.seen, pacer, hot),
+            per_process(IndexWalker, cfg, self.web_ref, self.seen, pacer, hot),
             batch_size=step, batch_format="pyarrow", concurrency=conc,
             num_cpus=0.5)
         links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
@@ -1005,28 +998,11 @@ class Crawler:
             # The groupby is a barrier on the LINK stream only; under real
             # politeness the fetch floor dominates wall time, so the lost
             # overlap is noise (measured: BASELINE.md round-4 addendum).
-            from upton_ray.fetch import make_group_walker
-
-            def add_shard(b: pa.Table) -> pa.Table:
-                urls = b["url"].to_numpy(zero_copy_only=False)
-                return b.append_column(
-                    "host_shard",
-                    pa.array(shard_hashes(hosts_of(urls),
-                                          cfg.fetch_concurrency), pa.int32()))
-
-            token = f"overlapwalk-{os.getpid()}-{id(self)}"
-            fetched = (frontier
-                       .map_batches(add_shard, batch_format="pyarrow")
-                       .repartition(cfg.fetch_concurrency * 2)
-                       .groupby("host_shard")
-                       .map_groups(make_group_walker(
-                           token, cfg, self.web_ref, self.seen,
-                           drop=("host_shard",), pacer=pacer, hot_hosts=None),
-                           batch_format="pyarrow"))
+            fetched = self._host_sharded_walk(frontier, pacer, None)
         else:
             fetched = frontier.map_batches(
-                InstanceWalker,
-                fn_constructor_args=(cfg, self.web_ref, self.seen, pacer, hot),
+                per_process(InstanceWalker, cfg, self.web_ref, self.seen,
+                            pacer, hot),
                 batch_size=cfg.fetch_batch_size, batch_format="pyarrow",
                 concurrency=cfg.fetch_concurrency, num_cpus=0.5)
         records = self.extract_records(fetched).materialize()

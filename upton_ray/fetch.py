@@ -19,15 +19,20 @@ HTTP GET per URL with a filesystem stash; errors map to the empty page
 early-stop on empty page) — parallel across seeds, sequential within one.
 ``InstanceWalker`` fetches frontier batches vectorized, including the
 depth-limited instance-continuation quirk (P4/Q5, upton.rb:321-334).
-Both are callable classes for ``map_batches(..., concurrency=N)`` actor pools:
-store/scheduler/robots state is built once per actor in ``__init__``.
+Both run as plain Ray tasks through :func:`per_process`: each worker process
+builds a stage's walker (store/scheduler/robots state) once and reuses it
+for every later batch, with no actor pool to start per crawl.
 """
 
 from __future__ import annotations
 
+import uuid
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from upton_ray import schema, synth
 from upton_ray.config import CrawlConfig
@@ -42,7 +47,7 @@ EMPTY_SPANS: list = []
 
 class DictWebStore:
     """In-memory corpus ({url: [span]}), broadcast once via ray.put and shared
-    zero-copy-ish by every fetch actor. For fixture webs and small runs."""
+    zero-copy-ish by every fetch worker. For fixture webs and small runs."""
 
     def __init__(self, web: dict[str, list[dict]]):
         self.web = web
@@ -91,7 +96,7 @@ class ParquetWebStore:
 
         self.ds = pads.dataset(path, format="parquet", partitioning="hive")
         self.num_buckets = num_buckets
-        # per-actor LRU of loaded buckets: the frontier arrives in seed (host)
+        # per-walker LRU of loaded buckets: the frontier arrives in seed (host)
         # order, so consecutive batches hit the same bucket(s); at 10^10 scale
         # shrink bucket size (more buckets), not this cache
         self._cache: dict[int, tuple[pa.Table, dict]] = {}
@@ -104,7 +109,7 @@ class ParquetWebStore:
 
     def _bucket_pool(self, b: int) -> tuple[pa.Array, dict, "np.ndarray"]:
         """(spans pool with trailing empty-sentinel row, url->row index) for a
-        bucket; built once and LRU-cached per actor."""
+        bucket; built once and LRU-cached per walker."""
         import pyarrow.dataset as pads
 
         hit = self._cache.pop(b, None)
@@ -205,12 +210,12 @@ class HttpWebStore:
       are parsed as the native span-row list, anything else goes through
       :func:`upton_ray.htmlspans.html_to_spans` (the Nokogiri-parse
       analog, upton.rb:281);
-    * a small per-actor LRU (the downloader's stash analog) absorbs the
+    * a small per-store LRU (the downloader's stash analog) absorbs the
       walkers' ``page_len`` probe + ``lookup_table`` double hit without
       a second GET; ``n_requests`` counts true network GETs for tests.
 
     Connections are POOLED per (scheme, host): one persistent keep-alive
-    ``http.client`` connection per host per actor, reused across GETs
+    ``http.client`` connection per host per store, reused across GETs
     (VERDICT r4: urllib opened a fresh TCP connection per GET).  A
     response that announces ``Connection: close`` drops the pooled entry
     so HTTP/1.0 servers cost nothing extra; a stale keep-alive socket
@@ -431,7 +436,10 @@ class HttpWebStore:
 
 def make_store(web_source):
     """web_source: dict | synth.ScaleParams |
-    ("parquet" | "lance", path, num_buckets) | ("http", options_dict)."""
+    ("parquet" | "lance", path, num_buckets) | ("http", options_dict), or an
+    ObjectRef to one of them (a broadcast corpus: fetched once per store)."""
+    if isinstance(web_source, ray.ObjectRef):
+        web_source = ray.get(web_source)
     if isinstance(web_source, dict):
         return DictWebStore(web_source)
     if isinstance(web_source, synth.ScaleParams):
@@ -449,15 +457,11 @@ def make_store(web_source):
 
 
 class _FetchState:
-    """Shared per-actor fetch machinery (store + stash + politeness + robots)."""
+    """Shared per-walker fetch machinery (store + stash + politeness + robots)."""
 
     def __init__(self, cfg: CrawlConfig, web_source, seen_handle,
                  pacer=None, hot_hosts: frozenset = frozenset()):
-        import ray
-
         self.cfg = cfg
-        if isinstance(web_source, ray.ObjectRef):
-            web_source = ray.get(web_source)   # broadcast corpus: fetched once per actor
         self.store = make_store(web_source)
         self.seen = seen_handle           # SeenSet handle or None
         rules = dict(cfg.robots) if cfg.respect_robots else {}
@@ -499,8 +503,6 @@ class _FetchState:
         import time as _time
         from collections import Counter
 
-        import ray as _ray
-
         from upton_ray.urlops import hosts_of as _hosts_of
 
         hosts = _hosts_of(np.asarray(urls, dtype=object))
@@ -509,8 +511,8 @@ class _FetchState:
         if not cnt:
             return
         items = list(cnt.items())
-        waits = _ray.get([self.pacer.lease.remote(h, c, self.sched.host_delay(h))
-                          for h, c in items])
+        waits = ray.get([self.pacer.lease.remote(h, c, self.sched.host_delay(h))
+                         for h, c in items])
         mono = _time.monotonic()
         for (h, _c), wait in zip(items, waits):
             self.sched.next_allowed[h] = max(self.sched.next_allowed[h],
@@ -549,9 +551,7 @@ class _FetchState:
                 # consume a global token and honor the leased window
                 import time as _time
 
-                import ray as _ray
-
-                wait = _ray.get(self.pacer.lease.remote(
+                wait = ray.get(self.pacer.lease.remote(
                     h, 1, self.sched.host_delay(h)))
                 self.sched.next_allowed[h] = max(
                     self.sched.next_allowed[h], _time.monotonic() + wait)
@@ -567,17 +567,37 @@ class _FetchState:
         return (body or EMPTY_SPANS), from_resource, slept, status, False
 
 
-# per-worker-process walker cache for group-routed fetch (map_groups pickles
-# the callable per task; the walker + its bucket cache must live per process)
-_GROUP_WALKERS: dict = {}
+# per-worker-process stage objects (walkers, probes). LRU-bounded: a walker's
+# store can hold several decoded corpus buckets, and spent crawls' walkers
+# must not pile up.
+_PROCESS_CACHE: OrderedDict = OrderedDict()
+PROCESS_CACHE_SIZE = 4
 
 
-def make_group_walker(token: str, cfg, web_source, seen_handle,
+def per_process(factory, *args, **kwargs):
+    """A picklable ``map_batches`` function: each worker process builds
+    ``factory(*args, **kwargs)`` once (fresh token per call, so a crawl never
+    inherits an earlier crawl's walker) and calls it on every batch."""
+    token = uuid.uuid4().hex
+
+    def call(batch: pa.Table) -> pa.Table:
+        obj = _PROCESS_CACHE.pop(token, None)
+        if obj is None:
+            obj = factory(*args, **kwargs)
+        _PROCESS_CACHE[token] = obj          # re-insert = most recently used
+        while len(_PROCESS_CACHE) > PROCESS_CACHE_SIZE:
+            _PROCESS_CACHE.popitem(last=False)
+        return obj(batch)
+
+    return call
+
+
+def make_group_walker(cfg, web_source, seen_handle,
                       drop: tuple = ("bucket",), ckpt_dir: str | None = None,
                       pacer=None, hot_hosts: frozenset = frozenset()):
-    """A picklable map_groups callable that lazily builds ONE InstanceWalker
-    per worker process (keyed by token) so bucket caches persist across the
-    groups a worker processes.
+    """A picklable map_groups callable over ONE InstanceWalker per worker
+    process (the :func:`per_process` cache) so bucket caches persist across
+    the groups a worker processes.
 
     With ``ckpt_dir``, each group (= one corpus bucket) checkpoints its own
     output to ``<ckpt_dir>/bucket=<b>/``, drops a ``_SUCCESS`` marker — the
@@ -587,16 +607,15 @@ def make_group_walker(token: str, cfg, web_source, seen_handle,
     the engine takes over these stats never holds the crawl's spans in the
     object store; extraction re-reads the checkpoint files)."""
 
+    walker = per_process(InstanceWalker, cfg, web_source, seen_handle,
+                         pacer=pacer, hot_hosts=hot_hosts)
+
     def walk(group: pa.Table) -> pa.Table:
-        w = _GROUP_WALKERS.get(token)
-        if w is None:
-            w = _GROUP_WALKERS[token] = InstanceWalker(
-                cfg, web_source, seen_handle, pacer=pacer, hot_hosts=hot_hosts)
         bucket = None
         if ckpt_dir is not None and "bucket" in group.column_names and group.num_rows:
             bucket = int(group["bucket"][0].as_py())
         cols = [c for c in drop if c in group.column_names]
-        out = w(group.drop_columns(cols) if cols else group)
+        out = walker(group.drop_columns(cols) if cols else group)
         if bucket is None:
             return out
         import os
@@ -654,7 +673,7 @@ class IndexWalker:
                               pacer=pacer, hot_hosts=hot_hosts)
         self.cfg = cfg
         # error pages are stashed as empty bodies; the bad set is static
-        # within a run (statuses come from cfg) so snapshot it once per actor
+        # within a run (statuses come from cfg) so snapshot it once per walker
         self.local_bad: set = set()
         if seen_handle is not None and (cfg.index_debug or cfg.debug):
             self.local_bad = set(seen_handle.dump_bad())
@@ -714,7 +733,7 @@ class IndexWalker:
         if cfg.real_sleep and st.sched.delay and n:
             # pacer-governed hosts (overlapped mode: all of them) lease the
             # chain's window from the global bucket first, so same-host
-            # seeds split across blocks/actors can't exceed the polite rate
+            # seeds split across blocks/workers can't exceed the polite rate
             st.lease_batch(urls, from_resource)
             # EDF order across the block's chains: one chain's politeness
             # wait absorbs the others' fetches, so the block costs its

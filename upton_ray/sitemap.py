@@ -23,10 +23,11 @@ so the conformance golden can pin it):
   feed the same instance_index prefix-sum as index-page links.
 
 Scale shape: each level is one ``map_batches`` over the level's file URLs
-(actor pool holding the store), emitting one row per ``<loc>``; only
-CHILD_KIND rows are collected (files, never page URLs).  At 10^10-URL
-scale the per-level loc Datasets union into the frontier without the
-driver ever seeing a page URL.
+(plain Ray tasks; each worker process opens the store once), emitting one
+row per ``<loc>``; a second ``map_batches`` keeps the CHILD_KIND rows, and
+only those are collected (files, never page URLs).  At 10^10-URL scale the
+per-level loc Datasets union into the frontier without the driver ever
+seeing a page URL.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ import pyarrow as pa
 
 LOC_KIND = "urlset/url/loc"
 CHILD_KIND = "sitemapindex/sitemap/loc"
+
+_CHILD_ROWS = pa.schema([("rank", pa.int64()), ("pos", pa.int32()),
+                         ("url", pa.string())])
 
 _SM_SNIFF = re.compile(r"<\s*(urlset|sitemapindex)\b", re.I)
 
@@ -85,24 +89,20 @@ def sitemap_xml_to_spans(xml: str) -> list[dict] | None:
 
 
 def make_sitemap_probe(web_ref):
-    """Actor class for ``map_batches`` over one level's sitemap-file URLs.
+    """Task function for ``map_batches`` over one level's sitemap-file URLs:
+    each worker process opens the store once and probes every later batch
+    with it (:func:`upton_ray.fetch.per_process`).
 
     Input columns: rank:int64 (discovery order of the file), url:string.
     Output: rank, pos:int32 (position within the file), url:string (the
     resolved <loc>), is_index:bool (True = child sitemap file).
     """
-    import ray
-
+    from upton_ray.fetch import make_store, per_process
     from upton_ray.urlops import resolve_url
 
     class SitemapProbe:
         def __init__(self):
-            from upton_ray.fetch import make_store
-
-            src = web_ref
-            if isinstance(src, ray.ObjectRef):
-                src = ray.get(src)
-            self.store = make_store(src)
+            self.store = make_store(web_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ranks, poss, urls, kinds = [], [], [], []
@@ -137,7 +137,7 @@ def make_sitemap_probe(web_ref):
                 "url": pa.array(urls, pa.string()),
                 "is_index": pa.array(kinds, pa.bool_())})
 
-    return SitemapProbe
+    return per_process(SitemapProbe)
 
 
 def expand_levels(web_ref, seed_url: str, max_depth: int = 3,
@@ -146,8 +146,9 @@ def expand_levels(web_ref, seed_url: str, max_depth: int = 3,
     the (seed_id, page_no, dom_pos, url) schema of
     :func:`upton_ray.extract.extract_links_batch`, ready for the engine's
     instance_index prefix-sum.  Returns (links_ds, n_files)."""
-    import ray
     import ray.data
+
+    from upton_ray.engine import collect
 
     probe = make_sitemap_probe(web_ref)
     pending: list[tuple[int, str]] = [(0, seed_url)]
@@ -178,11 +179,14 @@ def expand_levels(web_ref, seed_url: str, max_depth: int = 3,
                 "dom_pos": keep["pos"],
                 "url": keep["url"]})
 
+        def children(b: pa.Table) -> pa.Table:
+            return b.filter(b["is_index"]).select(["rank", "pos", "url"])
+
         loc_parts.append(rows.map_batches(to_links, batch_format="pyarrow"))
         # child FILES come to the driver (protocol-bounded), page URLs never
-        kids = pa.concat_tables([t.filter(t["is_index"]) for t in
-                                 ray.get(rows.to_arrow_refs())]) \
-            .sort_by([("rank", "ascending"), ("pos", "ascending")])
+        kids = collect(rows.map_batches(children, batch_format="pyarrow"),
+                       _CHILD_ROWS).sort_by([("rank", "ascending"),
+                                             ("pos", "ascending")])
         pending = []
         for u in kids["url"].to_pylist():
             if u in visited:
