@@ -1056,3 +1056,49 @@ def test_hash_split_is_md5_replayable(ray_session, dup_dir):
     want = {i: int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 10
             for i in range(5)}
     assert got == want
+
+
+def test_nation_joins_drop_orphan_custkey(ray_session, tmp_path):
+    """Orders whose custkey has no customer row drop out of
+    ``nation_year_rollup`` and ``nation_revenue``, as in the oracles' inner
+    joins: an in-range gap must not default to nation 0, and a key above
+    the largest custkey must not raise."""
+    import datetime
+
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([0, 1, 2, 4], pa.int64()),
+        "c_nationkey": pa.array([0, 1, 1, 0], pa.int32())}),
+        tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([0, 1], pa.int32()),
+        "n_name": pa.array(["ALGERIA", "BRAZIL"])}),
+        tmp_path / "nation.parquet")
+    ocust = [0, 1, 2, 3, 4, 99, 0, 3]          # 3 = gap, 99 = above max
+    pq.write_table(pa.table({
+        "o_custkey": pa.array(ocust, pa.int64()),
+        "o_totalprice": pa.array([10.0 * (i + 1) for i in range(len(ocust))]),
+        "o_orderdate": pa.array(
+            [datetime.datetime(1994 + i % 2, 1, 1) for i in range(len(ocust))],
+            pa.timestamp("us"))}), tmp_path / "orders.parquet")
+
+    def rows(t, cols=("n_name", "year", "revenue_cents", "n_orders")):
+        return sorted(zip(*(t[c].to_pylist() for c in cols)))
+
+    con = duckdb.connect()
+    for name in ("customer", "nation", "orders"):
+        con.sql(f"CREATE VIEW {name} AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/{name}.parquet')")
+    want = rows(con.sql(entry.oracle_sql()["nation_year_rollup"]).arrow())
+    assert ("ALL", -1, 18000, 5) in want     # the 3 orphan orders are out
+    assert rows(datapipe.nation_year_rollup(str(tmp_path))) == want
+    cols = ("n_name", "revenue_cents", "n_orders")
+    want = rows(con.sql(entry.oracle_sql()["nation_revenue"]).arrow(), cols)
+    assert want == [("ALGERIA", 13000, 3), ("BRAZIL", 5000, 2)]
+    got = _collect(datapipe.nation_revenue(str(tmp_path)),
+                   ("n_name", pa.string()), ("revenue_cents", pa.int64()),
+                   ("n_orders", pa.int64()))
+    assert rows(got, cols) == want

@@ -71,3 +71,32 @@ def test_no_pacer_below_threshold(ray_session):
     assert t.num_rows == len(urls)
     assert c.pacer is None, "uniform frontier must not pay the pacer RPC"
     c.shutdown()
+
+
+def test_hot_host_continuations_consume_pacer_tokens(ray_session):
+    """Instance-continuation fetches of a hot host lease from the shared
+    budget too (no politeness bypass on the sequential path): one token per
+    instance fetch and one per continuation."""
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler
+
+    hot_urls = [f"http://big.test/a/{i}.html" for i in range(12)]
+    cold_urls = [f"http://h{j}.test/p/{i}.html" for j in range(3)
+                 for i in range(2)]
+    urls = hot_urls + cold_urls
+    pages = urls + [u.replace(".html", "_page_1.html") for u in urls]
+    cfg = CrawlConfig(
+        url_array=urls, extractor="css:h1.article-title",
+        next_instance_page_url=lambda url, i: url.replace(
+            ".html", f"_page_{i}.html") if i <= 1 and "_page_" not in url
+            else "",
+        sleep_time_between_requests=0.001, real_sleep=True, max_sleep=0.002,
+        debug=True, host_sharded_fetch=True, hot_host_threshold=5,
+        num_seen_shards=2, fetch_concurrency=2, fetch_batch_size=16)
+    c = Crawler(cfg, _web(pages))
+    t = c.crawl().records_table()
+    assert t.num_rows == 2 * len(urls), "instance + its continuation page"
+    assert c.pacer is not None, "a hot host must engage the shared pacer"
+    _, granted, _ = ray.get(c.pacer.state.remote())
+    assert granted == {"big.test": 2 * len(hot_urls)}
+    c.shutdown()

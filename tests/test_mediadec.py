@@ -292,6 +292,24 @@ def test_jpeg_malformed_streams_raise_valueerror():
     rst = data.find(b"\xFF\xD0")
     with pytest.raises(ValueError, match="truncated"):
         md.decode_jpeg(data[:rst] + b"\xFF\xD9")
+    # a scan naming an undefined quant table (corrupted SOF0 quant id)
+    sof = data.find(b"\xFF\xC0")
+    bad = bytearray(data)
+    bad[sof + 12] = 3
+    with pytest.raises(ValueError, match="quant table"):
+        md.decode_jpeg(bytes(bad))
+    # a scan naming an undefined Huffman table (SOS selects DC/AC table 3)
+    bad = bytearray(data)
+    bad[sos + 6] = 0x33
+    with pytest.raises(ValueError, match="Huffman table"):
+        md.decode_jpeg(bytes(bad))
+    # a segment length below 2 fails closed instead of looping
+    dht = data.find(b"\xFF\xC4")
+    for ln in (0, 1):
+        bad = bytearray(data)
+        bad[dht + 2:dht + 4] = ln.to_bytes(2, "big")
+        with pytest.raises(ValueError, match="marker expected"):
+            md.decode_jpeg(bytes(bad))
 
 
 def test_media_resize_real_band_law(ray_session):

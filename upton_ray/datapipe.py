@@ -1743,27 +1743,49 @@ def lineitem_pricing(sf_dir: str, cutoff: str = "1998-09-02"):
                         ["l_returnflag", "l_linestatus"], part_sum)
 
 
-def nation_revenue(sf_dir: str):
-    """Revenue per nation: the broadcast-join pattern — the small sides
-    (customer->nation, nation->name; KBs) are ray.put once and read inside
-    every task, so the fact table (orders) streams through ONE map_batches
-    with zero shuffle; only the per-nation partials meet in a tiny groupby."""
+def _cust_nation(sf_dir: str):
+    """Broadcast side of the orders -> customer -> nation joins: a dense
+    custkey -> nationkey array and the nation names by nationkey.  -1 marks
+    a custkey with no customer row, or whose nation has no nation row."""
     import pyarrow.parquet as pq
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name"])
-    c2n = np.zeros(int(pc.max(cust["c_custkey"]).as_py()) + 1, dtype=np.int64)
-    c2n[cust["c_custkey"].to_numpy()] = cust["c_nationkey"].to_numpy()
-    names = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    side_ref = ray.put((c2n, names))
+    nks = nat["n_nationkey"].to_numpy()
+    names = np.empty(int(nks.max()) + 1, object)
+    names[nks] = nat["n_name"].to_pylist()
+    c_nk = cust["c_nationkey"].to_numpy().astype(np.int64)
+    c2n = np.full(int(pc.max(cust["c_custkey"]).as_py()) + 1, -1, np.int64)
+    c2n[cust["c_custkey"].to_numpy()] = np.where(np.isin(c_nk, nks), c_nk, -1)
+    return c2n, names
+
+
+def _join_nation(batch: pa.Table, c2n: np.ndarray):
+    """Inner-join an orders batch to its nationkeys: orders whose custkey
+    misses (see :func:`_cust_nation`) are dropped, never defaulted to
+    nation 0.  Returns (kept rows, their nationkeys)."""
+    ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
+    nk = np.full(len(ck), -1, np.int64)
+    in_range = (ck >= 0) & (ck < len(c2n))
+    nk[in_range] = c2n[ck[in_range]]
+    hit = nk >= 0
+    return batch.filter(pa.array(hit)), nk[hit]
+
+
+def nation_revenue(sf_dir: str):
+    """Revenue per nation: the broadcast-join pattern — the small sides
+    (customer->nation, nation->name; KBs) are ray.put once and read inside
+    every task, so the fact table (orders) streams through ONE map_batches
+    with zero shuffle; only the per-nation partials meet in a tiny groupby."""
+    side_ref = ray.put(_cust_nation(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         c2n_m, names_m = ray.get(side_ref)
-        nk = c2n_m[batch["o_custkey"].to_numpy(zero_copy_only=False)]
+        batch, nk = _join_nation(batch, c2n_m)
         g = pa.table({
-            "n_name": pa.array([names_m[int(k)] for k in nk], pa.string()),
+            "n_name": pa.array(names_m[nk], pa.string()),
             "revenue": batch["o_totalprice"],
         }).group_by("n_name").aggregate(
             [("revenue", "sum"), ("revenue", "count")])  # Arrow combiner
@@ -3624,22 +3646,11 @@ def nation_year_rollup(sf_dir: str):
     leaves meet in one hash co-partition; the coarser levels are derived
     FROM THE LEAVES (|nations| x |years| rows — constant-size), never from
     a second pass over the fact table."""
-    import pyarrow.parquet as _pq
-
-    cust = _pq.read_table(f"{sf_dir}/customer.parquet",
-                          columns=["c_custkey", "c_nationkey"])
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name"])
-    c2n = np.zeros(int(pc.max(cust["c_custkey"]).as_py()) + 1, np.int64)
-    c2n[cust["c_custkey"].to_numpy()] = cust["c_nationkey"].to_numpy()
-    name_by_nk = np.empty(int(pc.max(nat["n_nationkey"]).as_py()) + 1,
-                          object)
-    name_by_nk[nat["n_nationkey"].to_numpy()] = nat["n_name"].to_pylist()
-    side_ref = ray.put((c2n, name_by_nk))
+    side_ref = ray.put(_cust_nation(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         c2n_m, names_m = ray.get(side_ref)
-        nk = c2n_m[batch["o_custkey"].to_numpy(zero_copy_only=False)]
+        batch, nk = _join_nation(batch, c2n_m)
         g = pa.table({
             "n_name": pa.array(names_m[nk], pa.string()),
             "year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),

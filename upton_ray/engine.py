@@ -31,13 +31,14 @@ Scale notes (10^10-URL design point, tested single-node):
   shuffle (SURVEY.md §7.3);
 * everything else is streaming ``map_batches`` over Arrow batches.
 
-The one inter-round BARRIER (round 0 completes before round 1 fetches) is
-deliberate: Upton's ``instance_index`` is a global prefix-sum over per-index-
-page link counts, and the groupby that routes fetches is itself an all-to-all.
-Under real politeness pacing this costs ~15% vs the skew floor (BASELINE.md
-"polite" row); removing it would mean assigning indices post-hoc from the
-records themselves — noted as the next optimization, not worth the
-conformance-path risk at current scale.
+``Crawler.crawl`` is the only crawl path.  Its one inter-round BARRIER
+(round 0 completes before round 1 fetches) is deliberate: Upton's
+``instance_index`` is a global prefix-sum over per-index-page link counts,
+and the groupby that routes fetches is itself an all-to-all.  Under real
+politeness pacing this costs ~15% vs the skew floor (BASELINE.md "polite"
+row).  Removing it would mean assigning indices post-hoc from the records
+themselves; that belongs inside ``crawl()`` and must keep its checkpoint,
+seeding and hot-host splitting.
 """
 
 from __future__ import annotations
@@ -518,7 +519,10 @@ class Crawler:
         return ds
 
     def fetch_instances(self, frontier):
-        """Frontier Dataset -> fetched instance-page Dataset."""
+        """Round 1 of :meth:`crawl`: frontier Dataset -> fetched instance-page
+        Dataset.  A bucketed corpus walks per corpus bucket; politeness walks
+        per host shard, with hot hosts salted and paced by the shared
+        HostPacer; anything else streams through ``map_batches``."""
         cfg = self.cfg
         walker_args = (cfg, self.web_ref, self.seen)
         if _bucket_count(self.web_ref) and not cfg.needs_host_affinity():
@@ -602,7 +606,27 @@ class Crawler:
                     from upton_ray.frontier import make_host_pacer
 
                     self.pacer = make_host_pacer()
-            fetched = self._host_sharded_walk(frontier, self.pacer, hot_hosts)
+            salts = max(1, cfg.hot_host_salts)
+
+            def add_shard(batch: pa.Table) -> pa.Table:
+                from upton_ray.frontier import salt_hosts
+
+                urls = batch["url"].to_numpy(zero_copy_only=False)
+                keys = salt_hosts(hosts_of(urls), hot_hosts, salts)
+                return batch.append_column("host_shard", pa.array(
+                    shard_hashes(keys, cfg.fetch_concurrency), pa.int32()))
+
+            # map_groups parallelism is bounded by the shuffled BLOCK count,
+            # not the group count: a small-block frontier would serialize the
+            # per-shard walks. The frontier rows are tiny (url + ints), so a
+            # pre-groupby repartition is cheap insurance.
+            fetched = (frontier.map_batches(add_shard, batch_format="pyarrow")
+                       .repartition(cfg.fetch_concurrency * 2)
+                       .groupby("host_shard")
+                       .map_groups(make_group_walker(
+                           *walker_args, drop=("host_shard",),
+                           pacer=self.pacer, hot_hosts=hot_hosts),
+                           batch_format="pyarrow"))
         else:
             fetched = frontier.map_batches(
                 per_process(InstanceWalker, *walker_args),
@@ -612,33 +636,6 @@ class Crawler:
                 num_cpus=0.5,
             )
         return self._maybe_checkpoint_fetch(fetched)
-
-    def _host_sharded_walk(self, frontier, pacer, hot_hosts):
-        """Host-affinity fetch: one map_groups walk per host shard.  Hosts in
-        ``hot_hosts`` split into salted sub-queues; ``hot_hosts=None`` salts
-        none and has EVERY host lease from the pacer (overlapped mode)."""
-        cfg = self.cfg
-        salted, salts = hot_hosts or frozenset(), max(1, cfg.hot_host_salts)
-
-        def add_shard(batch: pa.Table) -> pa.Table:
-            from upton_ray.frontier import salt_hosts
-
-            urls = batch["url"].to_numpy(zero_copy_only=False)
-            keys = salt_hosts(hosts_of(urls), salted, salts)
-            return batch.append_column(
-                "host_shard",
-                pa.array(shard_hashes(keys, cfg.fetch_concurrency), pa.int32()))
-
-        # map_groups parallelism is bounded by the shuffled BLOCK count,
-        # not the group count: a small-block frontier would serialize the
-        # per-shard walks. The frontier rows are tiny (url + ints), so a
-        # pre-groupby repartition is cheap insurance.
-        return (frontier.map_batches(add_shard, batch_format="pyarrow")
-                .repartition(cfg.fetch_concurrency * 2)
-                .groupby("host_shard")
-                .map_groups(make_group_walker(
-                    cfg, self.web_ref, self.seen, drop=("host_shard",),
-                    pacer=pacer, hot_hosts=hot_hosts), batch_format="pyarrow"))
 
     def _seed_blocks(self):
         """Pre-split seed blocks (block = task unit). For a bucketed parquet
@@ -917,116 +914,6 @@ class Crawler:
         self._dump_seen()
         return CrawlResult(records=rt, index_urls=index_urls, sleeps=sleeps,
                            fetched_urls=fetched_urls, metrics=metrics)
-
-    # ------------------------------------------------- overlapped streaming
-
-    _SEED_SHIFT, _PAGE_SHIFT = 40, 20   # seed < 2^23, page < 2^20, dom < 2^20
-
-    def crawl_overlapped(self) -> CrawlResult:
-        """One continuous streaming pipeline — index chains, link extraction
-        and instance fetches OVERLAP (no inter-round barrier): while one
-        seed's pagination chain is still walking, other seeds' discovered
-        instances are already fetching.
-
-        How the barrier is removed:
-        * ``instance_index`` is fetched-through as a bit-packed
-          ``(seed_id, page_no, dom_pos)`` surrogate whose lexicographic order
-          EQUALS Upton's sequential order, then rank-remapped to the dense
-          prefix-sum value at finalize (every link yields >= 1 record row,
-          so the rank domain is complete);
-        * politeness (when real) routes instance fetches by HOST (the same
-          host_shard groupby as :meth:`crawl`) while EVERY host still leases
-          its windows from the shared HostPacer token-bucket actor — the
-          lease keeps global pacing airtight even though a host's index
-          chain may still be walking on another worker while its instances
-          fetch; the affinity keeps a host's leased windows contiguous on
-          one worker instead of fragmented across the pool.
-
-        Checkpoint / trace / url_array runs use :meth:`crawl` (the surrogate
-        would leak into their artifacts).
-
-        Measured tradeoff (192-host zipf bench corpus, this sandbox): at
-        sleep=0 throughput is on par with :meth:`crawl` (the removed barrier
-        is offset by losing bucket-routed corpus decodes + the rank-remap
-        pass); under real politeness the round-4 host-affine routing closed
-        the round-2 gap — 67.1 s, 0.861 of the 57.8 s skew floor, vs 117.8 s
-        (0.49) when fetches were randomly routed, on par with :meth:`crawl`'s
-        0.81-0.86. :meth:`crawl` stays the default (it adds hot-host
-        SPLITTING + checkpointing); this mode is for pipelines that need
-        index discovery and instance processing to overlap (e.g. when the
-        extract stage, not the fetch budget, dominates).
-        """
-        cfg = self.cfg
-        assert cfg.url_array is None and not cfg.stash_folder, \
-            "overlapped mode: index-driven, stash-less crawls only"
-        pacer = None
-        hot: object = frozenset()
-        if cfg.real_sleep and cfg.sleep_time_between_requests > 0:
-            from upton_ray.frontier import make_host_pacer
-
-            self.pacer = pacer = make_host_pacer()
-            hot = None           # sentinel: ALL hosts lease from the pacer
-        seeds_ds, step, conc = self._seed_blocks()
-        pages = seeds_ds.map_batches(
-            per_process(IndexWalker, cfg, self.web_ref, self.seen, pacer, hot),
-            batch_size=step, batch_format="pyarrow", concurrency=conc,
-            num_cpus=0.5)
-        links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
-
-        sh_s, sh_p = self._SEED_SHIFT, self._PAGE_SHIFT
-
-        def pack(b: pa.Table) -> pa.Table:
-            s = b["seed_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            p = b["page_no"].to_numpy(zero_copy_only=False).astype(np.int64)
-            d = b["dom_pos"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "url": b["url"],
-                "instance_index": pa.array((s << sh_s) | (p << sh_p) | d,
-                                           pa.int64()),
-            })
-
-        frontier = links.map_batches(pack, batch_format="pyarrow")
-        if pacer is not None:
-            # real politeness: route instance fetches by HOST so each host's
-            # leased windows are requested by ONE worker in one contiguous
-            # block.  Random routing fragmented a hot host's windows across
-            # workers, each blocking out its slice serially (r2 measurement:
-            # 0.49 of the skew floor vs 0.81-0.86 host-affine).  Every host
-            # still leases from the shared pacer (hot_hosts=None), so global
-            # pacing stays airtight even while the host's index chain — which
-            # may still be walking on another worker — fetches concurrently.
-            # The groupby is a barrier on the LINK stream only; under real
-            # politeness the fetch floor dominates wall time, so the lost
-            # overlap is noise (measured: BASELINE.md round-4 addendum).
-            fetched = self._host_sharded_walk(frontier, pacer, None)
-        else:
-            fetched = frontier.map_batches(
-                per_process(InstanceWalker, cfg, self.web_ref, self.seen,
-                            pacer, hot),
-                batch_size=cfg.fetch_batch_size, batch_format="pyarrow",
-                concurrency=cfg.fetch_concurrency, num_cpus=0.5)
-        records = self.extract_records(fetched).materialize()
-        # rank-remap: surrogate -> dense index. The distinct-key set is one
-        # entry per LINK (records/row_no-fold smaller than the crawl); at
-        # 10^10 scale this becomes a distributed sort-rank, same contract.
-        def uniq(b: pa.Table) -> pa.Table:
-            return pa.table({"s": pc.unique(b["instance_index"])})
-
-        keys_t = collect(records.map_batches(uniq, batch_format="pyarrow"),
-                         pa.schema([("s", pa.int64())]))
-        keys = np.unique(keys_t["s"].to_numpy(zero_copy_only=False))
-        keys_ref = ray.put(keys)
-
-        def remap(b: pa.Table) -> pa.Table:
-            k = ray.get(keys_ref)
-            vals = b["instance_index"].to_numpy(zero_copy_only=False)
-            return b.set_column(
-                b.column_names.index("instance_index"), "instance_index",
-                pa.array(np.searchsorted(k, vals), pa.int64()))
-
-        out = records.map_batches(remap, batch_format="pyarrow") \
-            .sort(["instance_index", "pagination_index", "row_no"])
-        return CrawlResult(records=out)
 
     def _index_fetch_urls(self, pages_t: pa.Table) -> list[str]:
         """Reconstruct the index-page URLs that hit the network (trace only)."""

@@ -459,8 +459,7 @@ def make_store(web_source):
 class _FetchState:
     """Shared per-walker fetch machinery (store + stash + politeness + robots)."""
 
-    def __init__(self, cfg: CrawlConfig, web_source, seen_handle,
-                 pacer=None, hot_hosts: frozenset = frozenset()):
+    def __init__(self, cfg: CrawlConfig, web_source, seen_handle):
         self.cfg = cfg
         self.store = make_store(web_source)
         self.seen = seen_handle           # SeenSet handle or None
@@ -480,43 +479,6 @@ class _FetchState:
             per_host_delay=per_host_delay)
         self.robots = RobotsCache(rules)
         self.statuses = cfg.status_overlay or {}
-        # skew handling: hosts split into salted sub-queues share ONE global
-        # token bucket (HostPacer actor) instead of this worker's local heap.
-        # hot_hosts=None means ALL hosts lease from the pacer (the overlapped
-        # streaming mode, where no host-affinity shuffle exists).
-        self.pacer = pacer
-        self.hot_all = hot_hosts is None
-        self.hot_hosts = hot_hosts if hot_hosts is not None else frozenset()
-
-    def is_hot(self, host: str) -> bool:
-        return self.hot_all or host in self.hot_hosts
-
-    def lease_batch(self, urls, from_resource) -> None:
-        """Seed the local EDF deadlines from the GLOBAL pacer for this
-        batch's pacer-governed hosts (one RPC per host per batch — their
-        queues may live on several workers, so the local heap alone can't be
-        authoritative).  The pacer returns a clock-domain-free WAIT; the
-        ordinary wait_turn loop then paces the leased window honestly in
-        this worker's wall-clock."""
-        if self.pacer is None or not (self.hot_all or self.hot_hosts):
-            return
-        import time as _time
-        from collections import Counter
-
-        from upton_ray.urlops import hosts_of as _hosts_of
-
-        hosts = _hosts_of(np.asarray(urls, dtype=object))
-        cnt = Counter(h for j, h in enumerate(hosts)
-                      if from_resource[j] and self.is_hot(h))
-        if not cnt:
-            return
-        items = list(cnt.items())
-        waits = ray.get([self.pacer.lease.remote(h, c, self.sched.host_delay(h))
-                         for h, c in items])
-        mono = _time.monotonic()
-        for (h, _c), wait in zip(items, waits):
-            self.sched.next_allowed[h] = max(self.sched.next_allowed[h],
-                                             mono + wait)
 
     def seen_key(self, urls):
         """Seen-set keys: raw URLs (reference-exact) or canonical form when
@@ -527,45 +489,6 @@ class _FetchState:
         from upton_ray.urlops import canonicalize_urls
 
         return canonicalize_urls(urls)
-
-    def fetch_one(self, url, stash: bool):
-        """Sequential-path fetch (index chains, continuations).
-        Returns (spans, from_resource, slept, status, robots_blocked)."""
-        if url is None or url == "":
-            return EMPTY_SPANS, False, False, 0, False      # M7 nil-url guard
-        if not self.robots.allowed_mask(np.array([url], dtype=object))[0]:
-            return EMPTY_SPANS, False, False, 0, True
-        from_resource = True
-        if stash and self.seen is not None:
-            from_resource = bool(self.seen.check_and_add(self.seen_key([url]))[0])
-        slept = False
-        status = 200
-        if from_resource:
-            status = self.statuses.get(url, 200)
-            if status == 408:      # bounded retry (reference loops forever, T4)
-                for _ in range(self.cfg.max_retries):
-                    pass           # sandbox: status is static; retries exhaust
-            h = host_of(url)
-            if self.pacer is not None and self.is_hot(h) and self.cfg.real_sleep:
-                # pacer-governed host: even singleton (continuation) fetches
-                # consume a global token and honor the leased window
-                import time as _time
-
-                wait = ray.get(self.pacer.lease.remote(
-                    h, 1, self.sched.host_delay(h)))
-                self.sched.next_allowed[h] = max(
-                    self.sched.next_allowed[h], _time.monotonic() + wait)
-            self.sched.wait_turn(host_of(url))
-            slept = True           # politeness applies to error/empty fetches too (Q8)
-            if status != 200:
-                if stash and self.seen is not None:
-                    self.seen.record_bad(self.seen_key([url]))   # error page stashed as empty body
-                return EMPTY_SPANS, True, slept, status, False
-        elif self.seen is not None and self.seen.bad_mask(self.seen_key([url]))[0]:
-            return EMPTY_SPANS, False, False, 200, False  # cached empty body
-        body = self.store.lookup_one(url)
-        return (body or EMPTY_SPANS), from_resource, slept, status, False
-
 
 # per-worker-process stage objects (walkers, probes). LRU-bounded: a walker's
 # store can hold several decoded corpus buckets, and spent crawls' walkers
@@ -667,10 +590,8 @@ class IndexWalker:
     per task — no per-page RPCs or python span materialization.
     """
 
-    def __init__(self, cfg: CrawlConfig, web_source, seen_handle=None,
-                 pacer=None, hot_hosts: frozenset = frozenset()):
-        self.st = _FetchState(cfg, web_source, seen_handle,
-                              pacer=pacer, hot_hosts=hot_hosts)
+    def __init__(self, cfg: CrawlConfig, web_source, seen_handle=None):
+        self.st = _FetchState(cfg, web_source, seen_handle)
         self.cfg = cfg
         # error pages are stashed as empty bodies; the bad set is static
         # within a run (statuses come from cfg) so snapshot it once per walker
@@ -731,10 +652,6 @@ class IndexWalker:
         else:
             from_resource = np.ones(n, dtype=bool)
         if cfg.real_sleep and st.sched.delay and n:
-            # pacer-governed hosts (overlapped mode: all of them) lease the
-            # chain's window from the global bucket first, so same-host
-            # seeds split across blocks/workers can't exceed the polite rate
-            st.lease_batch(urls, from_resource)
             # EDF order across the block's chains: one chain's politeness
             # wait absorbs the others' fetches, so the block costs its
             # longest chain's floor, not the sum of chains
@@ -777,9 +694,73 @@ class InstanceWalker:
 
     def __init__(self, cfg: CrawlConfig, web_source, seen_handle=None,
                  pacer=None, hot_hosts: frozenset = frozenset()):
-        self.st = _FetchState(cfg, web_source, seen_handle,
-                              pacer=pacer, hot_hosts=hot_hosts)
+        self.st = _FetchState(cfg, web_source, seen_handle)
         self.cfg = cfg
+        # skew handling: hot hosts are split into salted sub-queues on several
+        # workers, so they share ONE global token bucket (HostPacer actor)
+        # instead of this worker's local heap
+        self.pacer = pacer
+        self.hot_hosts = hot_hosts
+
+    def _lease_batch(self, urls, from_resource) -> None:
+        """Seed the local EDF deadlines from the GLOBAL pacer for this
+        batch's hot hosts (one RPC per host per batch — their queues may
+        live on several workers, so the local heap alone can't be
+        authoritative).  The pacer returns a clock-domain-free WAIT; the
+        ordinary wait_turn loop then paces the leased window honestly in
+        this worker's wall-clock."""
+        if self.pacer is None or not self.hot_hosts:
+            return
+        import time as _time
+        from collections import Counter
+
+        from upton_ray.urlops import hosts_of as _hosts_of
+
+        sched = self.st.sched
+        hosts = _hosts_of(np.asarray(urls, dtype=object))
+        cnt = Counter(h for j, h in enumerate(hosts)
+                      if from_resource[j] and h in self.hot_hosts)
+        if not cnt:
+            return
+        items = list(cnt.items())
+        waits = ray.get([self.pacer.lease.remote(h, c, sched.host_delay(h))
+                         for h, c in items])
+        mono = _time.monotonic()
+        for (h, _c), wait in zip(items, waits):
+            sched.next_allowed[h] = max(sched.next_allowed[h], mono + wait)
+
+    def _fetch_one(self, url, stash: bool):
+        """Sequential-path fetch (continuations).
+        Returns (spans, from_resource, slept, status, robots_blocked)."""
+        st = self.st
+        if url is None or url == "":
+            return EMPTY_SPANS, False, False, 0, False      # M7 nil-url guard
+        if not st.robots.allowed_mask(np.array([url], dtype=object))[0]:
+            return EMPTY_SPANS, False, False, 0, True
+        from_resource = True
+        if stash and st.seen is not None:
+            from_resource = bool(st.seen.check_and_add(st.seen_key([url]))[0])
+        slept = False
+        status = 200
+        if from_resource:
+            status = st.statuses.get(url, 200)
+            if status == 408:      # bounded retry (reference loops forever, T4)
+                for _ in range(self.cfg.max_retries):
+                    pass           # sandbox: status is static; retries exhaust
+            if self.cfg.real_sleep:
+                # a hot host's singleton (continuation) fetch consumes a
+                # global token and honors the leased window too
+                self._lease_batch([url], [True])
+            st.sched.wait_turn(host_of(url))
+            slept = True           # politeness applies to error/empty fetches too (Q8)
+            if status != 200:
+                if stash and st.seen is not None:
+                    st.seen.record_bad(st.seen_key([url]))   # error page stashed as empty body
+                return EMPTY_SPANS, True, slept, status, False
+        elif st.seen is not None and st.seen.bad_mask(st.seen_key([url]))[0]:
+            return EMPTY_SPANS, False, False, 200, False  # cached empty body
+        body = st.store.lookup_one(url)
+        return (body or EMPTY_SPANS), from_resource, slept, status, False
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
@@ -805,9 +786,9 @@ class InstanceWalker:
         statuses = np.full(n, 0, dtype=np.int32)
         slept = np.zeros(n, dtype=bool)
         if st.sched.delay and cfg.real_sleep:
-            st.lease_batch(furls, from_res)
-            # earliest-deadline-first over this worker's heap (pacer-governed
-            # hosts start at their leased window; others at their local state)
+            self._lease_batch(furls, from_res)
+            # earliest-deadline-first over this worker's heap (hot hosts
+            # start at their leased window; others at their local state)
             prefetch = getattr(st.store, "prefetch", None)
             for j in st.sched.order_batch(furls):
                 if from_res[j]:
@@ -890,7 +871,7 @@ class InstanceWalker:
                 nxt = succ(url, pagination_index + 1)
                 if nxt == prev_url or nxt == "":
                     break
-                spans, from_res, slept, status, rb = self.st.fetch_one(nxt, cfg.debug)
+                spans, from_res, slept, status, rb = self._fetch_one(nxt, cfg.debug)
                 extra["instance_index"].append(out["instance_index"][i].as_py())
                 extra["pagination_index"].append(depth)
                 extra["instance_url"].append(nxt)

@@ -781,6 +781,13 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         raise ValueError("no SOF0 segment")
     if scan is None:
         raise ValueError("no SOS segment")
+    # a scan naming an undefined table id fails closed, before any decoding
+    for c in scan:
+        if c["q"] not in qtabs:
+            raise ValueError(f"undefined quant table id {c['q']}")
+        if (0, c["dc"]) not in htabs or (1, c["ac"]) not in htabs:
+            raise ValueError(f"undefined Huffman table id "
+                             f"(dc {c['dc']}, ac {c['ac']})")
 
     # entropy data: unstuff FF00, split on RSTn, stop at next real marker
     segments: list[bytes] = []
