@@ -1371,7 +1371,7 @@ def oracle_sql() -> dict[str, str]:
     sql["nation_year_rollup"] = """
         SELECT COALESCE(n_name, 'ALL') AS n_name,
                COALESCE(yr, -1) AS year,
-               SUM(cents) AS revenue_cents,
+               CAST(SUM(cents) AS BIGINT) AS revenue_cents,
                count(*) AS n_orders
         FROM (SELECT n.n_name,
                      CAST(year(o.o_orderdate) AS BIGINT) AS yr,

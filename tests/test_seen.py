@@ -1,34 +1,18 @@
-"""URL-seen set: bloom/cuckoo fast paths, exactness, re-crawl invalidation.
+"""URL-seen set: the cuckoo filter, exact and approximate shards, re-crawl
+invalidation, checkpoint/restore.
 
-The cuckoo filter is the deletable fallback required by the design (north_star:
-bloom for append-only membership, cuckoo once deletions happen — a bloom can
-never unlearn an invalidated URL). Exactness always comes from the per-shard
-exact set; the filters are negative-path accelerators only.
+Each shard holds one membership structure: an exact URL set (the default) or,
+in approximate mode, the deletable cuckoo filter alone (north_star: cuckoo for
+deletions — a bloom could never unlearn an invalidated URL).
 """
 
 import numpy as np
 
-from upton_ray.seen import Bloom, Cuckoo, _hash2
+from upton_ray.seen import Cuckoo, _hash2
 
 
 def _h(urls):
     return _hash2(np.asarray(urls, dtype=object))
-
-
-def test_bloom_no_false_negatives():
-    b = Bloom(capacity=10_000)
-    added = [f"http://h{i}.example/p{i}" for i in range(5_000)]
-    h1, h2 = _h(added)
-    b.add_and_test(h1, h2)
-    assert b.test(h1, h2).all()
-
-
-def test_bloom_false_positive_rate_bounded():
-    b = Bloom(capacity=10_000, fp_rate=0.01)
-    h1, h2 = _h([f"a{i}" for i in range(10_000)])
-    b.add_and_test(h1, h2)
-    g1, g2 = _h([f"b{i}" for i in range(10_000)])
-    assert b.test(g1, g2).mean() < 0.05
 
 
 def test_cuckoo_membership_and_delete():
@@ -183,6 +167,42 @@ def test_seen_checkpoint_clears_stale_shards(ray_session, tmp_path):
     assert files == ["shard-0.parquet", "shard-1.parquet"]
     total = sum(pq.read_metadata(os.path.join(d, f)).num_rows for f in files)
     assert total == 10
+
+
+def test_seen_restore_across_shard_counts(ray_session, tmp_path):
+    """A checkpoint restores into a different shard count (routing re-hashes
+    each URL), read back the way ``Crawler._restore_seen`` reads it."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from upton_ray.seen import SeenSet
+
+    d = str(tmp_path / "seen.parquet")
+    urls = [f"http://h{i % 7}.test/p/{i}" for i in range(300)]
+    bad = urls[::11]
+    s4 = SeenSet(num_shards=4)
+    s2 = SeenSet(num_shards=2)
+    try:
+        s4.check_and_add(urls)
+        s4.record_bad(bad)
+        s4.checkpoint(d)
+        for f in sorted(os.listdir(d)):
+            for batch in pq.ParquetFile(os.path.join(d, f)).iter_batches(
+                    batch_size=64):
+                t = pa.Table.from_batches([batch])
+                s2.restore(
+                    t.filter(pc.equal(t["bad"], False))["url"].to_pylist(),
+                    t.filter(pc.equal(t["bad"], True))["url"].to_pylist())
+        assert not s2.check_and_add(urls).any()
+        assert s2.bad_mask(urls).tolist() == [u in bad for u in urls]
+        assert s2.size() == s4.size() == len(urls)
+        assert s2.invalidate([urls[1], urls[1]]) == 1
+    finally:
+        s4.kill()
+        s2.kill()
 
 
 def test_seen_checkpoint_approximate_raises(ray_session, tmp_path):

@@ -69,7 +69,7 @@ class CrawlConfig:
     seen_exact: bool = True   # False = filters-only membership (10^10-URL
                               # memory config; a filter FP may skip a fetch)
     num_seen_shards: int = 8
-    seen_capacity_per_shard: int = 1_000_000   # filter sizing (bloom/cuckoo)
+    seen_capacity_per_shard: int = 1_000_000   # cuckoo sizing (approximate mode only)
     fetch_concurrency: int = 4         # max concurrent fetch/walk tasks
     fetch_batch_size: int = 256
     # CPU reservation per bucket-walk task (group-routed fetch): each task

@@ -10043,8 +10043,9 @@ def incremental_profile(sf_dir: str, cache_dir: str | None = None):
     ICDE'19 "Differential Data Quality Verification on Partitioned Data"
     pattern, PAPERS.md): per input FILE, a mergeable summary row per
     column — rows / nulls / min / max over (doc_id, source, n_chars) —
-    is computed once and CACHED keyed by (filename, size); a re-run
-    profiles only partitions without a cached summary, so verifying a
+    is computed once and CACHED keyed by (basename, size, mtime_ns), so
+    a file rewritten in place is profiled again; a re-run profiles only
+    partitions without a cached summary, so verifying a
     grown corpus costs O(new partitions), not O(corpus).  The merged
     result is independent of how much came from cache, which is exactly
     what the SQL oracle checks.  Output (col, n, nulls, min_s, max_s).

@@ -2,19 +2,22 @@
 filesystem stash keyed by MD5(url) (/root/reference/lib/upton/downloader.rb:70-143).
 
 Design (SURVEY.md §2.4 T1): N shard actors, routed by a stable string hash of
-the url.  Each shard holds
+the url.  Each shard holds ONE membership structure, fixed at construction:
 
-* a bloom filter  — fast *negative* membership (definitely-new fast path);
-* an exact Python set — the source of truth (bloom false-positives fall
-  through to it, so semantics are exact — a bloom positive alone must never
-  skip a fetch).
+* exact mode (the default): a Python set of the URLs — exact answers, an
+  enumerable checkpoint, and plain set removal for re-crawl invalidation;
+* approximate mode (``seen_exact=False``, the 10^10-URL memory config): a
+  deletable :class:`Cuckoo` filter alone, trading a bounded false-positive
+  rate (a skipped fetch) for ~25x less memory.  It cannot be checkpointed.
 
 ``check_and_add`` is the one batch RPC the fetch stage needs: it returns, per
 url, whether the url was NEW (and atomically marks it seen).  Duplicates
 *within* one call count once — matching stash semantics where the first fetch
 writes the cache file and the second read hits it.
 
-Shards checkpoint/restore their exact sets (parquet) for crawl resume.
+Exact shards checkpoint their sets (parquet, one file per shard) for crawl
+resume.  A shard also keeps the URLs whose stashed body is an error page
+(``bad``), a fact separate from membership.
 """
 
 from __future__ import annotations
@@ -30,46 +33,15 @@ def _hash2(urls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-class Bloom:
-    """Plain numpy bloom filter (Kirsch–Mitzenmacher double hashing)."""
-
-    def __init__(self, capacity: int = 1_000_000, fp_rate: float = 0.01, k: int = 7):
-        bits = max(1024, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2)))
-        self.m = np.uint64(bits)
-        self.k = k
-        self.bits = np.zeros((bits + 63) // 64, dtype=np.uint64)
-
-    def _positions(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        # (n, k) bit positions
-        ks = np.arange(self.k, dtype=np.uint64)
-        return (h1[:, None] + ks[None, :] * h2[:, None]) % self.m
-
-    def add_and_test(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """Returns mask of items that *might* have been present before adding."""
-        pos = self._positions(h1, h2)
-        word, bit = pos >> np.uint64(6), pos & np.uint64(63)
-        present = (self.bits[word] >> bit) & np.uint64(1)
-        maybe = present.all(axis=1).astype(bool)
-        np.bitwise_or.at(self.bits, word, np.uint64(1) << bit)
-        return maybe
-
-    def test(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        pos = self._positions(h1, h2)
-        word, bit = pos >> np.uint64(6), pos & np.uint64(63)
-        present = (self.bits[word] >> bit) & np.uint64(1)
-        return present.all(axis=1).astype(bool)
-
-
 class Cuckoo:
     """Numpy cuckoo filter — the deletable approximate-membership structure
-    (north_star: "cuckoo fallback for deletions").  Blooms can't delete: on
-    re-crawl invalidation the bloom would keep answering "maybe seen" forever,
-    so invalidated shards switch their fast path to this filter.
+    of an approximate-mode shard (north_star: "cuckoo fallback for
+    deletions"): unlike a bloom it can forget an invalidated URL.
 
     4-slot buckets of uint16 fingerprints (0 = empty); partial-key cuckoo
     hashing: bucket2 = bucket1 XOR hash(fingerprint).  At 10^10 URLs this is
     ~2.25 bytes/key/shard vs ~60+ for a Python set — the memory scale path;
-    exactness (when required for conformance) still comes from the exact set.
+    exact mode, which conformance needs, holds a set instead.
     """
 
     SLOTS = 4
@@ -194,123 +166,77 @@ class Cuckoo:
 class SeenShard:
     """One shard of the URL-seen set.
 
-    Fast negative path: bloom until the first ``invalidate`` (deletion), then
-    the deletable cuckoo filter — rebuilt from the exact set at switch time —
-    serves it instead (a bloom cannot unlearn a deleted URL)."""
+    Exact mode holds a ``set[str]`` of URLs and nothing else; approximate
+    mode holds a :class:`Cuckoo` filter sized by ``capacity`` and nothing
+    else — the filter IS the membership surface, so a false positive (rate
+    set by ``capacity``) skips a fetch of a genuinely-new URL. Every method
+    branches on the mode once."""
 
     def __init__(self, capacity: int = 1_000_000, approximate: bool = False):
-        self.capacity = capacity
-        self.bloom = Bloom(capacity)
-        self.cuckoo: Cuckoo | None = None    # engaged on first invalidate
-        # approximate mode (the 10^10-URL memory config): membership lives in
-        # the filters ALONE — ~1.2 bits/key (bloom) or ~2.25 B/key (cuckoo)
-        # instead of ~60+ B/key for a Python set. Tradeoff: a filter false
-        # positive skips a fetch of a genuinely-new URL (rate set by
-        # `capacity`); crawl-order conformance modes keep the exact tier.
         self.approximate = approximate
-        if approximate:
-            self.cuckoo = Cuckoo(capacity)   # deletable from day one
-        self.exact: set[str] = set()
-        self.n_seen = 0
+        self.cuckoo = Cuckoo(capacity) if approximate else None
+        self.exact: set[str] | None = None if approximate else set()
+        self.n_seen = 0              # approximate mode's size (a filter has no len)
         self.bad: set[str] = set()   # URLs whose stashed body is empty (error pages)
 
     def invalidate(self, urls: list[str]) -> int:
-        """Re-crawl invalidation: forget these URLs so the next crawl refetches
-        them. Switches the fast path from bloom to the deletable cuckoo."""
-        if self.cuckoo is None:
-            self.cuckoo = Cuckoo(max(self.capacity, len(self.exact) * 2))
-            if self.exact:
-                arr = np.asarray(sorted(self.exact), dtype=object)
-                self.cuckoo.add(*_hash2(arr))
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return 0
-        h1, h2 = _hash2(arr)
-        deleted = self.cuckoo.delete(h1, h2)
+        """Re-crawl invalidation: forget these URLs (and their error-page
+        marks) so the next crawl refetches them. Returns the number of
+        distinct URLs that were seen."""
+        self.bad.difference_update(urls)
         if self.approximate:
-            n = int(deleted.sum())
+            if not urls:
+                return 0
+            n = int(self.cuckoo.delete(
+                *_hash2(np.asarray(urls, dtype=object))).sum())
             self.n_seen -= n
-            for u in urls:
-                self.bad.discard(u)
             return n
-        n = 0
-        for u in urls:
-            if u in self.exact:
-                self.exact.discard(u)
-                n += 1
-            self.bad.discard(u)
-        self.n_seen = len(self.exact)
-        return n
+        before = len(self.exact)
+        self.exact.difference_update(urls)
+        return before - len(self.exact)
 
     def check_and_add(self, urls: list[str]) -> np.ndarray:
         """Per-url: True if NEW (first sighting, now marked seen)."""
-        if not urls:
-            return np.zeros(0, dtype=bool)
-        arr = np.asarray(urls, dtype=object)
-        h1, h2 = _hash2(arr)
         if self.approximate:
-            # filters are the whole truth: new = filter-negative AND first
-            # occurrence in this call (bloom probes all bits before setting
-            # any, so intra-call duplicates would otherwise all read "new")
-            import pandas as pd
-
+            if not urls:
+                return np.zeros(0, dtype=bool)
+            arr = np.asarray(urls, dtype=object)
+            h1, h2 = _hash2(arr)
+            # new = filter-negative AND first occurrence in this call (the
+            # filter is probed for the whole batch before any add, so
+            # intra-call duplicates would otherwise all read "new")
             first = ~pd.Series(arr).duplicated().to_numpy()
             new = first & ~self.cuckoo.contains(h1, h2)
             if new.any():
                 self.cuckoo.add(h1[new], h2[new])
             self.n_seen += int(new.sum())
             return new
-        # keep the bloom warm for contains(); the vectorized pre-test is only a
-        # hint and CANNOT shortcut here — duplicates within one call would all
-        # test bloom-negative (bits are probed before any adds)
-        self.bloom.add_and_test(h1, h2)
-        new = np.empty(len(arr), dtype=bool)
+        new = np.empty(len(urls), dtype=bool)
         exact = self.exact
-        for i, u in enumerate(arr):
+        for i, u in enumerate(urls):
             is_new = u not in exact
             new[i] = is_new
             if is_new:
                 exact.add(u)
-        self.n_seen = len(exact)
-        if self.cuckoo is not None and new.any():
-            self.cuckoo.add(h1[new], h2[new])   # only first sightings — keeps
-            # the filter a set, so one delete fully forgets a URL
         return new
 
     def contains(self, urls: list[str]) -> np.ndarray:
-        if not urls:
-            return np.zeros(0, dtype=bool)
-        arr = np.asarray(urls, dtype=object)
-        h1, h2 = _hash2(arr)
-        if self.cuckoo is not None:   # post-invalidate: deletable filter rules
-            maybe = self.cuckoo.contains(h1, h2)
-        else:
-            maybe = self.bloom.test(h1, h2)
         if self.approximate:
-            return maybe              # the filter IS the membership surface
-        out = np.zeros(len(arr), dtype=bool)
-        idx = np.flatnonzero(maybe)   # filter-negative -> definitely new, skip set probe
-        for i in idx:
-            out[i] = arr[i] in self.exact
-        return out
+            if not urls:
+                return np.zeros(0, dtype=bool)
+            return self.cuckoo.contains(*_hash2(np.asarray(urls, dtype=object)))
+        return np.array([u in self.exact for u in urls], dtype=bool)
 
     def add(self, urls: list[str]) -> int:
-        arr = np.asarray(urls, dtype=object)
-        h1, h2 = _hash2(arr)
         if self.approximate:
+            h1, h2 = _hash2(np.asarray(urls, dtype=object))
             fresh = ~self.cuckoo.contains(h1, h2)
             if fresh.any():
                 self.cuckoo.add(h1[fresh], h2[fresh])
             self.n_seen += int(fresh.sum())
             return self.n_seen
-        self.bloom.add_and_test(h1, h2)
-        if self.cuckoo is not None:
-            fresh = np.array([u not in self.exact for u in arr], dtype=bool)
-            if fresh.any():
-                self.cuckoo.add(h1[fresh], h2[fresh])
-        self.exact.update(arr.tolist())
-        self.n_seen = len(self.exact)
-        return self.n_seen
+        self.exact.update(urls)
+        return len(self.exact)
 
     def record_bad(self, urls: list[str]) -> None:
         self.bad.update(urls)
@@ -322,9 +248,6 @@ class SeenShard:
 
     def size(self) -> int:
         return self.n_seen if self.approximate else len(self.exact)
-
-    def dump(self) -> list[str]:
-        return sorted(self.exact)
 
     def dump_bad(self) -> list[str]:
         return sorted(self.bad)
@@ -348,17 +271,13 @@ class SeenShard:
         os.replace(tmp, path)
         return t.num_rows
 
-    def restore(self, urls: list[str], bad: list[str]) -> None:
-        self.add(urls)
-        self.bad.update(bad)
-
 
 @ray.remote(num_cpus=0)
 class IdShard:
     """One shard of a distributed int64-id membership set (the "does this
     doc exist" gate for graph expansion, e.g. :func:`datapipe.crawl_bfs`).
 
-    Unlike :class:`SeenShard` (string URLs, bloom/cuckoo tiers) this is
+    Unlike :class:`SeenShard` (string URLs in a set or a cuckoo) this is
     int-native: ids are ingested as numpy arrays by distributed map_batches
     tasks — the driver never reads the id column — then finalized into ONE
     sorted array per shard (searchsorted membership, ~8 B/id/shard). A
@@ -498,79 +417,47 @@ class SeenSet:
         h = pd.util.hash_array(np.asarray(urls, dtype=object), categorize=False)
         return (h % np.uint64(self.num_shards)).astype(np.int64)
 
+    def _per_shard(self, method: str, urls) -> list[tuple[np.ndarray, object]]:
+        """Call shard ``method`` once per shard with that shard's slice of
+        ``urls``, all RPCs in flight together. Returns (positions in
+        ``urls``, result) per shard."""
+        arr = np.asarray(urls, dtype=object)
+        if len(arr) == 0:
+            return []
+        shard_ids = self._route(arr)
+        idxs = [np.flatnonzero(shard_ids == s) for s in np.unique(shard_ids)]
+        futs = [getattr(self.shards[shard_ids[idx[0]]], method).remote(
+                    arr[idx].tolist()) for idx in idxs]
+        return list(zip(idxs, ray.get(futs)))
+
+    def _mask(self, method: str, urls) -> np.ndarray:
+        """Per-url bool answer of shard ``method``, in input order."""
+        out = np.zeros(len(urls), dtype=bool)
+        for idx, res in self._per_shard(method, urls):
+            out[idx] = res
+        return out
+
     def check_and_add(self, urls) -> np.ndarray:
         """Batched fetch-once gate; preserves input order. True = new."""
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids = self._route(arr)
-        out = np.zeros(len(arr), dtype=bool)
-        futs, idxs = [], []
-        for s in np.unique(shard_ids):
-            idx = np.flatnonzero(shard_ids == s)
-            futs.append(self.shards[s].check_and_add.remote(arr[idx].tolist()))
-            idxs.append(idx)
-        for idx, res in zip(idxs, ray.get(futs)):
-            out[idx] = res
-        return out
+        return self._mask("check_and_add", urls)
 
     def contains(self, urls) -> np.ndarray:
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids = self._route(arr)
-        out = np.zeros(len(arr), dtype=bool)
-        futs, idxs = [], []
-        for s in np.unique(shard_ids):
-            idx = np.flatnonzero(shard_ids == s)
-            futs.append(self.shards[s].contains.remote(arr[idx].tolist()))
-            idxs.append(idx)
-        for idx, res in zip(idxs, ray.get(futs)):
-            out[idx] = res
-        return out
+        return self._mask("contains", urls)
 
     def add(self, urls) -> None:
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return
-        shard_ids = self._route(arr)
-        ray.get([self.shards[s].add.remote(arr[shard_ids == s].tolist())
-                 for s in np.unique(shard_ids)])
+        self._per_shard("add", urls)
 
     def record_bad(self, urls) -> None:
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return
-        shard_ids = self._route(arr)
-        ray.get([self.shards[s].record_bad.remote(arr[shard_ids == s].tolist())
-                 for s in np.unique(shard_ids)])
+        self._per_shard("record_bad", urls)
 
     def invalidate(self, urls) -> int:
-        """Re-crawl invalidation: forget these URLs on their shards (cuckoo
-        deletion path) so the next crawl fetches them fresh. Returns the
-        number of URLs that were actually seen."""
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return 0
-        shard_ids = self._route(arr)
-        return sum(ray.get([
-            self.shards[s].invalidate.remote(arr[shard_ids == s].tolist())
-            for s in np.unique(shard_ids)]))
+        """Re-crawl invalidation: forget these URLs on their shards so the
+        next crawl fetches them fresh. Returns the number of distinct URLs
+        that were actually seen."""
+        return sum(n for _, n in self._per_shard("invalidate", urls))
 
     def bad_mask(self, urls) -> np.ndarray:
-        arr = np.asarray(urls, dtype=object)
-        if len(arr) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids = self._route(arr)
-        out = np.zeros(len(arr), dtype=bool)
-        futs, idxs = [], []
-        for s in np.unique(shard_ids):
-            idx = np.flatnonzero(shard_ids == s)
-            futs.append(self.shards[s].bad_mask.remote(arr[idx].tolist()))
-            idxs.append(idx)
-        for idx, res in zip(idxs, ray.get(futs)):
-            out[idx] = res
-        return out
+        return self._mask("bad_mask", urls)
 
     def dump_bad(self) -> list[str]:
         out: list[str] = []
@@ -580,20 +467,10 @@ class SeenSet:
 
     def restore(self, urls, bad) -> None:
         self.add(urls)
-        arr = np.asarray(bad, dtype=object)
-        if len(arr):
-            shard_ids = self._route(arr)
-            ray.get([self.shards[s].record_bad.remote(arr[shard_ids == s].tolist())
-                     for s in np.unique(shard_ids)])
+        self.record_bad(bad)
 
     def size(self) -> int:
         return sum(ray.get([s.size.remote() for s in self.shards]))
-
-    def dump(self) -> list[str]:
-        out: list[str] = []
-        for part in ray.get([s.dump.remote() for s in self.shards]):
-            out.extend(part)
-        return out
 
     def checkpoint(self, dir_path: str) -> int:
         """Each shard writes its own parquet file under ``dir_path`` in
