@@ -205,3 +205,31 @@ def test_distributed_instance_index_equals_collected(ray_session, tmp_path):
     c2.shutdown()
     assert dist == base
     assert len(base) == sum(p.n_articles(h) for h in range(p.n_hosts))
+
+
+def test_attach_instance_index_fails_closed_on_unknown_page():
+    """The collect path's sorted-key lookup: offset + dom_pos for known
+    (seed_id, page_no) pages, a ValueError (never index 0) for a page
+    missing from the rollup."""
+    import numpy as np
+    import pyarrow as pa
+
+    from upton_ray.engine import _attach_instance_index, _page_keys
+
+    rollup = pa.table({"seed_id": pa.array([1, 0, 0], pa.int32()),
+                       "page_no": pa.array([1, 2, 1], pa.int32())})
+    keys = _page_keys(rollup)
+    o = np.argsort(keys)
+    keys, offs = keys[o], np.array([0, 3, 5], dtype=np.int64)  # (0,1) (0,2) (1,1)
+
+    def links(seeds, pages):
+        n = len(seeds)
+        return pa.table({"seed_id": pa.array(seeds, pa.int32()),
+                         "page_no": pa.array(pages, pa.int32()),
+                         "dom_pos": pa.array(range(n), pa.int32())})
+
+    got = _attach_instance_index(links([1, 0, 0], [1, 2, 1]), keys, offs)
+    assert got["instance_index"].to_pylist() == [5, 4, 2]
+    for seeds, pages in (([0, 0], [1, 3]), ([2], [1]), ([0], [0])):
+        with pytest.raises(ValueError):
+            _attach_instance_index(links(seeds, pages), keys, offs)

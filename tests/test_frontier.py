@@ -43,6 +43,23 @@ class TestHostScheduler:
         s.wait_turn("slow.com")
         assert s.next_allowed["slow.com"] >= 100.0
 
+    def test_leased_host_interleaves_with_unseen_hosts(self):
+        """A host whose deadline is the current monotonic instant (a hot
+        host's freshly leased window) is due now, like a never-fetched host:
+        it interleaves with them instead of waiting behind all of them."""
+        import time
+
+        s = HostScheduler(crawl_delay=1.0, real_sleep=True)
+        urls = np.array(
+            [f"http://a.com/{i}" for i in range(3)]
+            + [f"http://b.com/{i}" for i in range(3)]
+            + [f"http://hot.com/{i}" for i in range(3)], dtype=object)
+        s.next_allowed["hot.com"] = time.monotonic()
+        order = s.order_batch(urls)
+        got_hosts = [hosts([urls[i]])[0] for i in order]
+        assert got_hosts[:3] == ["a.com", "b.com", "hot.com"]
+        assert sorted(order.tolist()) == list(range(9))
+
 
 class TestSaltHosts:
     def test_only_hot_hosts_salted(self):

@@ -100,3 +100,76 @@ def test_hot_host_continuations_consume_pacer_tokens(ray_session):
     _, granted, _ = ray.get(c.pacer.state.remote())
     assert granted == {"big.test": 2 * len(hot_urls)}
     c.shutdown()
+
+
+def test_hot_host_requests_span_the_full_budget(ray_session):
+    """Politeness measured on the wire: a salted hot host's requests, timed
+    server-side, never come faster than the shared budget allows.  Every
+    shard has cold work as well as its hot share; a leased window must be
+    scheduled as soon as it opens, not after the shard's cold hosts, or the
+    late shares of different shards overlap and the hot host's requests
+    bunch up."""
+    import json
+    import threading
+    import time
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler
+
+    delay, n_hot, n_cold, shards = 0.05, 60, 41, 2
+    hot_urls = [f"http://big.test/a/{i}" for i in range(n_hot)]
+    # one cold host per fetch shard, each longer than a hot share
+    cold_hosts: dict[int, str] = {}
+    j = 0
+    while len(cold_hosts) < shards:
+        h = f"c{j}.test"
+        shard = int(shard_hashes(np.array([h], dtype=object), shards)[0])
+        cold_hosts.setdefault(shard, h)
+        j += 1
+    cold_urls = [f"http://{h}/p/{i}" for h in cold_hosts.values()
+                 for i in range(n_cold)]
+    pages = _web(cold_urls + hot_urls)
+    hot_hits: list[float] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            url = "http://" + self.path.lstrip("/")
+            if url.startswith("http://big.test/"):
+                hot_hits.append(time.monotonic())
+            body = json.dumps(pages.get(url, [])).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *a):
+            pass
+
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    root = f"http://127.0.0.1:{srv.server_port}/"
+    url_map = {f"http://{h}/": f"{root}{h}/"
+               for h in ["big.test", *cold_hosts.values()]}
+    cfg = CrawlConfig(
+        url_array=cold_urls + hot_urls, extractor="css:h1.article-title",
+        sleep_time_between_requests=delay, real_sleep=True, max_sleep=0.005,
+        debug=False, host_sharded_fetch=True,
+        hot_host_threshold=n_cold + 1, hot_host_salts=8,
+        num_seen_shards=1, fetch_concurrency=shards,
+        # small record batches: the fused record stage does not bundle the
+        # shards' blocks into one task, so the shards walk concurrently
+        fetch_batch_size=16)
+    c = Crawler(cfg, ("http", {"url_map": url_map, "timeout": 5.0,
+                               "max_retries": 1}))
+    try:
+        t = c.crawl().records_table()
+    finally:
+        c.shutdown()
+        srv.shutdown()
+    assert t.num_rows == n_hot + len(cold_urls)
+    assert len(hot_hits) == n_hot, "one GET per hot URL"
+    span = max(hot_hits) - min(hot_hits)
+    assert span >= 0.9 * (n_hot - 1) * delay, \
+        f"hot host fetched {n_hot} pages in {span:.3f} s"

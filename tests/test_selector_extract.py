@@ -192,3 +192,83 @@ def test_css_adv_scenario_matches_basic_golden(ray_session, fixture_web):
     res = Crawler(scenario_configs()["css_adv"], fixture_web).crawl(trace=True)
     assert res.documents() == [HEADLINES["webinar"], "",
                                HEADLINES["prosecutor"], HEADLINES["sixfacts"]]
+
+
+_KERNEL_EXTRACTORS = ["css:h1.article-title", "identity",
+                      "list:#jamb.wNarrow #most-commented li a",
+                      "list:h1.article-title"]
+
+
+def _kernel_pages() -> list:
+    """Fixture and scale-web pages plus the edge rows the batch kernel must
+    reproduce: empty page, no match, a repeated title (concatenation order),
+    a null ``spans`` row and a matched null span text."""
+    sp = synth._sp
+    web = synth.fixture_web()
+    p = synth.ScaleParams(n_hosts=3, pages_per_host=20)
+    scale = [synth.gen_page(p, f"{p.host(h)}/a/{a}.html")
+             for h in range(3) for a in range(20)]
+    return list(web.values()) + scale + [
+        [],
+        [sp("p", "no title here", "", 0)],
+        [sp("h1.article-title", "First ", "", 0), sp("p", "body", "", 1),
+         sp("h1.article-title", "Second", "", 2)],
+        None,
+        [sp("h1.article-title", None, "", 0), sp("p", None, "", 1),
+         sp("h1.article-title", "After null", "", 2)],
+    ]
+
+
+def _kernel_batch(pages: list) -> pa.Table:
+    from upton_ray import schema
+
+    n = len(pages)
+    return pa.table({
+        "instance_index": pa.array(range(n), pa.int64()),
+        "pagination_index": pa.array([1 + i % 2 for i in range(n)], pa.int32()),
+        "instance_url": pa.array([f"{BASE}p{i}.html" for i in range(n)]),
+        "spans": pa.array(pages, schema.SPANS),
+    })
+
+
+def _reference_records(ext, pages: list) -> pa.Table:
+    """apply_extractor page by page; a null span text reads as ""."""
+    from upton_ray.extract import apply_extractor, records_table_from_rows
+
+    rows = []
+    for i, page in enumerate(pages):
+        spans = [{**s, "text": s["text"] or ""} for s in page or []]
+        url = f"{BASE}p{i}.html"
+        kind, recs = apply_extractor(ext, spans, url, i, 1 + i % 2)
+        rows += [{"instance_index": i, "pagination_index": 1 + i % 2,
+                  "row_no": r, "instance_url": url, "record": rec,
+                  "doc_kind": kind} for r, rec in enumerate(recs)]
+    return records_table_from_rows(rows)
+
+
+def test_batch_kernel_matches_page_reference():
+    """ExtractRecords' Arrow list kernel (css, identity, list) equals the
+    page-level apply_extractor table for table, on one chunk, on a two-chunk
+    ``spans`` column and on empty batches; the schema is RECORDS_OUT."""
+    from upton_ray.engine import RECORDS_OUT
+    from upton_ray.extract import ExtractRecords
+
+    pages = _kernel_pages()
+    batch = _kernel_batch(pages)
+    half = len(pages) // 2
+    two_chunks = pa.concat_tables([batch.slice(0, half), batch.slice(half)])
+    assert two_chunks["spans"].num_chunks == 2
+    for ext in _KERNEL_EXTRACTORS:
+        want = _reference_records(ext, pages)
+        for b in (batch, two_chunks):
+            got = ExtractRecords(ext)(b)
+            assert got.schema.equals(RECORDS_OUT), ext
+            assert got.equals(want), ext
+        for e in (batch.slice(0, 0), pa.Table.from_batches([], batch.schema)):
+            empty = ExtractRecords(ext)(e)         # one empty chunk / none
+            assert empty.schema.equals(RECORDS_OUT) and empty.num_rows == 0
+
+    got = ExtractRecords("css:h1.article-title")(batch).to_pylist()
+    assert got[-3]["record"] == ["First Second"]      # matches in span order
+    assert got[-2]["record"] == [""]                  # null spans row
+    assert got[-1]["record"] == ["After null"]        # null text reads as ""

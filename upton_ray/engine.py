@@ -145,6 +145,31 @@ class CrawlResult:
         return docs
 
 
+def _page_keys(t: pa.Table) -> np.ndarray:
+    """One int64 key per (seed_id, page_no) row, ``(seed << 32) + page``:
+    ordered like the (seed_id, page_no) pair for any int32 page."""
+    s = t["seed_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    p = t["page_no"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return (s << 32) + p
+
+
+def _attach_instance_index(links: pa.Table, keys: np.ndarray,
+                           offs: np.ndarray) -> pa.Table:
+    """``instance_index`` = the link's page offset + ``dom_pos``, looking the
+    page up in sorted ``_page_keys`` (``offs`` aligned with ``keys``).  A
+    link whose page has no offset raises ``ValueError``."""
+    k = _page_keys(links)
+    pos = np.searchsorted(keys, k)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == k[found]
+    if not found.all():
+        raise ValueError(f"{int((~found).sum())} links have no (seed_id, "
+                         "page_no) offset in the index-page rollup")
+    d = links["dom_pos"].to_numpy(zero_copy_only=False)
+    return links.append_column("instance_index",
+                               pa.array(offs[pos] + d, pa.int64()))
+
+
 @ray.remote
 def _block_count_sum(t: pa.Table) -> int:
     return int(pc.sum(t["sum(size)"]).as_py() or 0)
@@ -338,7 +363,8 @@ class Crawler:
         Counts reduce through an Arrow combiner + groupby (one row per INDEX
         PAGE, 1/links-per-page of the frontier).  Below
         ``cfg.index_offset_collect_limit`` rows, the rollup is collected and
-        broadcast as a dict (cheapest at sandbox scale).  Above it — a
+        broadcast as sorted int64 page keys + offsets that links look up by
+        ``np.searchsorted`` (cheapest at sandbox scale).  Above it — a
         10^10-URL crawl has ~10^8+ index pages, too many for the driver —
         the prefix-sum itself runs distributed: sort the counts, per-block
         base offsets from a tiny block-sum collect (one row per BLOCK), then
@@ -375,24 +401,15 @@ class Crawler:
             t = collect(counts_ds, pa.schema([
                 ("seed_id", pa.int32()), ("page_no", pa.int32()),
                 ("sum(size)", pa.int64())]))
-            s = t["seed_id"].to_numpy(zero_copy_only=False)
-            pg = t["page_no"].to_numpy(zero_copy_only=False)
             sz = t["sum(size)"].to_numpy(zero_copy_only=False)
-            o = np.lexsort((pg, s))
+            keys = _page_keys(t)
+            o = np.argsort(keys, kind="stable")
+            keys = keys[o]
             offs = np.r_[0, np.cumsum(sz[o])][:-1]
-            offsets = {(int(a), int(b)): int(c) for a, b, c in
-                       zip(s[o], pg[o], offs)}
 
-            def assign(batch: pa.Table) -> pa.Table:
-                s = batch["seed_id"].to_numpy(zero_copy_only=False)
-                p = batch["page_no"].to_numpy(zero_copy_only=False)
-                d = batch["dom_pos"].to_numpy(zero_copy_only=False)
-                base = np.array([offsets[(int(a), int(b))]
-                                 for a, b in zip(s, p)], dtype=np.int64)
-                return batch.append_column(
-                    "instance_index", pa.array(base + d, pa.int64()))
-
-            return links.map_batches(assign, batch_format="pyarrow")
+            return links.map_batches(_attach_instance_index,
+                                     fn_args=(keys, offs),
+                                     batch_format="pyarrow")
 
         # ---- distributed prefix-sum path ----
         srt = counts_ds.sort(["seed_id", "page_no"]).materialize()

@@ -10,8 +10,10 @@ Page-level semantics replicate the reference exactly:
   (all-``th`` header row; empty row for the header ``tr``) (utils.rb:20-30)
 
 The batch-level entry points are vectorized over zero-copy Arrow span batches
-(``pc.list_flatten`` / ``pc.list_parent_indices`` + numpy); per-row Python is
-confined to the rare table/callable extractors.
+(``pc.list_flatten`` / ``pc.list_parent_indices`` + numpy): css, identity and
+list records come from one Arrow list kernel (``pc.binary_join`` over each
+page's matched texts); per-row Python is confined to table and callable
+extractors.
 """
 
 from __future__ import annotations
@@ -207,6 +209,27 @@ def extract_links_batch(batch: pa.Table) -> pa.Table:
     })
 
 
+def _matched_texts(spans_col: pa.ChunkedArray, n: int, kind: str,
+                   sel: str) -> pa.ListArray:
+    """Each row's matched span texts in span-offset order, as a
+    ``list<string>`` array of length ``n``: css/list match ``sel`` against
+    the span kind, identity keeps every non-empty text.  A null ``spans`` row
+    yields ``[]``; a null span text reads as ``""``."""
+    # chunk by chunk, without combining the span column: only the matched
+    # texts are copied; list_parent_indices numbers rows across chunks
+    parents = pc.list_parent_indices(spans_col).to_numpy(zero_copy_only=False)
+    flat = pc.list_flatten(spans_col)
+    texts = pc.fill_null(pc.struct_field(flat, "text"), "")
+    if kind == "identity":
+        mask = pc.not_equal(texts, "").to_numpy(zero_copy_only=False)
+    else:
+        mask = kind_match_mask(pc.struct_field(flat, "kind"), sel)
+    # parents are sorted, so row i's matches are one contiguous run
+    offsets = np.searchsorted(parents[mask], np.arange(n + 1))
+    values = texts.filter(pa.array(mask)).combine_chunks()
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
+
+
 class ExtractRecords:
     """Record-extraction stage (the user scrape block, M3-M5) as a callable
     class for ``map_batches``: selector paths are normalized once per actor.
@@ -214,6 +237,8 @@ class ExtractRecords:
     Input columns: instance_index:int64, pagination_index:int32,
     instance_url:string, spans. Output: RECORDS schema rows (table documents
     exploded to one row per table row — the CSV dispatch of upton.rb:173-180).
+    css, identity and list run as one Arrow list kernel per batch; per-row
+    Python is confined to table and callable extractors.
     """
 
     def __init__(self, extractor):
@@ -226,9 +251,9 @@ class ExtractRecords:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if self._named and self._kind in ("css", "identity"):
-            return self._vector_scalar(batch)
-        # list/table/callable: per-row python over (small) matched span sets
+        if self._named and self._kind in ("css", "identity", "list"):
+            return self._vector(batch)
+        # table/callable: per-row python over (small) matched span sets
         spans_py = batch["spans"].to_pylist()
         urls = batch["instance_url"].to_pylist()
         iis = batch["instance_index"].to_pylist()
@@ -254,33 +279,26 @@ class ExtractRecords:
             "doc_kind": pa.array(out["doc_kind"], pa.string()),
         })
 
-    def _vector_scalar(self, batch: pa.Table) -> pa.Table:
-        """css/identity: one scalar record per page, fully vectorized
-        (groupby-join of matched span texts per row)."""
-        import pandas as pd
-
+    def _vector(self, batch: pa.Table) -> pa.Table:
+        """css/identity/list: one record per page from the matched-text
+        lists — the list itself (list), or its concatenation as a scalar
+        (css joins with "", identity with a newline)."""
         n = batch.num_rows
-        parents, flat = _parents_and_flat(batch["spans"])
-        texts = flat.field("text").to_numpy(zero_copy_only=False)
-        if self._kind == "css":
-            mask = kind_match_mask(flat.field("kind"), self._sel)
-            sep = ""
-        else:  # identity: all non-empty texts, newline-joined
-            mask = texts != ""
-            sep = "\n"
-        joined = np.full(n, "", dtype=object)
-        if mask.any():
-            s = pd.Series(texts[mask]).groupby(parents[mask]).agg(sep.join)
-            joined[s.index.to_numpy()] = s.to_numpy()
-        rec = pa.ListArray.from_arrays(
-            pa.array(np.arange(n + 1, dtype=np.int32)), pa.array(joined, pa.string()))
+        lists = _matched_texts(batch["spans"], n, self._kind, self._sel)
+        if self._kind == "list":
+            rec, doc_kind = lists, "list"
+        else:
+            joined = pc.binary_join(lists, "" if self._kind == "css" else "\n")
+            rec = pa.ListArray.from_arrays(
+                pa.array(np.arange(n + 1, dtype=np.int32)), joined)
+            doc_kind = "scalar"
         return pa.table({
             "instance_index": batch["instance_index"],
             "pagination_index": batch["pagination_index"],
             "row_no": pa.array(np.zeros(n, dtype=np.int32)),
             "instance_url": batch["instance_url"],
             "record": rec,
-            "doc_kind": pa.array(["scalar"] * n, pa.string()),
+            "doc_kind": pa.array([doc_kind] * n, pa.string()),
         })
 
 

@@ -43,14 +43,22 @@ class HostScheduler:
         return self.per_host_delay.get(host, self.delay)
 
     def order_batch(self, urls: np.ndarray) -> np.ndarray:
-        """Earliest-deadline-first order over the batch's hosts (min-heap)."""
+        """Earliest-deadline-first order over the batch's hosts (min-heap).
+
+        Deadlines live in one clock domain, the one ``wait_turn`` uses
+        (``time.monotonic()`` in real-sleep mode, the virtual clock
+        otherwise): a host's first deadline is ``max(next_allowed, now)``.
+        A never-fetched host (``next_allowed`` 0.0) and a hot host whose
+        leased window opens now therefore tie instead of the leased host
+        sorting after every cold one."""
         hosts = hosts_of(urls)
         heap: list[tuple[float, int, str]] = []
         pending: dict[str, list[int]] = defaultdict(list)
         for i, h in enumerate(hosts):
             pending[h].append(i)
+        now = time.monotonic() if self.real_sleep else self.virtual_clock
         for h, idxs in pending.items():
-            heapq.heappush(heap, (self.next_allowed[h], idxs[0], h))
+            heapq.heappush(heap, (max(self.next_allowed[h], now), idxs[0], h))
         out = np.empty(len(urls), dtype=np.int64)
         pos = {h: 0 for h in pending}
         t = 0
