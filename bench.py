@@ -168,7 +168,7 @@ def polite():
         sleep_time_between_requests=delay, real_sleep=True, max_sleep=delay,
         debug=True, index_debug=True,
         num_seen_shards=4, fetch_concurrency=min(NUM_CPUS, 16),
-        fetch_batch_size=2048, host_sharded_fetch=True)
+        fetch_batch_size=2048)
     seeds = [(h, synth.index_url(p, h), cfg.index_selector)
              for h in range(p.n_hosts)]
     crawler = Crawler(cfg, ("parquet", path, WEB_BUCKETS), seeds=seeds)

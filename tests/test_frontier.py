@@ -64,19 +64,45 @@ class TestHostScheduler:
 class TestSaltHosts:
     def test_only_hot_hosts_salted(self):
         hs = np.array(["hot.com"] * 10 + ["cold.com"] * 2, dtype=object)
-        out = salt_hosts(hs, frozenset({"hot.com"}), num_salts=3)
+        out = salt_hosts(hs, frozenset({"hot.com"}), num_salts=3,
+                         row_ids=np.arange(12))
         assert all(h.startswith("hot.com#s") for h in out[:10])
         assert list(out[10:]) == ["cold.com", "cold.com"]
 
     def test_salts_spread_round_robin(self):
         hs = np.array(["hot.com"] * 9, dtype=object)
-        out = salt_hosts(hs, frozenset({"hot.com"}), num_salts=3)
+        out = salt_hosts(hs, frozenset({"hot.com"}), num_salts=3,
+                         row_ids=np.arange(9))
         assert len(set(out)) == 3
 
     def test_no_hot_hosts_is_identity(self):
         hs = np.array(["a.com", "b.com"], dtype=object)
-        out = salt_hosts(hs, frozenset(), num_salts=3)
+        out = salt_hosts(hs, frozenset(), num_salts=3, row_ids=np.arange(2))
         assert out is hs
+
+
+    def test_group_ids_do_not_depend_on_batching(self):
+        """A resumed frontier is re-read with other batch boundaries; every
+        row must still route to the fetch group it had before."""
+        from upton_ray.engine import fetch_group_ids
+
+        urls = np.array([f"http://hot.com/{i}" for i in range(40)]
+                        + [f"http://c{i % 3}.com/{i}" for i in range(20)],
+                        dtype=object)
+        rows = np.random.default_rng(0).permutation(len(urls))
+        urls, ids = urls[rows], rows.astype(np.int64)
+        hot = frozenset({"hot.com"})
+
+        def routed(cuts):
+            return np.concatenate([
+                fetch_group_ids(urls[a:b], ids[a:b], 4, hot, 8)
+                for a, b in zip(cuts[:-1], cuts[1:])])
+
+        one = routed([0, 60])
+        is_hot = np.array([u.startswith("http://hot.com/") for u in urls])
+        assert len(set(one[is_hot].tolist())) > 1, "the hot host is split"
+        assert (routed([0, 7, 33, 34, 60]) == one).all()
+        assert (routed(list(range(61))) == one).all()
 
 
 class TestRobotsCache:

@@ -34,7 +34,7 @@ def test_hot_host_shares_global_budget(ray_session):
     cfg = CrawlConfig(
         url_array=urls, extractor="css:h1.article-title",
         sleep_time_between_requests=delay, real_sleep=True, max_sleep=0.002,
-        debug=True, host_sharded_fetch=True,
+        debug=True,
         hot_host_threshold=10, hot_host_salts=8,
         num_seen_shards=2, fetch_concurrency=4, fetch_batch_size=32)
     c = Crawler(cfg, _web(urls))
@@ -63,7 +63,7 @@ def test_no_pacer_below_threshold(ray_session):
     cfg = CrawlConfig(
         url_array=urls, extractor="css:h1.article-title",
         sleep_time_between_requests=0.001, real_sleep=True, max_sleep=0.002,
-        debug=True, host_sharded_fetch=True,
+        debug=True,
         hot_host_threshold=10, num_seen_shards=2, fetch_concurrency=2,
         fetch_batch_size=16)
     c = Crawler(cfg, _web(urls))
@@ -91,7 +91,7 @@ def test_hot_host_continuations_consume_pacer_tokens(ray_session):
             ".html", f"_page_{i}.html") if i <= 1 and "_page_" not in url
             else "",
         sleep_time_between_requests=0.001, real_sleep=True, max_sleep=0.002,
-        debug=True, host_sharded_fetch=True, hot_host_threshold=5,
+        debug=True, hot_host_threshold=5,
         num_seen_shards=2, fetch_concurrency=2, fetch_batch_size=16)
     c = Crawler(cfg, _web(pages))
     t = c.crawl().records_table()
@@ -155,7 +155,7 @@ def test_hot_host_requests_span_the_full_budget(ray_session):
     cfg = CrawlConfig(
         url_array=cold_urls + hot_urls, extractor="css:h1.article-title",
         sleep_time_between_requests=delay, real_sleep=True, max_sleep=0.005,
-        debug=False, host_sharded_fetch=True,
+        debug=False,
         hot_host_threshold=n_cold + 1, hot_host_salts=8,
         num_seen_shards=1, fetch_concurrency=shards,
         # small record batches: the fused record stage does not bundle the

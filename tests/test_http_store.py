@@ -455,7 +455,7 @@ def test_multi_host_live_politeness(ray_session):
             extractor="css:h1.article-title",
             sleep_time_between_requests=delay,
             real_sleep=True, max_sleep=delay,
-            host_sharded_fetch=True, debug=False)
+            debug=False)
         seeds = [(i, h + "index.html", cfg.index_selector)
                  for i, h in enumerate(hosts)]
         src = ("http", {"url_map": url_map, "timeout": 5.0,

@@ -193,9 +193,9 @@ def cmd_invalidate(args) -> int:
     lin = os.path.join(args.stash, "lineage.json")
     if os.path.exists(lin):
         os.remove(lin)     # rounds must re-run; restored seen set skips the rest
-    # clear per-bucket completion markers: the re-walk is all cache hits except
-    # the invalidated URLs, so this is cheap and always correct (we don't know
-    # the bucket count here to target only the victims' buckets)
+    # clear every fetch group's completion marker: the re-walk is all cache
+    # hits except the invalidated URLs, so this is cheap and always correct
+    # (the group of a URL depends on the crawl's routing, not known here)
     ckpt = os.path.join(args.stash, "fetched_round1")
     if os.path.isdir(ckpt):
         for d in os.listdir(ckpt):

@@ -59,10 +59,13 @@ class CrawlConfig:
                                        # distinct query-string orderings are
                                        # distinct cache entries)
     real_sleep: bool = False           # tests/bench count sleeps instead of sleeping
+                                       # (real_sleep with a delay > 0 = a paced
+                                       # crawl: fetch groups are host shards)
     max_sleep: float = 0.05            # cap on actual sleep when real_sleep
 
     # --- skew handling (north_rule: hot-host splitting, shared token bucket) ---
     hot_host_threshold: Optional[int] = None  # frontier URLs per host; None = off
+                                              # (paced crawls only)
     hot_host_salts: int = 8                   # sub-queues per hot host
 
     # --- distributed shape ---
@@ -70,23 +73,13 @@ class CrawlConfig:
                               # memory config; a filter FP may skip a fetch)
     num_seen_shards: int = 8
     seen_capacity_per_shard: int = 1_000_000   # cuckoo sizing (approximate mode only)
-    fetch_concurrency: int = 4         # max concurrent fetch/walk tasks
+    # round-0 walk / sitemap task concurrency, and the round-1 fetch group
+    # count of every crawl but an unpaced one over a bucketed corpus (which
+    # walks one group per corpus bucket; Crawler.fetch_instances)
+    fetch_concurrency: int = 4
     fetch_batch_size: int = 256
-    # CPU reservation per bucket-walk task (group-routed fetch): each task
-    # decodes a whole corpus bucket into heap, so capping concurrent decodes
-    # bounds memory + IO thrash.  None = auto rule max(1, cluster_cpus/16):
-    # ~16 concurrent decodes at 32 cpus (measured 26s -> 5s on the 1M-page
-    # bench — one decode per vCPU starves the object store), full fan-out on
-    # small clusters where decodes fit comfortably
-    bucket_walk_num_cpus: float | None = None
     # instance_index assignment: collect-and-broadcast the per-index-page
     # count rollup below this many rows (cheapest at sandbox scale); above
     # it, the exclusive prefix-sum runs fully distributed (block-base sums +
     # union-sort-sweep attach) — a 10^10-URL crawl has ~10^8+ index pages
     index_offset_collect_limit: int = 2_000_000
-    host_sharded_fetch: Optional[bool] = None  # None = auto (politeness>0 or robots)
-
-    def needs_host_affinity(self) -> bool:
-        if self.host_sharded_fetch is not None:
-            return self.host_sharded_fetch
-        return self.real_sleep and self.sleep_time_between_requests > 0

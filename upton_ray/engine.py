@@ -5,29 +5,36 @@ pagination chains, P2) -> vectorized link extraction (M1/M2) -> deterministic
 ``instance_index`` assignment (the order Upton's sequential loop would have
 produced: seed order, then index-page order, then DOM position).
 
-Round 1 (instances): frontier Dataset -> InstanceWalker tasks (stash
-gate via the sharded seen-set, politeness, robots, continuation quirk) ->
-ExtractRecords (the user scrape block) -> records sorted by
-(instance_index, pagination_index, row_no) — Upton's exact output order
-(upton.rb:337-345) restored by an explicit sort rather than by sequential
-execution.
+Round 1 (instances): frontier Dataset -> one group walk
+(``groupby().map_groups``; each fetch group is a task running an
+InstanceWalker: stash gate via the sharded seen-set, politeness, robots,
+continuation quirk) -> ExtractRecords (the user scrape block) -> records
+sorted by (instance_index, pagination_index, row_no) — Upton's exact output
+order (upton.rb:337-345) restored by an explicit sort rather than by
+sequential execution.  A fetch group (called "bucket" in the checkpoint
+layout and the lineage) is a corpus bucket on an unpaced crawl of a bucketed
+corpus and a host shard otherwise (see ``Crawler.fetch_instances``).
 
-Checkpointing: when ``cfg.stash_folder`` is set, fetched pages are written as
-parquet *inside the stream* (write -> read-back), the seen set is dumped at
-the end, and lineage rows gate re-execution — a re-run restores the seen set
-so previously-fetched URLs become cache hits (no network fetch, no sleep):
-exactly the reference's stash-driven resume semantics (downloader.rb:70-98).
+Checkpointing: when ``cfg.stash_folder`` is set, the frontier is written
+and read back, each fetch group writes its pages to
+``fetched_round1/bucket=<g>/`` plus a ``_SUCCESS`` marker and returns its
+counters row (``metrics.parquet``), and the seen set is dumped.  A re-run
+restores the seen set, skips the round-0 walk and every completed group,
+and walks only the rest — exactly the reference's stash-driven resume
+semantics (downloader.rb:70-98): a stashed page is never fetched, or slept
+for, again.
 
 Scale notes (10^10-URL design point, tested single-node):
 * the only driver-side materializations are (a) the per-(seed, index-page)
-  link-count table used for the instance_index prefix-sum — one row per INDEX
-  PAGE, ~1/links_per_page of the frontier — and (b) trace-mode conformance
-  collections (tests only);
+  link-count table used for the instance_index prefix-sum (one row per INDEX
+  PAGE, ~1/links_per_page of the frontier), (b) with a checkpoint, one
+  counters row per fetch group, and (c) trace-mode conformance collections
+  (tests only);
 * walkers and probes run as plain Ray tasks over a per-process cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
   stage's walker once, so no crawl starts an actor pool; the
   frontier->fetch stage batches its seen-set RPCs;
-  host-affinity (politeness) uses a host_shard groupby — the one designed
+  round 1 routes through one groupby on the fetch group — the one designed
   shuffle (SURVEY.md §7.3);
 * everything else is streaming ``map_batches`` over Arrow batches.
 
@@ -59,8 +66,9 @@ import ray.data
 from upton_ray import schema
 from upton_ray.config import CrawlConfig
 from upton_ray.extract import ExtractRecords, extract_links_batch
-from upton_ray.fetch import (IndexWalker, InstanceWalker, make_group_walker,
+from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
                              make_store, per_process)
+from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet
 from upton_ray.shuffle import hash_reduce
 from upton_ray.urlops import hosts_of, shard_hashes
@@ -73,6 +81,15 @@ def _bucket_count(web_ref) -> int | None:
     if isinstance(web_ref, tuple) and web_ref[0] in ("parquet", "lance"):
         return web_ref[2]
     return None
+
+
+def fetch_group_ids(urls: np.ndarray, row_ids: np.ndarray, n_groups: int,
+                    hot_hosts: frozenset, salts: int) -> np.ndarray:
+    """Round-1 fetch group per frontier row: the shard of its host, or of
+    its salted sub-queue for a hot host.  Depends on the row alone, so any
+    batching of the same frontier routes it the same way."""
+    return shard_hashes(salt_hosts(hosts_of(urls), hot_hosts, salts, row_ids),
+                        n_groups)
 
 
 RECORDS_OUT = pa.schema([
@@ -107,7 +124,7 @@ class CrawlResult:
     index_urls: Optional[list] = None    # trace: get_index output (order incl. Nones)
     sleeps: Optional[int] = None         # trace: politeness sleep count
     fetched_urls: Optional[set] = None   # trace: network-fetched URL set
-    metrics: Optional[pa.Table] = None   # per-shard counters
+    metrics: Optional[pa.Table] = None   # schema.METRICS counter rows
     stats: dict = field(default_factory=dict)
 
     def records_table(self) -> pa.Table:
@@ -200,6 +217,8 @@ class Crawler:
             seeds = [(0, cfg.index_url, cfg.index_selector)]
         self.seeds = seeds
         self.pacer = None            # shared hot-host token bucket (if engaged)
+        # checkpointed crawls: counter rows of the fetch groups this run walked
+        self.metrics: Optional[pa.Table] = None
         if cfg.stash_folder and not cfg.seen_exact:
             # fail fast: filter-only shards can't enumerate their URLs, so a
             # seen checkpoint would persist an empty set and a resumed crawl
@@ -231,49 +250,21 @@ class Crawler:
         os.makedirs(self.cfg.stash_folder, exist_ok=True)
         return os.path.join(self.cfg.stash_folder, name)
 
-    def _lineage_done(self, unit: str) -> bool:
+    def _lineage(self) -> dict:
         p = self._ckpt("lineage.json")
         if not p or not os.path.exists(p):
-            return False
+            return {}
         with open(p) as f:
-            return unit in json.load(f)
+            return json.load(f)
 
     def _mark_done(self, unit: str, **info) -> None:
         p = self._ckpt("lineage.json")
         if not p:
             return
-        done = {}
-        if os.path.exists(p):
-            with open(p) as f:
-                done = json.load(f)
+        done = self._lineage()
         done[unit] = info
         with open(p, "w") as f:
             json.dump(done, f)
-
-    @staticmethod
-    def _done_buckets(ckpt: str) -> set:
-        """Buckets whose round-1 fetch checkpoint completed (marker present).
-        The marker, written after the bucket's data file, is the per-partition
-        lineage unit — a crash mid-bucket leaves no marker, so only that
-        bucket re-walks on resume."""
-        out = set()
-        if not os.path.isdir(ckpt):
-            return out
-        for d in os.listdir(ckpt):
-            if d.startswith("bucket=") and \
-                    os.path.exists(os.path.join(ckpt, d, "_SUCCESS")):
-                out.add(int(d.split("=", 1)[1]))
-        return out
-
-    @staticmethod
-    def _clean_stale_buckets(ckpt: str, done: set) -> None:
-        """Drop partial bucket dirs (data written, no marker) from a crashed
-        run so the re-walk starts clean."""
-        if not os.path.isdir(ckpt):
-            return
-        for d in os.listdir(ckpt):
-            if d.startswith("bucket=") and int(d.split("=", 1)[1]) not in done:
-                shutil.rmtree(os.path.join(ckpt, d))
 
     def _restore_seen(self) -> None:
         """Stream the seen checkpoint back into the shard actors one file /
@@ -340,7 +331,7 @@ class Crawler:
                                    ckpt), trace_info
 
     def _frontier_done(self, ckpt: Optional[str]) -> bool:
-        return bool(ckpt) and self._lineage_done("round0") \
+        return bool(ckpt) and "round0" in self._lineage() \
             and os.path.exists(ckpt)
 
     def _save_frontier(self, frontier, ckpt: Optional[str]):
@@ -537,122 +528,145 @@ class Crawler:
 
     def fetch_instances(self, frontier):
         """Round 1 of :meth:`crawl`: frontier Dataset -> fetched instance-page
-        Dataset.  A bucketed corpus walks per corpus bucket; politeness walks
-        per host shard, with hot hosts salted and paced by the shared
-        HostPacer; anything else streams through ``map_batches``."""
+        Dataset, as one group walk (``groupby().map_groups``).
+
+        A frontier row's fetch group — the "bucket" of the checkpoint layout
+        and of the lineage — is :func:`fetch_group_ids` over ``n_groups``.
+        An unpaced crawl of a bucketed corpus uses the corpus bucket count,
+        so each corpus bucket is decoded once, by one task (the
+        frontier-routing shuffle, SURVEY.md §7.3: it moves only (url, ints)
+        rows, the cheap side).  Every other crawl uses
+        ``cfg.fetch_concurrency`` host shards, so a host's politeness heap
+        lives in one task; a paced crawl splits its hot hosts into salted
+        sub-queues that share the HostPacer's token bucket.
+
+        With a checkpoint, each group writes ``fetched_round1/bucket=<g>/``
+        plus ``_SUCCESS`` and returns its counters row; the rows become
+        ``metrics.parquet`` and :attr:`metrics`.  Groups an earlier run
+        completed are not walked again: their pages are read back as cache
+        reads."""
         cfg = self.cfg
-        walker_args = (cfg, self.web_ref, self.seen)
-        if _bucket_count(self.web_ref) and not cfg.needs_host_affinity():
-            # frontier-routing shuffle (SURVEY.md §7.3): co-locate each corpus
-            # bucket's URLs so every bucket is decoded ONCE, not per batch —
-            # the shuffle moves only (url, ints) rows, the cheap side
-            _, path, buckets = self.web_ref
-
-            def add_bucket(batch: pa.Table) -> pa.Table:
-                urls = batch["url"].to_numpy(zero_copy_only=False)
-                return batch.append_column(
-                    "bucket", pa.array(shard_hashes(hosts_of(urls), buckets),
-                                       pa.int32()))
-
-            ckpt = self._ckpt("fetched_round1")
-            done: set = set()
-            if ckpt:
-                done = self._done_buckets(ckpt)
-                self._clean_stale_buckets(ckpt, done)
-            bucketed = frontier.map_batches(add_bucket, batch_format="pyarrow")
-            if done:   # partition-level resume: only not-yet-done buckets walk
-                done_arr = np.array(sorted(done), dtype=np.int64)
-
-                def drop_done(b: pa.Table) -> pa.Table:
-                    keep = ~np.isin(b["bucket"].to_numpy(zero_copy_only=False),
-                                    done_arr)
-                    return b.filter(pa.array(keep))
-
-                bucketed = bucketed.map_batches(drop_done, batch_format="pyarrow")
-            walk_ncpu = cfg.bucket_walk_num_cpus
-            if walk_ncpu is None:   # auto: bound concurrent decodes at ~16
-                total = int(ray.cluster_resources().get("CPU", 8))
-                walk_ncpu = max(1.0, total / 16.0)
-            walked = bucketed.groupby("bucket").map_groups(
-                make_group_walker(*walker_args, ckpt_dir=ckpt),
-                batch_format="pyarrow",
-                num_cpus=walk_ncpu)
-            if not ckpt:
-                return walked
-            # With a checkpoint, the walkers write page data straight to
-            # <ckpt>/bucket=<b>/ and emit only one-row stats — the barrier
-            # below holds a few KB, never the crawl's spans. Lineage +
-            # per-partition metrics come from the stats (THIS run's work
-            # only; resumed buckets contribute nothing); extraction then
-            # streams from the checkpoint files.
-            stats_schema = pa.schema([
-                ("bucket", pa.int32()), ("rows", pa.int64()),
-                ("fetched", pa.int64()), ("cache_hits", pa.int64()),
-                ("slept", pa.int64()), ("errors", pa.int64()),
-                ("robots_blocked", pa.int64())])
-            stats_t = collect(walked, stats_schema)
-            self._write_metrics_from_stats(stats_t)
-            for b in sorted(stats_t["bucket"].to_pylist()):
-                self._mark_done(f"round1/bucket={b}")
-            self._mark_done("round1")
+        paced = cfg.real_sleep and cfg.sleep_time_between_requests > 0
+        n_buckets = None if paced else _bucket_count(self.web_ref)
+        n_groups = n_buckets or cfg.fetch_concurrency
+        self.pacer = None
+        ckpt = self._ckpt("fetched_round1")
+        if not ckpt:
+            return self._walk_groups(frontier, n_groups, n_buckets, paced,
+                                     set(), None)
+        done = self._done_groups(ckpt, n_groups)
+        stats = schema.METRICS.empty_table()
+        if len(done) < n_groups:
+            stats = collect(self._walk_groups(frontier, n_groups, n_buckets,
+                                              paced, done, ckpt),
+                            schema.METRICS).sort_by("partition")
+        walked = stats["partition"].to_pylist()
+        for g in walked:
+            self._mark_done(f"round1/bucket={g}")
+        if walked:
             self._dump_seen()
-            all_done = sorted(self._done_buckets(ckpt))
-            if not all_done:
-                return ray.data.from_arrow(FETCHED_OUT.empty_table())
-            return ray.data.read_parquet(
-                [os.path.join(ckpt, f"bucket={b}", "data-0.parquet")
-                 for b in all_done],
-                columns=[f.name for f in FETCHED_OUT])
-        if cfg.needs_host_affinity():
-            # the designed shuffle: co-locate each host on one worker so the
-            # per-host deadline heap is authoritative cluster-wide.
-            # Skew handling (north_rule): hosts above cfg.hot_host_threshold
-            # are SPLIT into salted sub-queues that land on different workers
-            # but share one global token bucket (HostPacer actor).
-            hot_hosts: frozenset = frozenset()
-            self.pacer = None
-            if cfg.hot_host_threshold:
-                # pin the frontier first: the counting pass must not re-run
-                # the (stateful) round-0 walkers when the fetch pass executes.
-                # Frontier rows are just (url, ints); at the 10^10 design
-                # point replace this with the round-0 per-host link counts.
-                frontier = frontier.materialize()
-                hot_hosts = self._find_hot_hosts(frontier,
-                                                 cfg.hot_host_threshold)
-                if hot_hosts:
-                    from upton_ray.frontier import make_host_pacer
+        pq.write_table(stats, self._ckpt("metrics.parquet"))
+        self.metrics = stats
+        return self._read_groups(ckpt, walked, sorted(done))
 
-                    self.pacer = make_host_pacer()
-            salts = max(1, cfg.hot_host_salts)
+    def _walk_groups(self, frontier, n_groups: int, n_buckets, paced: bool,
+                     done: set, ckpt: Optional[str]):
+        """The group walk of :meth:`fetch_instances`, minus the groups in
+        ``done``."""
+        cfg = self.cfg
+        hot_hosts: frozenset = frozenset()
+        if paced and cfg.hot_host_threshold:
+            # pin the frontier first: the counting pass must not re-run
+            # the (stateful) round-0 walkers when the fetch pass executes.
+            # Frontier rows are just (url, ints); at the 10^10 design
+            # point replace this with the round-0 per-host link counts.
+            frontier = frontier.materialize()
+            hot_hosts = self._find_hot_hosts(frontier, cfg.hot_host_threshold)
+            if hot_hosts:
+                from upton_ray.frontier import make_host_pacer
 
-            def add_shard(batch: pa.Table) -> pa.Table:
-                from upton_ray.frontier import salt_hosts
+                self.pacer = make_host_pacer()
+        salts = max(1, cfg.hot_host_salts)
+        done_ids = np.array(sorted(done), dtype=np.int64)
 
-                urls = batch["url"].to_numpy(zero_copy_only=False)
-                keys = salt_hosts(hosts_of(urls), hot_hosts, salts)
-                return batch.append_column("host_shard", pa.array(
-                    shard_hashes(keys, cfg.fetch_concurrency), pa.int32()))
+        def add_group(batch: pa.Table) -> pa.Table:
+            g = fetch_group_ids(
+                batch["url"].to_numpy(zero_copy_only=False),
+                batch["instance_index"].to_numpy(zero_copy_only=False),
+                n_groups, hot_hosts, salts)
+            return batch.append_column("bucket", pa.array(g, pa.int32())) \
+                .filter(pa.array(~np.isin(g, done_ids)))
 
-            # map_groups parallelism is bounded by the shuffled BLOCK count,
-            # not the group count: a small-block frontier would serialize the
-            # per-shard walks. The frontier rows are tiny (url + ints), so a
-            # pre-groupby repartition is cheap insurance.
-            fetched = (frontier.map_batches(add_shard, batch_format="pyarrow")
-                       .repartition(cfg.fetch_concurrency * 2)
-                       .groupby("host_shard")
-                       .map_groups(make_group_walker(
-                           *walker_args, drop=("host_shard",),
-                           pacer=self.pacer, hot_hosts=hot_hosts),
-                           batch_format="pyarrow"))
+        routed = frontier.map_batches(add_group, batch_format="pyarrow")
+        num_cpus = None
+        if n_buckets:
+            # each task decodes a whole corpus bucket into heap: bound the
+            # concurrent decodes at ~16 (measured 26s -> 5s on the 1M-page
+            # bench at 32 cpus), full fan-out on small clusters
+            num_cpus = max(1.0, ray.cluster_resources().get("CPU", 8) / 16.0)
         else:
-            fetched = frontier.map_batches(
-                per_process(InstanceWalker, *walker_args),
-                batch_size=cfg.fetch_batch_size,
-                batch_format="pyarrow",
-                concurrency=cfg.fetch_concurrency,
-                num_cpus=0.5,
-            )
-        return self._maybe_checkpoint_fetch(fetched)
+            # map_groups parallelism is bounded by the shuffled BLOCK count,
+            # not the group count: a small-block frontier would serialize
+            # the host-shard walks. The frontier rows are tiny (url + ints),
+            # so a pre-groupby repartition is cheap insurance.
+            routed = routed.repartition(2 * n_groups)
+        return routed.groupby("bucket").map_groups(
+            make_group_walker(cfg, self.web_ref, self.seen, ckpt_dir=ckpt,
+                              pacer=self.pacer, hot_hosts=hot_hosts),
+            batch_format="pyarrow", num_cpus=num_cpus)
+
+    def _done_groups(self, ckpt: str, n_groups: int) -> set:
+        """Fetch groups of ``ckpt`` that an earlier run completed.  A group's
+        ``_SUCCESS`` marker, written after its data file, is the
+        per-partition lineage unit: a crash mid-group leaves no marker, so
+        only that group re-walks.  Everything else in ``ckpt`` (partial
+        groups, files of another layout) is removed so the re-walk starts
+        clean.  The round1 lineage entry records the group count the
+        checkpoint was written with; a crawl routing to a different count
+        would map hosts to other groups (lost or twice-fetched pages), so it
+        is refused."""
+        had = self._lineage().get("round1", {}).get("n_groups", n_groups)
+        if had != n_groups:
+            raise ValueError(
+                f"round-1 checkpoint {ckpt} was written with {had} fetch "
+                f"groups, this crawl routes to {n_groups}: resume with the "
+                "same settings or use a new stash folder")
+        self._mark_done("round1", n_groups=n_groups)
+        done = set()
+        for d in os.listdir(ckpt) if os.path.isdir(ckpt) else []:
+            p = os.path.join(ckpt, d)
+            if d.startswith("bucket=") and \
+                    os.path.exists(os.path.join(p, "_SUCCESS")):
+                done.add(int(d.split("=", 1)[1]))
+            elif os.path.isdir(p):
+                shutil.rmtree(p)
+            else:
+                os.remove(p)
+        return done
+
+    @staticmethod
+    def _read_groups(ckpt: str, walked: list, earlier: list):
+        """Checkpointed pages of the groups this run ``walked``, as fetched,
+        and of the groups an ``earlier`` run completed, as cache reads: this
+        run fetched nothing for them and slept for nothing."""
+        def read(groups):
+            return ray.data.read_parquet(
+                [os.path.join(ckpt, f"bucket={g}", "data-0.parquet")
+                 for g in groups], columns=FETCHED_OUT.names)
+
+        def as_cached(b: pa.Table) -> pa.Table:
+            no = pa.array(np.zeros(b.num_rows, dtype=bool))
+            return b.set_column(b.schema.get_field_index("from_resource"),
+                                "from_resource", no) \
+                .set_column(b.schema.get_field_index("slept"), "slept", no)
+
+        parts = [read(walked)] if walked else []
+        if earlier:
+            parts.append(read(earlier).map_batches(as_cached,
+                                                   batch_format="pyarrow"))
+        if not parts:
+            return ray.data.from_arrow(FETCHED_OUT.empty_table())
+        return parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
     def _seed_blocks(self):
         """Pre-split seed blocks (block = task unit). For a bucketed parquet
@@ -715,99 +729,6 @@ class Crawler:
             ["host"], part_hot)
         t = collect(hot, pa.schema([("host", pa.string())]))
         return frozenset(t["host"].to_pylist())
-
-    def _maybe_checkpoint_fetch(self, fetched):
-        ckpt = self._ckpt("fetched_round1")
-        if ckpt:
-            if os.path.exists(ckpt):
-                shutil.rmtree(ckpt)   # stale partial output from a crashed run
-            cols = FETCHED_OUT.names
-            from upton_ray.urlops import stash_filenames
-            cfg = self.cfg
-
-            def add_stash_key(b: pa.Table) -> pa.Table:
-                # the reference's per-page stash filename
-                # (downloader.rb:122-139; readable via cfg.readable_filenames)
-                return b.append_column("stash_key", pa.array(
-                    stash_filenames(b["instance_url"].to_pylist(),
-                                    cfg.readable_filenames,
-                                    cfg.stash_folder or ""), pa.string()))
-
-            fetched.select_columns(cols).map_batches(
-                add_stash_key, batch_format="pyarrow").write_parquet(ckpt)
-            fetched = ray.data.read_parquet(ckpt, columns=cols)
-            self._write_metrics(fetched)
-            self._mark_done("round1")
-            self._dump_seen()
-        return fetched
-
-    def _write_metrics(self, fetched) -> None:
-        """Per-partition counters (T5: the structured replacement for the
-        reference's @verbose logging) appended to the checkpoint: partition =
-        host-hash bucket, matching the fetch routing, so resume tooling can
-        reconcile lineage with counters per unit of work."""
-        p = self._ckpt("metrics.parquet")
-        if not p:
-            return
-        buckets = _bucket_count(self.web_ref) or self.cfg.num_seen_shards
-
-        def partial(b: pa.Table) -> pa.Table:
-            hs = hosts_of(b["instance_url"].to_numpy(zero_copy_only=False))
-            part = shard_hashes(hs, buckets)
-            status = b["status"].to_numpy(zero_copy_only=False)
-            fetched_f = b["from_resource"].to_numpy(zero_copy_only=False)
-            g = pa.table({
-                "partition": pa.array(part, pa.int32()),
-                "fetched": pa.array(fetched_f.astype(np.int64), pa.int64()),
-                "cache_hits": pa.array((~fetched_f).astype(np.int64),
-                                       pa.int64()),
-                "slept": pa.array(
-                    b["slept"].to_numpy(zero_copy_only=False).astype(np.int64),
-                    pa.int64()),
-                "errors": pa.array(
-                    ((status != 200) & (status != 0)).astype(np.int64),
-                    pa.int64()),
-                "robots_blocked": pa.array(
-                    b["robots_blocked"].to_numpy(zero_copy_only=False)
-                    .astype(np.int64), pa.int64()),
-            }).group_by("partition").aggregate(
-                [("fetched", "sum"), ("cache_hits", "sum"), ("slept", "sum"),
-                 ("errors", "sum"), ("robots_blocked", "sum"),
-                 ([], "count_all")])
-            return pa.table({
-                "partition": g["partition"],
-                "fetched": g["fetched_sum"],
-                "cache_hits": g["cache_hits_sum"],
-                "slept": g["slept_sum"], "errors": g["errors_sum"],
-                "robots_blocked": g["robots_blocked_sum"],
-                "rows": pc.cast(g["count_all"], pa.int64())})
-
-        sch = pa.schema([("partition", pa.int32()), ("fetched", pa.int64()),
-                         ("cache_hits", pa.int64()), ("slept", pa.int64()),
-                         ("errors", pa.int64()), ("robots_blocked", pa.int64()),
-                         ("rows", pa.int64())])
-        t = collect(fetched.map_batches(partial, batch_format="pyarrow"), sch)
-        g = t.group_by("partition").aggregate(
-            [(c, "sum") for c in sch.names if c != "partition"])
-        g = g.sort_by("partition")
-        pq.write_table(pa.table(
-            {"round": pa.array(np.ones(g.num_rows, dtype=np.int64)),
-             "partition": g["partition"],
-             **{c: g[f"{c}_sum"] for c in sch.names if c != "partition"}}), p)
-
-    def _write_metrics_from_stats(self, stats_t: pa.Table) -> None:
-        """Per-partition metrics straight from the walkers' per-bucket stat
-        rows (partition = corpus bucket, matching the fetch routing and the
-        lineage unit)."""
-        p = self._ckpt("metrics.parquet")
-        if not p:
-            return
-        t = stats_t.rename_columns(
-            ["partition" if c == "bucket" else c
-             for c in stats_t.column_names]).sort_by("partition")
-        pq.write_table(pa.table(
-            {"round": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-             **{c: t[c] for c in t.column_names}}), p)
 
     def extract_records(self, fetched):
         # instance (not class): runs in the task pool — extraction is stateless,
@@ -912,7 +833,7 @@ class Crawler:
         records = records.sort(["instance_index", "pagination_index", "row_no"])
 
         if not trace:
-            return CrawlResult(records=records)
+            return CrawlResult(records=records, metrics=self.metrics)
 
         rt = collect(records, RECORDS_OUT)
         rt = rt.sort_by([("instance_index", "ascending"),
@@ -927,7 +848,7 @@ class Crawler:
             # index pages that were network fetches: their resolved URLs are
             # not carried by the walker output; recompute from the fetch flags
             fetched_urls |= set(self._index_fetch_urls(pt))
-        metrics = self._metrics(fetched_t)
+        metrics = fetch_counters(fetched_t, -1)
         self._dump_seen()
         return CrawlResult(records=rt, index_urls=index_urls, sleeps=sleeps,
                            fetched_urls=fetched_urls, metrics=metrics)
@@ -953,17 +874,3 @@ class Crawler:
                     pagination_max_pages=cfg.pagination_max_pages)
             out.append(resolve_url(nxt, seed_url) if nxt else seed_url)
         return out
-
-    def _metrics(self, fetched_t: pa.Table) -> pa.Table:
-        n = fetched_t.num_rows
-        return pa.table({
-            "round": pa.array([1], pa.int32()),
-            "partition": pa.array([-1], pa.int32()),
-            "fetched": pa.array([int(pc.sum(fetched_t["from_resource"]).as_py() or 0)], pa.int64()),
-            "cache_hits": pa.array([int(n - (pc.sum(fetched_t["from_resource"]).as_py() or 0))], pa.int64()),
-            "slept": pa.array([int(pc.sum(fetched_t["slept"]).as_py() or 0)], pa.int64()),
-            "errors": pa.array([int(pc.sum(pc.and_(pc.not_equal(fetched_t["status"], 200),
-                                                   pc.not_equal(fetched_t["status"], 0))).as_py() or 0)], pa.int64()),
-            "robots_blocked": pa.array([int(pc.sum(fetched_t["robots_blocked"]).as_py() or 0)], pa.int64()),
-            "deduped": pa.array([0], pa.int64()),
-        })

@@ -515,40 +515,57 @@ def per_process(factory, *args, **kwargs):
     return call
 
 
+def fetch_counters(fetched: pa.Table, partition: int) -> pa.Table:
+    """One :data:`schema.METRICS` row of round-1 counters over a fetched-page
+    table (``partition`` = its fetch group, -1 for a whole crawl)."""
+    def total(a) -> int:
+        return int(pc.sum(a).as_py() or 0)
+
+    status = fetched["status"]
+    n_fetched = total(fetched["from_resource"])
+    return pa.Table.from_pydict({
+        "round": [1], "partition": [partition], "rows": [fetched.num_rows],
+        "fetched": [n_fetched], "cache_hits": [fetched.num_rows - n_fetched],
+        "slept": [total(fetched["slept"])],
+        "errors": [total(pc.and_(pc.not_equal(status, 200),
+                                 pc.not_equal(status, 0)))],
+        "robots_blocked": [total(fetched["robots_blocked"])],
+    }, schema=schema.METRICS)
+
+
 def make_group_walker(cfg, web_source, seen_handle,
-                      drop: tuple = ("bucket",), ckpt_dir: str | None = None,
-                      pacer=None, hot_hosts: frozenset = frozenset()):
+                      ckpt_dir: str | None = None, pacer=None,
+                      hot_hosts: frozenset = frozenset()):
     """A picklable map_groups callable over ONE InstanceWalker per worker
     process (the :func:`per_process` cache) so bucket caches persist across
-    the groups a worker processes.
+    the groups a worker processes.  Each group is one round-1 fetch group,
+    keyed by its ``bucket`` column (see ``Crawler.fetch_instances``).
 
-    With ``ckpt_dir``, each group (= one corpus bucket) checkpoints its own
-    output to ``<ckpt_dir>/bucket=<b>/``, drops a ``_SUCCESS`` marker — the
-    per-partition lineage unit: a crashed run leaves markers only for
-    completed buckets, and the next run walks just the rest — and returns
-    only a one-row STATS table (the page data stays on disk, so the barrier
-    the engine takes over these stats never holds the crawl's spans in the
-    object store; extraction re-reads the checkpoint files)."""
+    Without ``ckpt_dir`` a group returns its fetched pages.  With it, each
+    group checkpoints its own pages to ``<ckpt_dir>/bucket=<g>/``, drops a
+    ``_SUCCESS`` marker — the per-partition lineage unit: a crashed run
+    leaves markers only for completed groups, and the next run walks just
+    the rest — and returns only its :func:`fetch_counters` row (the page
+    data stays on disk, so the barrier the engine takes over these rows
+    never holds the crawl's spans in the object store; extraction re-reads
+    the checkpoint files)."""
 
     walker = per_process(InstanceWalker, cfg, web_source, seen_handle,
                          pacer=pacer, hot_hosts=hot_hosts)
 
     def walk(group: pa.Table) -> pa.Table:
-        bucket = None
-        if ckpt_dir is not None and "bucket" in group.column_names and group.num_rows:
-            bucket = int(group["bucket"][0].as_py())
-        cols = [c for c in drop if c in group.column_names]
-        out = walker(group.drop_columns(cols) if cols else group)
-        if bucket is None:
+        out = walker(group.drop_columns(["bucket"]))
+        if ckpt_dir is None:
             return out
         import os
 
         import pyarrow.parquet as pq
 
-        d = os.path.join(ckpt_dir, f"bucket={bucket}")
-        os.makedirs(d, exist_ok=True)
         from upton_ray.urlops import stash_filenames
 
+        bucket = int(group["bucket"][0].as_py())
+        d = os.path.join(ckpt_dir, f"bucket={bucket}")
+        os.makedirs(d, exist_ok=True)
         # stash_key = the reference's per-page stash filename
         # (downloader.rb:122-139; readable mode via cfg.readable_filenames)
         out_ck = out.append_column("stash_key", pa.array(
@@ -558,20 +575,7 @@ def make_group_walker(cfg, web_source, seen_handle,
         # fixed filename: a Ray task retry overwrites instead of duplicating
         pq.write_table(out_ck, os.path.join(d, "data-0.parquet"))
         open(os.path.join(d, "_SUCCESS"), "w").close()
-        status = out["status"]
-        fetched_n = int(pc.sum(out["from_resource"]).as_py() or 0)
-        return pa.table({
-            "bucket": pa.array([bucket], pa.int32()),
-            "rows": pa.array([out.num_rows], pa.int64()),
-            "fetched": pa.array([fetched_n], pa.int64()),
-            "cache_hits": pa.array([out.num_rows - fetched_n], pa.int64()),
-            "slept": pa.array([int(pc.sum(out["slept"]).as_py() or 0)], pa.int64()),
-            "errors": pa.array([int(pc.sum(pc.and_(
-                pc.not_equal(status, 200),
-                pc.not_equal(status, 0))).as_py() or 0)], pa.int64()),
-            "robots_blocked": pa.array([int(pc.sum(
-                out["robots_blocked"]).as_py() or 0)], pa.int64()),
-        })
+        return fetch_counters(out, bucket)
 
     return walk
 

@@ -6,8 +6,8 @@ The engine generalizes it (north_star): each fetch worker holds a min-heap of
 ``(next_allowed_time, host)`` and schedules the batch's URLs so that no host
 is hit more often than its crawl-delay, while different hosts interleave
 freely.  Cluster-wide per-host correctness comes from routing a host's URLs to
-one worker (host-hash sharding; ``CrawlConfig.needs_host_affinity``); hot
-hosts can be salted into sub-queues that share a token bucket.
+one fetch group (host-hash sharding; ``Crawler.fetch_instances``); hot hosts
+can be salted into sub-queues that share a token bucket.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import time
 from collections import defaultdict
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from upton_ray.urlops import hosts_of
 
@@ -146,22 +148,23 @@ def make_host_pacer():
     return HostPacer.remote()
 
 
-def salt_hosts(hosts: np.ndarray, hot_hosts, num_salts: int) -> np.ndarray:
+def salt_hosts(hosts: np.ndarray, hot_hosts, num_salts: int,
+               row_ids) -> np.ndarray:
     """Skew handling: the routing key per row — the host itself, or
-    ``host#s<i>`` (round-robin over ``num_salts`` sub-queues) for hosts in
-    the globally-detected hot set (north_rule hot-host splitting). Salted
-    sub-queues of one host still share that host's token bucket: pacing goes
-    through the HostPacer actor keyed by the TRUE host, never the salted key."""
+    ``host#s<row_id % num_salts>`` for hosts in the globally-detected hot
+    set (north_rule hot-host splitting).  ``row_ids`` are the rows'
+    ``instance_index``: a row's salt depends on the row alone, never on the
+    batch it arrives in, so a re-read frontier routes every URL to the same
+    fetch group.  Salted sub-queues of one host still share that host's
+    token bucket: pacing goes through the HostPacer actor keyed by the TRUE
+    host, never the salted key."""
     if not hot_hosts:
         return hosts
-    out = hosts.copy()
-    salt_counter: dict[str, int] = defaultdict(int)
-    for i, h in enumerate(hosts):
-        if h in hot_hosts:
-            c = salt_counter[h]
-            out[i] = f"{h}#s{c % num_salts}"
-            salt_counter[h] = c + 1
-    return out
+    h = pa.array(hosts, pa.string())
+    hot = pc.is_in(h, value_set=pa.array(sorted(hot_hosts), pa.string()))
+    salt = pa.array(np.asarray(row_ids, dtype=np.int64) % num_salts)
+    salted = pc.binary_join_element_wise(h, pc.cast(salt, pa.string()), "#s")
+    return pc.if_else(hot, salted, h).to_numpy(zero_copy_only=False)
 
 
 def parse_robots_txt(text: str, agent: str = "*") -> tuple[list, float | None]:

@@ -86,17 +86,19 @@ LINEAGE = pa.schema(
     ]
 )
 
-# per-partition counters (the engine's structured replacement for @verbose puts)
+# per-partition counters (the engine's structured replacement for @verbose
+# puts): one row per round-1 fetch group — the group walker's stats row, the
+# rows of the checkpoint's metrics.parquet and CrawlResult.metrics
 METRICS = pa.schema(
     [
         ("round", pa.int32()),
-        ("partition", pa.int32()),
+        ("partition", pa.int32()),   # fetch group; -1 = a whole trace crawl
+        ("rows", pa.int64()),        # fetched-page rows the group emitted
         ("fetched", pa.int64()),
         ("cache_hits", pa.int64()),
         ("slept", pa.int64()),       # politeness sleeps (reference: upton.rb:220-223)
         ("errors", pa.int64()),
         ("robots_blocked", pa.int64()),
-        ("deduped", pa.int64()),
     ]
 )
 
