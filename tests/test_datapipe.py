@@ -943,7 +943,12 @@ def test_ntile_fill_matches_duckdb(ray_session):
     import pyarrow as pa
     import ray as _ray
 
-    from upton_ray.datapipe import _attach_ntile
+    from upton_ray.datapipe import _ntile
+    from upton_ray.shuffle import block_scan
+
+    def tile(b, base, total, k):
+        return pa.table({"tile": _ntile(
+            base + np.arange(b.num_rows), total, k)})
 
     con = duckdb.connect()
     for total, k in [(10, 4), (7, 3), (8, 4), (5, 7)]:
@@ -952,9 +957,10 @@ def test_ntile_fill_matches_duckdb(ray_session):
                                           pa.int64())})
         # two blocks to exercise the base offset
         cut = total // 2
-        got = pa.concat_tables(_ray.get([
-            _attach_ntile.remote(t.slice(0, cut), 0, total, k),
-            _attach_ntile.remote(t.slice(cut), cut, total, k)]))
+        ds = _ray.data.from_arrow_refs([_ray.put(t.slice(0, cut)),
+                                        _ray.put(t.slice(cut))])
+        got = pa.concat_tables(_ray.get(block_scan(ds, tile, k)
+                                        .to_arrow_refs()))
         exp = con.execute(
             f"SELECT NTILE({k}) OVER (ORDER BY n_chars DESC, doc_id) "
             "FROM t ORDER BY n_chars DESC, doc_id",

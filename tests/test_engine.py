@@ -164,11 +164,15 @@ def test_custom_index_successor_hook(ray_session):
         c.shutdown()
 
 
-def test_distributed_instance_index_equals_collected(ray_session, tmp_path):
-    """The distributed prefix-sum path (index_offset_collect_limit=0) must
-    assign IDENTICAL instance indices to the collect-and-broadcast path —
-    the ordering golden every crawl gate depends on."""
-    from upton_ray import sinks, synth
+def test_distributed_instance_index_equals_collected(ray_session, tmp_path,
+                                                     monkeypatch):
+    """The sort-rank path (``INDEX_OFFSET_COLLECT_LIMIT`` = 0) must assign
+    IDENTICAL instance indices to the collect-and-broadcast path — the
+    ordering golden every crawl gate depends on.  Its sorted links span
+    several non-empty blocks, so a non-zero block base is exercised."""
+    import ray
+
+    from upton_ray import engine, shuffle, sinks, synth
     from upton_ray.config import CrawlConfig
 
     p = synth.ScaleParams(n_hosts=6, pages_per_host=30, links_per_page=5,
@@ -198,13 +202,45 @@ def test_distributed_instance_index_equals_collected(ray_session, tmp_path):
     base = rows(c1)
     c1.shutdown()
 
-    cfg2 = cfg()
-    cfg2.index_offset_collect_limit = 0    # force the distributed path
-    c2 = Crawler(cfg2, ("parquet", corpus, 4), seeds=seeds)
+    live_blocks = []
+    assign = Crawler._assign_instance_index
+
+    def reblocked(self, links):
+        # the crawl's links arrive in one block: hand the sort several
+        # shuffled ones so the ranks cross block bases
+        return assign(self, links.random_shuffle(seed=3).repartition(4))
+
+    def spy(ds, fn, *args, **kw):
+        ds = ds.materialize()
+        live_blocks.append(sum(1 for t in ray.get(ds.to_arrow_refs())
+                               if t.num_rows))
+        return shuffle.block_scan(ds, fn, *args, **kw)
+
+    monkeypatch.setattr(engine, "INDEX_OFFSET_COLLECT_LIMIT", 0)
+    monkeypatch.setattr(engine, "block_scan", spy)
+    monkeypatch.setattr(Crawler, "_assign_instance_index", reblocked)
+    c2 = Crawler(cfg(), ("parquet", corpus, 4), seeds=seeds)
     dist = rows(c2)
     c2.shutdown()
+    assert len(live_blocks) == 1 and live_blocks[0] >= 2
     assert dist == base
     assert len(base) == sum(p.n_articles(h) for h in range(p.n_hosts))
+
+
+def test_repeated_seed_id_fails_closed(ray_session):
+    """instance_index orders links by (seed_id, page_no, dom_pos): two seeds
+    sharing an id would give their links the same indices, so the crawler
+    refuses them up front, naming the id."""
+    from upton_ray.config import CrawlConfig
+
+    sel = "a"
+    seeds = [(0, "http://h0.test/", sel), (1, "http://h1.test/", sel),
+             (0, "http://h2.test/", sel)]
+    with pytest.raises(ValueError, match=r"\[0\]"):
+        Crawler(CrawlConfig(index_selector=sel, debug=False), {},
+                seeds=seeds)
+    Crawler(CrawlConfig(index_selector=sel, debug=False), {},
+            seeds=[(i, u, s) for i, (_, u, s) in enumerate(seeds)])
 
 
 def test_attach_instance_index_fails_closed_on_unknown_page():

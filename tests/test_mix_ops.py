@@ -12,6 +12,7 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def _con(tmp_path):
@@ -196,3 +197,26 @@ def test_decontaminate_large_short_and_empty_docs(ray_session, tmp_path):
     assert list(got["n_overlap"]) == list(want["n_overlap"])
     assert 5 not in got["doc_id"].values          # clean doc absent
     assert got[got["doc_id"] == 3]["n_overlap"].iloc[0] == 1
+
+
+@pytest.mark.parametrize("op", ["length_rank", "length_ntile",
+                                "percentile_rank"])
+def test_length_window_matches_oracle_with_ties(ray_session, tmp_path, op):
+    """The (n_chars desc, doc_id) window ops against their SQL oracle on a
+    corpus whose n_chars values tie in runs, so doc_id decides the order."""
+    import __ray_entry__ as e
+    from upton_ray import datapipe
+
+    rng = np.random.RandomState(5)
+    ids = [int(i) for i in rng.permutation(np.arange(100, 123))]
+    _write_docs(tmp_path, ids,
+                n_chars=[int(c) for c in rng.choice([3, 7, 7, 9], len(ids))])
+
+    got = _collect(getattr(datapipe, op)(str(tmp_path))) \
+        .sort_values("doc_id").reset_index(drop=True)
+    con = _con(tmp_path)
+    want = con.sql(e.oracle_sql()[op]).df() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert len(got) == len(ids)
+    for col in want.columns:
+        assert list(got[col]) == list(want[col]), col

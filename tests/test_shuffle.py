@@ -1,13 +1,14 @@
-"""Unit tests for upton_ray.shuffle — the manual hash-partitioned reduce
-and the generic equi-join built on it."""
+"""Unit tests for upton_ray.shuffle — the manual hash-partitioned reduce,
+the generic equi-join built on it, and the block prefix scan."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
 
-from upton_ray.shuffle import hash_join, hash_reduce, key_hash
+from upton_ray.shuffle import block_scan, hash_join, hash_reduce, key_hash
 
 
 def _sum_by(t: pa.Table, key="k", val="v") -> dict:
@@ -531,3 +532,63 @@ def test_hash_reduce_auto_partitions(ray_session):
     a = auto.sort_values("k").reset_index(drop=True)
     assert f.equals(a)
     assert len(f) == 100
+
+
+def _scan_fn():
+    def fn(t: pa.Table, base: int, total: int, tag: str) -> pa.Table:
+        import numpy as np
+        import pyarrow as pa
+        if "i" not in t.column_names:
+            raise AssertionError("block_scan passed a schema-less block")
+        w = t["w"].to_numpy()
+        n = t.num_rows
+        return pa.table({
+            "i": t["i"],
+            "rank": pa.array(base + np.arange(n), pa.int64()),
+            "run": pa.array(base + np.cumsum(w) - w, pa.int64()),
+            "total": pa.array(np.full(n, total), pa.int64()),
+            "tag": pa.array([tag] * n, pa.string())})
+    return fn
+
+
+def test_block_scan_matches_cumsum(ray_session, tmp_path):
+    rng = np.random.RandomState(3)
+    blocks, start = [], 0
+    for n in [5, 0, 7, 0, 1, 4]:
+        blocks.append(pa.table({
+            "i": pa.array(np.arange(start, start + n), pa.int64()),
+            "w": pa.array(rng.randint(0, 9, n), pa.int64())}))
+        start += n
+    blocks.insert(2, pa.table({}))              # schema-less empty block
+    ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
+    src = pa.concat_tables([b for b in blocks if b.num_columns])
+    w = src["w"].to_numpy()
+
+    for weight, want, total in ((None, np.arange(len(w)), len(w)),
+                                ("w", np.cumsum(w) - w, int(w.sum()))):
+        refs = block_scan(ds, _scan_fn(), "x", weight=weight).to_arrow_refs()
+        assert len(refs) == 4       # fn ran once per non-empty block
+        out = pa.concat_tables(ray.get(refs))
+        assert out["i"].to_pylist() == src["i"].to_pylist()
+        col = "rank" if weight is None else "run"
+        assert out[col].to_pylist() == want.tolist()
+        assert set(out["total"].to_pylist()) == {total}
+        assert set(out["tag"].to_pylist()) == {"x"}
+
+
+def test_block_scan_empty_input(ray_session, tmp_path):
+    typed = pa.table({"i": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int64())})
+    pq.write_table(typed, tmp_path / "empty.parquet")
+    out_names = ["i", "rank", "run", "total", "tag"]
+    # a zero-row block that kept its columns, and a sort of an empty read
+    # (which drops them: the type then comes from the plan)
+    for ds in (ray.data.from_arrow(typed),
+               ray.data.read_parquet(str(tmp_path / "empty.parquet"))
+               .sort("i")):
+        out = block_scan(ds, _scan_fn(), "x", weight="w").materialize()
+        assert out.count() == 0
+        assert out.schema().names == out_names
+    none = block_scan(ray.data.from_arrow_refs([ray.put(pa.table({}))]),
+                      _scan_fn(), "x").materialize()
+    assert none.count() == 0

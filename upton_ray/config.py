@@ -78,8 +78,3 @@ class CrawlConfig:
     # walks one group per corpus bucket; Crawler.fetch_instances)
     fetch_concurrency: int = 4
     fetch_batch_size: int = 256
-    # instance_index assignment: collect-and-broadcast the per-index-page
-    # count rollup below this many rows (cheapest at sandbox scale); above
-    # it, the exclusive prefix-sum runs fully distributed (block-base sums +
-    # union-sort-sweep attach) — a 10^10-URL crawl has ~10^8+ index pages
-    index_offset_collect_limit: int = 2_000_000

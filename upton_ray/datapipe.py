@@ -95,6 +95,7 @@ def _events(sf_dir: str, columns):
     return _table(sf_dir, "events", columns)
 
 
+from upton_ray.shuffle import block_scan  # noqa: E402
 from upton_ray.shuffle import hash_reduce as _hash_reduce  # noqa: E402
 from upton_ray.shuffle import (hash_partition_refs as _hash_partition_refs,  # noqa: E402
                                _coalesce_refs, _hash_split)
@@ -2958,17 +2959,18 @@ def _chunk_batch(doc_ids, toks: pa.Array, size: int, stride: int,
     return pa.concat_tables(out)
 
 
-@ray.remote
-def _block_nrows(t: pa.Table) -> int:
-    return t.num_rows
+def _ranks(t: pa.Table, base: int) -> np.ndarray:
+    """Global 0-based rank of each row of a :func:`block_scan` block."""
+    return base + np.arange(t.num_rows, dtype=np.int64)
 
 
-@ray.remote
-def _attach_positions(t: pa.Table, base: int) -> pa.Table:
-    return pa.table({
-        "pos": pa.array(base + np.arange(t.num_rows, dtype=np.int64),
-                        pa.int64()),
-        "doc_id": t["doc_id"]})
+def _ntile(rank0: np.ndarray, total: int, k: int) -> np.ndarray:
+    """SQL NTILE(k) bucket (1..k) of each global 0-based rank: the first
+    ``total % k`` buckets get one extra row."""
+    size, rem = divmod(total, k)
+    big = rem * (size + 1)          # rows covered by the size+1 buckets
+    return np.where(rank0 < big, rank0 // (size + 1),
+                    rem + (rank0 - big) // max(size, 1)) + 1
 
 
 def seeded_shuffle(sf_dir: str, seed: int = 42):
@@ -2978,11 +2980,11 @@ def seeded_shuffle(sf_dir: str, seed: int = 42):
     size, unlike ``random_shuffle``).
 
     Scale shape: one range-partitioned sort of (key, doc_id) rows, then the
-    global position attaches as a DISTRIBUTED prefix-sum — the driver reads
-    one int per block (row counts), computes exclusive bases, and per-block
-    remote tasks add base + arange; no block ever reaches the driver. The
-    md5 key is oracle-mandated (DuckDB md5() must rank identically); a
-    production variant would use a cheaper splitmix-style int hash."""
+    global position attaches by :func:`block_scan` — the driver reads two
+    ints per block, and per-block tasks add base + arange; no block ever
+    reaches the driver. The md5 key is oracle-mandated (DuckDB md5() must
+    rank identically); a production variant would use a cheaper
+    splitmix-style int hash."""
     def key(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_pylist()
         return pa.table({
@@ -2990,14 +2992,12 @@ def seeded_shuffle(sf_dir: str, seed: int = 42):
             "skey": pa.array(_md5_hex([f"{seed}:{i}" for i in ids]),
                              pa.string())})
 
-    srt = (_docs(sf_dir, ["doc_id"])
-           .map_batches(key, batch_format="pyarrow")
-           .sort(["skey", "doc_id"])).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_positions.remote(r, int(b)) for r, b in zip(refs, bases)])
+    def attach(t: pa.Table, base: int, _total: int) -> pa.Table:
+        return pa.table({"pos": _ranks(t, base), "doc_id": t["doc_id"]})
+
+    return block_scan(_docs(sf_dir, ["doc_id"])
+                      .map_batches(key, batch_format="pyarrow")
+                      .sort(["skey", "doc_id"]), attach)
 
 
 def contamination_check(sf_dir: str, n: int = 3, modulus: int = 211):
@@ -3586,56 +3586,32 @@ def type_token_ratio(sf_dir: str):
         f, batch_format="pyarrow")
 
 
-@ray.remote
-def _attach_rank(t: pa.Table, base: int) -> pa.Table:
-    return pa.table({
-        "rank": pa.array(base + 1 + np.arange(t.num_rows, dtype=np.int64),
-                         pa.int64()),
-        "doc_id": t["doc_id"], "n_chars": t["n_chars"]})
+def _by_length(sf_dir: str):
+    return _docs(sf_dir, ["doc_id", "n_chars"]).sort(
+        [("n_chars"), ("doc_id")], descending=[True, False])
 
 
 def length_rank(sf_dir: str):
     """Global rank of every doc by (n_chars desc, doc_id) — the
-    curriculum-/length-bucketing order. Same distributed prefix-sum shape
-    as :func:`seeded_shuffle`: one range sort, per-block bases from a
-    row-count collect (one int per block), per-block attach tasks."""
-    srt = (_docs(sf_dir, ["doc_id", "n_chars"])
-           .sort([("n_chars"), ("doc_id")],
-                 descending=[True, False])).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_rank.remote(r, int(b)) for r, b in zip(refs, bases)])
+    curriculum-/length-bucketing order: one range sort, then
+    :func:`block_scan` attaches base + 1 + arange per block."""
+    def attach(t: pa.Table, base: int, _total: int) -> pa.Table:
+        return pa.table({"rank": _ranks(t, base) + 1, "doc_id": t["doc_id"],
+                         "n_chars": t["n_chars"]})
 
-
-@ray.remote
-def _attach_ntile(t: pa.Table, base: int, total: int, k: int) -> pa.Table:
-    rank0 = base + np.arange(t.num_rows, dtype=np.int64)
-    size, rem = divmod(total, k)
-    big = rem * (size + 1)          # rows covered by the size+1 buckets
-    tile = np.where(rank0 < big, rank0 // (size + 1),
-                    rem + (rank0 - big) // max(size, 1)) + 1
-    return pa.table({"doc_id": t["doc_id"], "n_chars": t["n_chars"],
-                     "tile": pa.array(tile, pa.int64())})
+    return block_scan(_by_length(sf_dir), attach)
 
 
 def length_ntile(sf_dir: str, k: int = 4):
     """Curriculum bucketing: NTILE(k) over the global (n_chars desc,
-    doc_id) order — same distributed prefix-sum shape as
-    :func:`length_rank` (one range sort, one int per block to the driver,
-    per-block attach tasks).  Bucket fill matches SQL NTILE exactly: the
-    first ``total % k`` buckets get one extra row."""
-    srt = (_docs(sf_dir, ["doc_id", "n_chars"])
-           .sort([("n_chars"), ("doc_id")],
-                 descending=[True, False])).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    total = int(sum(counts))
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_ntile.remote(r, int(b), total, k)
-         for r, b in zip(refs, bases)])
+    doc_id) order — one range sort, then :func:`block_scan` labels each
+    block from its base and the total row count.  Bucket fill matches SQL
+    NTILE exactly: the first ``total % k`` buckets get one extra row."""
+    def attach(t: pa.Table, base: int, total: int) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "n_chars": t["n_chars"],
+                         "tile": _ntile(_ranks(t, base), total, k)})
+
+    return block_scan(_by_length(sf_dir), attach)
 
 
 def nation_year_rollup(sf_dir: str):
@@ -3968,29 +3944,17 @@ def winsorize_values(sf_dir: str, p_lo: float = 0.05, p_hi: float = 0.95):
     return _events(sf_dir, ["event_id", "value"]).map_batches(clamp, batch_format="pyarrow")
 
 
-@ray.remote
-def _attach_prank(t: pa.Table, base: int, total: int) -> pa.Table:
-    r0 = base + np.arange(t.num_rows, dtype=np.int64)
-    pr = np.round(r0 / max(total - 1, 1), 6)
-    return pa.table({"doc_id": t["doc_id"], "n_chars": t["n_chars"],
-                     "pr": pa.array(pr, pa.float64())})
-
-
 def percentile_rank(sf_dir: str):
     """PERCENT_RANK() over the global (n_chars desc, doc_id) order —
-    (rank-1)/(n-1) from the same distributed prefix-sum shape as
-    :func:`length_rank` (tie-broken total order, so rank == row_number).
-    6dp rounding pins the division against the SQL window oracle."""
-    srt = (_docs(sf_dir, ["doc_id", "n_chars"])
-           .sort([("n_chars"), ("doc_id")],
-                 descending=[True, False])).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    total = int(sum(counts))
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_prank.remote(r, int(b), total)
-         for r, b in zip(refs, bases)])
+    (rank-1)/(n-1) from :func:`block_scan` over :func:`length_rank`'s sort
+    (tie-broken total order, so rank == row_number).  6dp rounding pins
+    the division against the SQL window oracle."""
+    def attach(t: pa.Table, base: int, total: int) -> pa.Table:
+        pr = np.round(_ranks(t, base) / max(total - 1, 1), 6)
+        return pa.table({"doc_id": t["doc_id"], "n_chars": t["n_chars"],
+                         "pr": pa.array(pr, pa.float64())})
+
+    return block_scan(_by_length(sf_dir), attach)
 
 
 def approx_quantiles_sketch(sf_dir: str, qs=(0.25, 0.5, 0.9, 0.99),
@@ -4252,21 +4216,10 @@ def dup_ngrams(sf_dir: str, n: int = 5, k: int = 100):
 # ---------------------------------------------------------- sequence packing
 
 
-@ray.remote
-def _block_toksum(t: pa.Table, col: str = "n_tok") -> int:
-    if col not in t.column_names:           # empty post-sort block
-        return 0
-    s = pc.sum(t[col]).as_py()
-    return int(s or 0)
-
-
-@ray.remote
-def _attach_seq(t: pa.Table, base: int, budget: int,
-                col: str = "n_tok") -> pa.Table:
-    if col not in t.column_names:           # empty post-sort block
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         col: pa.array([], pa.int64()),
-                         "seq_id": pa.array([], pa.int64())})
+def _pack_seq(t: pa.Table, base: int, _total: int, budget: int,
+              col: str) -> pa.Table:
+    """:func:`block_scan` body of the packers: ``base`` is the cost of
+    every doc before the block (``weight=col``)."""
     ntok = t[col].to_numpy(zero_copy_only=False)
     cume = base + np.cumsum(ntok) - ntok          # exclusive prefix cost
     return pa.table({"doc_id": t["doc_id"], col: t[col],
@@ -4277,11 +4230,10 @@ def sequence_pack(sf_dir: str, budget: int = 512):
     """Sequential sequence packing for LM training: doc i (in doc_id order)
     lands in training sequence ``floor(exclusive_prefix_tokens / budget)`` —
     the deterministic concat-then-chunk packing (GPT-style) expressed as a
-    DISTRIBUTED PREFIX SUM, same shape as :func:`seeded_shuffle`'s rank
-    attach: one range-partitioned sort, the driver reads ONE int per block
-    (token sums), per-block remote tasks attach ``base + cumsum``.  No block
-    ever reaches the driver; a window function over 10^10 rows costs one
-    sort + one metadata pass."""
+    :func:`block_scan` weighted by ``n_tok``: one range-partitioned sort,
+    the driver reads two ints per block (rows, token sum), per-block tasks
+    attach ``base + cumsum``.  No block ever reaches the driver; a window
+    function over 10^10 rows costs one sort + one metadata pass."""
 
     def tok(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4290,15 +4242,10 @@ def sequence_pack(sf_dir: str, budget: int = 512):
                 pc.count_substring_regex(b["text"], pattern=r"\S+"),
                 pa.int64())})
 
-    srt = (_docs(sf_dir, ["doc_id", "text"])
-           .map_batches(tok, batch_format="pyarrow")
-           .sort("doc_id")).materialize()
-    refs = srt.to_arrow_refs()
-    sums = ray.get([_block_toksum.remote(r) for r in refs])
-    bases = np.r_[np.int64(0), np.cumsum(sums)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_seq.remote(r, int(bs), budget)
-         for r, bs in zip(refs, bases)])
+    return block_scan(_docs(sf_dir, ["doc_id", "text"])
+                      .map_batches(tok, batch_format="pyarrow")
+                      .sort("doc_id"), _pack_seq, budget, "n_tok",
+                      weight="n_tok")
 
 
 # ------------------------------------------------- connected components (BSP)
@@ -5056,14 +5003,6 @@ def hash_split(sf_dir: str, n_splits: int = 10):
 # --------------------------------------------- corpus mixing / vocab gates
 
 
-@ray.remote
-def _attach_mix_pos(t: pa.Table, base: int) -> pa.Table:
-    return pa.table({
-        "pos": pa.array(base + np.arange(t.num_rows, dtype=np.int64),
-                        pa.int64()),
-        "doc_id": t["doc_id"], "source": t["source"], "pri": t["pri"]})
-
-
 def interleave_sources(sf_dir: str):
     """Deterministic weighted interleaving of corpus sources — the
     training-mixture operator (HF ``interleave_datasets`` semantics, stride
@@ -5083,8 +5022,8 @@ def interleave_sources(sf_dir: str):
     sort + group-local arange — for a source too hot for one partition,
     rank is a per-block prefix-sum over (source, id-range) like
     :func:`length_rank`), then ONE range-partitioned sort on the integer
-    priority with the distributed prefix-sum position attach
-    (:func:`seeded_shuffle` shape — driver reads one int per block)."""
+    priority with the :func:`block_scan` position attach (driver reads two
+    ints per block)."""
     def rank_part(t: pa.Table) -> pa.Table:
         if "source" not in t.column_names or t.num_rows == 0:
             return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -5105,14 +5044,13 @@ def interleave_sources(sf_dir: str):
         return pa.table({"doc_id": t["doc_id"], "source": t["source"],
                          "pri": pa.array(rn * (12 // w), pa.int64())})
 
+    def attach(t: pa.Table, base: int, _total: int) -> pa.Table:
+        return pa.table({"pos": _ranks(t, base), "doc_id": t["doc_id"],
+                         "source": t["source"], "pri": t["pri"]})
+
     ranked = _hash_reduce(_docs(sf_dir, ["doc_id", "source"]),
                           ["source"], rank_part)
-    srt = ranked.sort(["pri", "source", "doc_id"]).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_mix_pos.remote(r, int(b)) for r, b in zip(refs, bases)])
+    return block_scan(ranked.sort(["pri", "source", "doc_id"]), attach)
 
 
 def oov_rate(sf_dir: str, vocab_k: int = 32):
@@ -6077,8 +6015,8 @@ def span_pack(sf_dir: str, budget: int = 768, media_tokens: int = 64):
     positions regardless of byte size).  Doc i (in doc_id order) lands in
     training sequence floor(exclusive_prefix_cost / budget).
 
-    Same distributed prefix-sum shape as sequence_pack: one
-    range-partitioned sort, the driver reads ONE int per block, per-block
+    Same :func:`block_scan` as sequence_pack, weighted by ``cost``: one
+    range-partitioned sort, the driver reads two ints per block, per-block
     tasks attach base + cumsum.  Output: (doc_id, cost, seq_id)."""
 
     def cost(b: pa.Table) -> pa.Table:
@@ -6088,15 +6026,10 @@ def span_pack(sf_dir: str, budget: int = 768, media_tokens: int = 64):
                 pc.count_substring_regex(b["text"], pattern=r"\S+"),
                 pa.int64()), 1 + media_tokens)})
 
-    srt = (_docs(sf_dir, ["doc_id", "text"])
-           .map_batches(cost, batch_format="pyarrow")
-           .sort("doc_id")).materialize()
-    refs = srt.to_arrow_refs()
-    sums = ray.get([_block_toksum.remote(r, "cost") for r in refs])
-    bases = np.r_[np.int64(0), np.cumsum(sums)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_seq.remote(r, int(bs), budget, "cost")
-         for r, bs in zip(refs, bases)])
+    return block_scan(_docs(sf_dir, ["doc_id", "text"])
+                      .map_batches(cost, batch_format="pyarrow")
+                      .sort("doc_id"), _pack_seq, budget, "cost",
+                      weight="cost")
 
 
 def media_phash_dedup(sf_dir: str):
@@ -7974,19 +7907,6 @@ def mix_weights(sf_dir: str, alpha: float = 0.7):
 # ------------------------------------------------- round-5 additions (2)
 
 
-@ray.remote
-def _attach_bucket(t: pa.Table, base: int, total: int, k: int) -> pa.Table:
-    """NTILE(k) attach for an already-globally-sorted block: bucket is a
-    pure function of the row's global ordinal (base + local index), so
-    each block labels itself with one int of driver coordination."""
-    rank0 = base + np.arange(t.num_rows, dtype=np.int64)
-    size, rem = divmod(total, k)
-    big = rem * (size + 1)
-    tile = np.where(rank0 < big, rank0 // (size + 1),
-                    rem + (rank0 - big) // max(size, 1)) + 1
-    return t.append_column("bucket", pa.array(tile, pa.int64()))
-
-
 def perplexity_buckets(sf_dir: str, k: int = 3):
     """CCNet-style quality tiers: every doc's mean unigram log-probability
     under the corpus's own LM (see :func:`unigram_logprob`) bucketed into
@@ -7999,21 +7919,18 @@ def perplexity_buckets(sf_dir: str, k: int = 3):
 
     Scale shape: the logprob stage is :func:`unigram_logprob`'s two hash
     co-partitions (term-keyed score, doc-keyed fold); the NTILE stage is
-    :func:`length_ntile`'s distributed prefix-sum — one range sort, one
-    int per block to the driver, per-block attach tasks.  No stage
+    :func:`length_ntile`'s :func:`block_scan` — one range sort, two ints
+    per block to the driver, per-block attach tasks.  No stage
     materializes the corpus on the driver.
 
     Output: (doc_id, logprob[round 6], bucket 1..k); <1-token docs emit
     no row (unigram_logprob's contract)."""
-    srt = unigram_logprob(sf_dir).sort(
-        [("logprob"), ("doc_id")], descending=[True, False]).materialize()
-    refs = srt.to_arrow_refs()
-    counts = ray.get([_block_nrows.remote(r) for r in refs])
-    total = int(sum(counts))
-    bases = np.r_[0, np.cumsum(counts)][:-1]
-    return ray.data.from_arrow_refs(
-        [_attach_bucket.remote(r, int(b), total, k)
-         for r, b in zip(refs, bases)])
+    def attach(t: pa.Table, base: int, total: int) -> pa.Table:
+        return t.append_column("bucket", pa.array(
+            _ntile(_ranks(t, base), total, k), pa.int64()))
+
+    return block_scan(unigram_logprob(sf_dir).sort(
+        [("logprob"), ("doc_id")], descending=[True, False]), attach)
 
 
 def hits_scores(sf_dir: str, iters: int = 2, branching: int = 3):

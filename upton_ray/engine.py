@@ -27,9 +27,11 @@ for, again.
 Scale notes (10^10-URL design point, tested single-node):
 * the only driver-side materializations are (a) the per-(seed, index-page)
   link-count table used for the instance_index prefix-sum (one row per INDEX
-  PAGE, ~1/links_per_page of the frontier), (b) with a checkpoint, one
-  counters row per fetch group, and (c) trace-mode conformance collections
-  (tests only);
+  PAGE, ~1/links_per_page of the frontier) up to
+  ``INDEX_OFFSET_COLLECT_LIMIT`` index pages — above it the links are
+  ranked in sort order by ``shuffle.block_scan``, which reads two ints per
+  block — (b) with a checkpoint, one counters row per fetch group, and (c)
+  trace-mode conformance collections (tests only);
 * walkers and probes run as plain Ray tasks over a per-process cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
   stage's walker once, so no crawl starts an actor pool; the
@@ -53,6 +55,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,8 +73,13 @@ from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
                              make_store, per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet
-from upton_ray.shuffle import hash_reduce
+from upton_ray.shuffle import block_scan, hash_reduce
 from upton_ray.urlops import hosts_of, shard_hashes
+
+
+# Index-page count above which ``Crawler._assign_instance_index`` ranks the
+# sorted links instead of collecting the per-page link counts to the driver.
+INDEX_OFFSET_COLLECT_LIMIT = 2_000_000
 
 
 def _bucket_count(web_ref) -> int | None:
@@ -187,19 +195,11 @@ def _attach_instance_index(links: pa.Table, keys: np.ndarray,
                                pa.array(offs[pos] + d, pa.int64()))
 
 
-@ray.remote
-def _block_count_sum(t: pa.Table) -> int:
-    return int(pc.sum(t["sum(size)"]).as_py() or 0)
-
-
-@ray.remote
-def _block_exclusive_offsets(t: pa.Table, base: int) -> pa.Table:
-    """Per-block piece of the distributed exclusive prefix-sum over sorted
-    per-index-page link counts (see Crawler._assign_instance_index)."""
-    sz = t["sum(size)"].to_numpy(zero_copy_only=False)
-    off = base + np.r_[0, np.cumsum(sz)][:-1]
-    return pa.table({"seed_id": t["seed_id"], "page_no": t["page_no"],
-                     "base_off": pa.array(off.astype(np.int64), pa.int64())})
+def _rank_links(links: pa.Table, base: int, _total: int) -> pa.Table:
+    """``instance_index`` = the link's rank in (seed_id, page_no, dom_pos)
+    order, for one block of the sorted links (see ``block_scan``)."""
+    return links.append_column("instance_index", pa.array(
+        base + np.arange(links.num_rows, dtype=np.int64), pa.int64()))
 
 
 class Crawler:
@@ -215,6 +215,12 @@ class Crawler:
             self.web_ref = web_source
         if seeds is None and cfg.index_url is not None:
             seeds = [(0, cfg.index_url, cfg.index_selector)]
+        # instance_index orders links by (seed_id, page_no, dom_pos): two
+        # seeds sharing an id would number their links twice over
+        ids = Counter(s[0] for s in seeds or [])
+        repeated = sorted(i for i, n in ids.items() if n > 1)
+        if repeated:
+            raise ValueError(f"seed ids must be unique, repeated: {repeated}")
         self.seeds = seeds
         self.pacer = None            # shared hot-host token bucket (if engaged)
         # checkpointed crawls: counter rows of the fetch groups this run walked
@@ -320,10 +326,8 @@ class Crawler:
             pt = pa.concat_tables(ray.get(pages.to_arrow_refs()))
             trace_info = {
                 "index_sleeps": int(pc.sum(pt["slept"]).as_py() or 0),
-                "index_fetched": set(),
                 "pages": pt,
             }
-            # network-fetched index URLs: reconstruct from walker provenance
         links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
         links = links.materialize()   # round-0 output is ~1/links_per_page of the crawl
 
@@ -351,20 +355,16 @@ class Crawler:
         per-(seed, page) link counts + ``dom_pos`` — Upton's sequential
         numbering, computed distributed.
 
-        Counts reduce through an Arrow combiner + groupby (one row per INDEX
-        PAGE, 1/links-per-page of the frontier).  Below
-        ``cfg.index_offset_collect_limit`` rows, the rollup is collected and
+        Counts reduce through an Arrow combiner + ``hash_reduce`` (one row
+        per INDEX PAGE, 1/links-per-page of the frontier).  Up to
+        ``INDEX_OFFSET_COLLECT_LIMIT`` rows, the rollup is collected and
         broadcast as sorted int64 page keys + offsets that links look up by
         ``np.searchsorted`` (cheapest at sandbox scale).  Above it — a
         10^10-URL crawl has ~10^8+ index pages, too many for the driver —
-        the prefix-sum itself runs distributed: sort the counts, per-block
-        base offsets from a tiny block-sum collect (one row per BLOCK), then
-        the offsets attach to links through a union-sort-sweep co-partition
-        on (seed, page) — the same segment pattern as datapipe's sorted
-        joins; block-edge segments fall back to a small residual groupby.
-        Both paths produce identical indices (pinned by test)."""
-        cfg = self.cfg
-
+        the links are sorted by (seed_id, page_no, dom_pos) and ranked with
+        ``block_scan``: ``dom_pos`` is dense from 0 within each page, so a
+        link's rank in that order IS its page offset + ``dom_pos``.  Both
+        paths produce identical indices (pinned by test)."""
         def _page_counts(b: pa.Table) -> pa.Table:
             g = b.select(["seed_id", "page_no"]) \
                 .group_by(["seed_id", "page_no"]) \
@@ -386,104 +386,21 @@ class Crawler:
         counts_ds = hash_reduce(
             links.map_batches(_page_counts, batch_format="pyarrow"),
             ["seed_id", "page_no"], _part_counts)
-        n_pages = counts_ds.count()
+        if counts_ds.count() > INDEX_OFFSET_COLLECT_LIMIT:
+            return block_scan(links.sort(["seed_id", "page_no", "dom_pos"]),
+                              _rank_links)
 
-        if n_pages <= cfg.index_offset_collect_limit:
-            t = collect(counts_ds, pa.schema([
-                ("seed_id", pa.int32()), ("page_no", pa.int32()),
-                ("sum(size)", pa.int64())]))
-            sz = t["sum(size)"].to_numpy(zero_copy_only=False)
-            keys = _page_keys(t)
-            o = np.argsort(keys, kind="stable")
-            keys = keys[o]
-            offs = np.r_[0, np.cumsum(sz[o])][:-1]
-
-            return links.map_batches(_attach_instance_index,
-                                     fn_args=(keys, offs),
-                                     batch_format="pyarrow")
-
-        # ---- distributed prefix-sum path ----
-        srt = counts_ds.sort(["seed_id", "page_no"]).materialize()
-        refs = srt.to_arrow_refs()
-        sums = ray.get([_block_count_sum.remote(r) for r in refs])
-        bases = np.r_[0, np.cumsum(sums)][:-1]
-        offsets_ds = ray.data.from_arrow_refs(
-            [_block_exclusive_offsets.remote(r, int(b))
-             for r, b in zip(refs, bases)])
-
-        def tag_links(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "seed_id": b["seed_id"], "page_no": b["page_no"],
-                "dom_pos": b["dom_pos"], "url": b["url"],
-                "base_off": pa.array(np.full(b.num_rows, -1, np.int64))})
-
-        def tag_offsets(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "seed_id": pc.cast(b["seed_id"], pa.int32()),
-                "page_no": pc.cast(b["page_no"], pa.int32()),
-                # marker sorts FIRST within its (seed, page) segment
-                "dom_pos": pa.array(np.full(b.num_rows, -1, np.int32)),
-                "url": pa.array([None] * b.num_rows, pa.string()),
-                "base_off": b["base_off"]})
-
-        merged = (links.map_batches(tag_links, batch_format="pyarrow")
-                  .union(offsets_ds.map_batches(tag_offsets,
-                                                batch_format="pyarrow"))
-                  .sort(["seed_id", "page_no", "dom_pos"])).materialize()
-
-        def _seg_bounds(b: pa.Table):
-            s = b["seed_id"].to_numpy(zero_copy_only=False)
-            p = b["page_no"].to_numpy(zero_copy_only=False)
-            n = len(s)
-            change = np.zeros(n + 1, dtype=bool)
-            change[0] = change[n] = True
-            change[1:n] |= (s[1:] != s[:-1]) | (p[1:] != p[:-1])
-            return np.flatnonzero(change), n
-
-        def _assign_segment(t: pa.Table) -> pa.Table:
-            d = t["dom_pos"].to_numpy(zero_copy_only=False)
-            base = int(t["base_off"][int(np.argmin(d))].as_py())
-            keep = d >= 0                       # drop the marker row
-            return pa.table({
-                "seed_id": t["seed_id"].filter(pa.array(keep)),
-                "page_no": t["page_no"].filter(pa.array(keep)),
-                "dom_pos": t["dom_pos"].filter(pa.array(keep)),
-                "url": t["url"].filter(pa.array(keep)),
-                "instance_index": pa.array(base + d[keep].astype(np.int64),
-                                           pa.int64())})
-
-        def interior(b: pa.Table) -> pa.Table:
-            empty = pa.table({
-                "seed_id": pa.array([], pa.int32()),
-                "page_no": pa.array([], pa.int32()),
-                "dom_pos": pa.array([], pa.int32()),
-                "url": pa.array([], pa.string()),
-                "instance_index": pa.array([], pa.int64())})
-            if b.num_rows == 0:
-                return empty
-            bounds, n = _seg_bounds(b)
-            outs = [empty]
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                if s == 0 or e == n:
-                    continue                    # edge segment: residual pass
-                outs.append(_assign_segment(b.slice(s, e - s)))
-            return pa.concat_tables(outs)
-
-        def edge_rows(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return b
-            bounds, n = _seg_bounds(b)
-            keep = np.zeros(n, dtype=bool)
-            keep[:bounds[1]] = True
-            keep[bounds[-2]:] = True
-            return b.filter(pa.array(keep))
-
-        return merged.map_batches(interior, batch_format="pyarrow",
-                                  batch_size=None).union(
-            merged.map_batches(edge_rows, batch_format="pyarrow",
-                               batch_size=None)
-                  .groupby(["seed_id", "page_no"])
-                  .map_groups(_assign_segment, batch_format="pyarrow"))
+        t = collect(counts_ds, pa.schema([
+            ("seed_id", pa.int32()), ("page_no", pa.int32()),
+            ("sum(size)", pa.int64())]))
+        sz = t["sum(size)"].to_numpy(zero_copy_only=False)
+        keys = _page_keys(t)
+        o = np.argsort(keys, kind="stable")
+        keys = keys[o]
+        offs = np.r_[0, np.cumsum(sz[o])][:-1]
+        return links.map_batches(_attach_instance_index,
+                                 fn_args=(keys, offs),
+                                 batch_format="pyarrow")
 
     def _frontier_from_sitemaps(self):
         """Sitemap-seeded frontier (cfg.sitemap_url): expand the sitemap /

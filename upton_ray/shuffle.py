@@ -3,7 +3,9 @@ engine's lightweight alternative to ``Dataset.groupby`` for POST-COMBINER
 aggregates) and the operator family built on it — :func:`hash_join`
 (large-large equi-join, inner/outer/semi/anti), :func:`skew_join` (hot keys
 broadcast map-side, cold keys shuffled), :func:`grouped_top_n` (distributed
-ROW_NUMBER window), :func:`detect_hot_keys`.
+ROW_NUMBER window), :func:`detect_hot_keys` — plus :func:`block_scan`, the
+exclusive prefix scan over a sorted Dataset's blocks that every global
+rank / running-sum window op uses.
 
 ``Dataset.groupby`` (hash or sort strategy alike) carries a large fixed cost
 per operation: measured on this sandbox (238k-row 8-block table, 32 cpus),
@@ -138,6 +140,54 @@ def hash_reduce(ds, key_cols, reduce_fn, num_partitions: int | None = 8,
     outs = [_hash_reduce_part.remote(reduce_fn, *[s[i] for s in splits])
             for i in range(num_partitions)]
     return ray.data.from_arrow_refs(outs)
+
+
+@ray.remote
+def _block_size(t: pa.Table, weight: str | None) -> tuple[int, int]:
+    if weight is None or t.num_rows == 0:
+        return t.num_rows, t.num_rows
+    return t.num_rows, int(pc.sum(t[weight]).as_py() or 0)
+
+
+@ray.remote
+def _block_apply(fn, t: pa.Table, base: int, total: int, *args):
+    return fn(t, base, total, *args)
+
+
+def block_scan(ds, fn, *args, weight: str | None = None):
+    """Exclusive prefix scan over the blocks of an already-sorted Dataset:
+    ``fn(table, base, total, *args)`` runs once per non-empty block, where
+    ``base`` is the weight of every row before the block in Dataset order
+    and ``total`` the weight of all rows.  A row's weight is 1, or its
+    ``weight`` column value.  So ``base + arange(num_rows)`` is each row's
+    global 0-based rank, and ``base + cumsum(w) - w`` its exclusive running
+    sum.
+
+    One tiny task per block returns ``(num_rows, weight)``: two ints per
+    block are all that reach the driver, never a row.  Blocks with no rows
+    (or no columns, as a sort may emit) never reach ``fn``.  An input with
+    no rows returns ``fn`` applied to a typed empty table — a sort drops
+    the columns of an all-empty input, so the type comes from a zero-row
+    block that kept them or from the plan's schema — and a zero-column
+    Dataset when neither knows it."""
+    plan_schema = ds.schema(fetch_if_missing=False)     # never executes
+    mat = ds.materialize()
+    refs = mat.to_arrow_refs()
+    sizes = np.array(ray.get([_block_size.remote(r, weight) for r in refs]),
+                     dtype=np.int64).reshape(-1, 2)
+    bases = np.r_[0, np.cumsum(sizes[:, 1])][:-1]
+    total = int(sizes[:, 1].sum())
+    outs = [_block_apply.remote(fn, r, int(b), total, *args)
+            for r, n, b in zip(refs, sizes[:, 0], bases) if n > 0]
+    if outs:
+        return ray.data.from_arrow_refs(outs)
+    empty = next((t for t in ray.get(refs) if t.num_columns > 0), None)
+    if empty is None:
+        if plan_schema is None:
+            return ray.data.from_arrow(pa.table({}))
+        empty = pa.schema(list(zip(plan_schema.names,
+                                   plan_schema.types))).empty_table()
+    return ray.data.from_arrow(fn(empty, 0, 0, *args))
 
 
 @ray.remote
