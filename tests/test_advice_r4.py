@@ -16,6 +16,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from upton_ray.shuffle import collect
+
 
 def test_unigram_logprob_empty_doc_matches_oracle(ray_session, tmp_path):
     import __ray_entry__ as e
@@ -29,10 +31,8 @@ def test_unigram_logprob_empty_doc_matches_oracle(ray_session, tmp_path):
     pq.write_table(docs, tmp_path / "documents.parquet")
 
     out = datapipe.unigram_logprob(str(tmp_path))
-    if hasattr(out, "to_arrow_refs"):
-        import ray
-        out = pa.concat_tables(
-            [t for t in ray.get(out.to_arrow_refs()) if t.num_rows])
+    if not isinstance(out, pa.Table):
+        out = collect(out, pa.schema([]))
     got = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
     con = duckdb.connect()
@@ -85,7 +85,6 @@ def test_pivot_events_unknown_type_raises(ray_session, tmp_path):
     pq.write_table(t, tmp_path / "events.parquet")
     with pytest.raises(Exception) as ei:
         ds = datapipe.pivot_events(str(tmp_path))
-        if hasattr(ds, "to_arrow_refs"):
-            import ray
-            ray.get(ds.to_arrow_refs())
+        if not isinstance(ds, pa.Table):
+            collect(ds, pa.schema([]))
     assert "unknown event_type" in str(ei.value)

@@ -8,11 +8,10 @@ import pyarrow.parquet as pq
 import pytest
 
 from upton_ray import datapipe
+from upton_ray.shuffle import collect
 
 
 def _collect(ds, *cols_types) -> pa.Table:
-    from upton_ray.engine import collect
-
     return collect(ds, pa.schema(list(cols_types)))
 
 
@@ -424,8 +423,6 @@ def test_embedding_lsh_bucket_cap_bounds_degenerate_corpus(
 def test_media_decoder_injection_seam(ray_session, dup_dir):
     """A non-fake decoder drops in via fn_constructor_kwargs with ZERO
     pipeline changes — the media stubs' production-shape claim."""
-    import ray
-
     def _bytes_header_decoder(ref: str) -> tuple[int, int]:
         # stand-in for a real PIL/ffprobe decoder: derives dimensions from a
         # 'header' (first bytes of the ref) the way a real probe reads a file
@@ -437,7 +434,7 @@ def test_media_decoder_injection_seam(ray_session, dup_dir):
     ds = datapipe._media_refs_ds(dup_dir).map_batches(
         datapipe.MediaDecoder, batch_format="pyarrow", concurrency=2,
         batch_size=4096, fn_constructor_kwargs={"decode_fn": _bytes_header_decoder})
-    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    t = collect(ds, pa.schema([]))
     refs = t["media_ref"].to_pylist()
     expect = [_bytes_header_decoder(r) for r in refs]
     assert t["width"].to_pylist() == [e[0] for e in expect]
@@ -446,12 +443,10 @@ def test_media_decoder_injection_seam(ray_session, dup_dir):
 
 
 def test_frame_sampler_injection_seam(ray_session, dup_dir):
-    import ray
-
     ds = datapipe._media_refs_ds(dup_dir).map_batches(
         datapipe.FrameSampler, batch_format="pyarrow", concurrency=2,
         batch_size=4096, fn_constructor_kwargs={"duration_fn": lambda r: 25})
-    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    t = collect(ds, pa.schema([]))
     # 25 s at 10 s step -> frames at t = 0, 10, 20 for every doc
     per_doc = t.to_pandas().groupby("doc_id")["t_s"].apply(list).to_dict()
     assert all(v == [0, 10, 20] for v in per_doc.values())

@@ -1,0 +1,103 @@
+"""The driver collect: every Dataset reaches the driver through
+``shuffle.collect`` / ``shuffle.block_refs``, which run its plan once.
+
+- static: ``to_arrow_refs`` is referenced only in ``upton_ray/shuffle.py``
+  (a bare ``to_arrow_refs`` on a plan that has not run executes it, then
+  starts it again for the schema and cancels that run mid-task);
+- runtime: no ``to_arrow_refs`` call on an unexecuted plan while a sample
+  of driver-collecting operators runs;
+- the collect rule itself: blocks with no columns or no rows are dropped,
+  the rest concatenate with permissive promotion, an empty result is
+  typed by the fallback schema;
+- ``incremental_profile`` refuses its node-local default cache on a
+  multi-node cluster.
+"""
+
+import ast
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from tests.test_round5f_ops import SF
+from upton_ray import datapipe
+from upton_ray.shuffle import collect
+
+PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "upton_ray")
+
+
+def test_to_arrow_refs_only_in_shuffle():
+    users = set()
+    for name in sorted(os.listdir(PKG)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PKG, name)) as f:
+            tree = ast.parse(f.read())
+        if any(isinstance(n, ast.Attribute) and n.attr == "to_arrow_refs"
+               for n in ast.walk(tree)):
+            users.add(name)
+    assert users == {"shuffle.py"}
+
+
+def test_collect_drops_empty_blocks_and_types_empty_result(ray_session):
+    import ray
+
+    stale = pa.table({"x": pa.array([], pa.string())})   # pre-map schema
+    ds = ray.data.from_arrow_refs([
+        ray.put(stale), ray.put(pa.table({})),
+        ray.put(pa.table({"x": pa.array([1, 2], pa.int32())})),
+        ray.put(pa.table({"x": pa.array([3], pa.int64())}))])
+    t = collect(ds, pa.schema([("x", pa.int64())]))
+    assert t.schema == pa.schema([("x", pa.int64())])
+    assert t["x"].to_pylist() == [1, 2, 3]
+
+    fallback = pa.schema([("x", pa.int64()), ("y", pa.string())])
+    empty = ray.data.from_arrow_refs([ray.put(stale), ray.put(pa.table({}))])
+    t = collect(empty, fallback)
+    assert t.num_rows == 0 and t.schema == fallback
+
+
+@pytest.mark.parametrize("op", [
+    "embedding_quantize", "snapshot_dedup", "ann_topk",
+    "approx_distinct_users", "distinct_by_type"])
+def test_no_collect_on_unexecuted_plan(ray_session, monkeypatch, op):
+    from ray.data import Dataset
+    from ray.data.dataset import MaterializedDataset
+
+    lazy = []
+    real = Dataset.to_arrow_refs
+
+    def spy(self, *a, **kw):
+        if not isinstance(self, MaterializedDataset) \
+                and not self._plan.has_computed_output():
+            lazy.append(str(self))
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "to_arrow_refs", spy)
+    out = getattr(datapipe, op)(SF)
+    if not isinstance(out, pa.Table):
+        out = collect(out, pa.schema([]))
+    assert out.num_rows > 0
+    assert lazy == []
+
+
+def test_incremental_profile_default_cache_refused_multi_node(
+        ray_session, monkeypatch, tmp_path):
+    import ray
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "source": pa.array(["a", "b"], pa.string()),
+        "n_chars": pa.array([3, 4], pa.int64())}),
+        tmp_path / "documents.parquet")
+    monkeypatch.setattr(ray, "nodes", lambda: [
+        {"NodeID": "a", "Alive": True}, {"NodeID": "b", "Alive": True},
+        {"NodeID": "c", "Alive": False}])
+    with pytest.raises(ValueError, match="cache_dir"):
+        datapipe.incremental_profile(str(tmp_path))
+    # an explicit (shared) cache_dir is the supported multi-node setup
+    out = datapipe.incremental_profile(str(tmp_path),
+                                       cache_dir=str(tmp_path / "cache"))
+    assert out["n"].to_pylist() == [2, 2, 2]

@@ -14,21 +14,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from tests.test_spans_hitters import _collect
+
 
 def _con(tmp_path):
     con = duckdb.connect()
     con.sql(f"CREATE VIEW documents AS SELECT * FROM "
             f"read_parquet('{tmp_path}/documents.parquet')")
     return con
-
-
-def _collect(out):
-    if hasattr(out, "to_arrow_refs"):
-        import ray
-        tabs = [t for t in ray.get(out.to_arrow_refs())
-                if t.num_columns and t.num_rows]
-        out = pa.concat_tables(tabs) if tabs else pa.table({})
-    return out.to_pandas()
 
 
 def _write_docs(tmp_path, ids, texts=None, sources=None, n_chars=None):

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from upton_ray import datapipe
+from upton_ray.shuffle import block_refs, collect
 
 SF = "/root/testdata/sf0.001"
 
@@ -57,15 +58,13 @@ def soft_out(tmp_path):
     ds = datapipe.soft_dedup(str(tmp_path))
     import ray
     return [pa.Table.from_pandas(b.to_pandas())
-            for b in ray.get(ds.to_arrow_refs())]
+            for b in ray.get(block_refs(ds))]
 
 
 def test_soft_dedup_weight_mass_is_distinct_count(ray_session):
     """sum(weight) == number of DISTINCT normalized texts: each cluster
     contributes exactly 1 regardless of its size."""
-    import ray
-    out = pa.concat_tables(ray.get(
-        datapipe.soft_dedup(SF).to_arrow_refs()))
+    out = collect(datapipe.soft_dedup(SF), pa.schema([]))
     n_distinct = datapipe.dedup_exact(SF).count()
     assert abs(sum(out["weight"].to_pylist()) - n_distinct) < 1e-9
     assert out.num_rows == 500          # nothing dropped
@@ -75,9 +74,7 @@ def test_soft_dedup_weight_mass_is_distinct_count(ray_session):
 
 
 def test_group_split_no_source_spans_two_splits(ray_session):
-    import ray
-    out = pa.concat_tables(ray.get(
-        datapipe.group_split(SF).to_arrow_refs()))
+    out = collect(datapipe.group_split(SF), pa.schema([]))
     srcs = out["source"].to_pylist()
     assert len(srcs) == len(set(srcs))      # one row per source
     # split law replayable off-engine
@@ -91,12 +88,9 @@ def test_group_split_vs_hash_split_leakage(ray_session, tmp_path):
     group_split never does — the leakage contract, shown on one corpus."""
     texts = [f"doc number {i} body" for i in range(40)]
     _write_docs(tmp_path, texts, sources=["host_a"] * 20 + ["host_b"] * 20)
-    import ray
-    g = pa.concat_tables(ray.get(
-        datapipe.group_split(str(tmp_path)).to_arrow_refs()))
+    g = collect(datapipe.group_split(str(tmp_path)), pa.schema([]))
     assert g.num_rows == 2              # one split row per source
-    per_doc = pa.concat_tables(ray.get(
-        datapipe.hash_split(str(tmp_path)).to_arrow_refs()))
+    per_doc = collect(datapipe.hash_split(str(tmp_path)), pa.schema([]))
     assert len(set(per_doc["split"].to_pylist())) > 1   # per-doc scatters
 
 

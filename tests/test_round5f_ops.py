@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from upton_ray import datapipe
+from upton_ray.shuffle import collect
 
 SF = "/root/testdata/sf0.001"
 
@@ -46,11 +47,9 @@ def _write_embeddings(tmp_path, vecs, vec_ids=None):
 
 
 def _fetch(x):
-    import ray
     if isinstance(x, pa.Table):
         return x
-    return pa.concat_tables(
-        [t for t in ray.get(x.to_arrow_refs()) if t.num_rows])
+    return collect(x, pa.schema([]))
 
 
 # ---------------------------------------------------------------- anchor_text

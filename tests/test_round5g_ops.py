@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from upton_ray import datapipe
+from upton_ray.shuffle import collect
 
 SF = "/root/testdata/sf0.001"
 
@@ -91,9 +92,7 @@ def test_link_reciprocity_law(ray_session):
 
 
 def _fetch(ds):
-    import ray
-    return pa.concat_tables(
-        [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+    return collect(ds, pa.schema([]))
 
 
 def test_embedding_pca_exact_contract(ray_session, tmp_path):
@@ -145,10 +144,8 @@ def test_session_stats_planted(ray_session, tmp_path):
           base, base + MIN, base + 2 * MIN]                # user 2: [3]
     _write_events(tmp_path, ts, [1, 1, 1, 2, 2, 2],
                   ["a"] * 6, [1.0] * 6)
-    import ray
-    out = {r["user_id"]: r for t in ray.get(
-        datapipe.session_stats(str(tmp_path)).to_arrow_refs())
-        for r in t.to_pylist()}
+    out = {r["user_id"]: r for r in _fetch(
+        datapipe.session_stats(str(tmp_path))).to_pylist()}
     assert out[1] == {"user_id": 1, "n_sessions": 2, "n_bounce": 1,
                       "bounce_rate": 0.5, "avg_session_events": 1.5}
     assert out[2] == {"user_id": 2, "n_sessions": 1, "n_bounce": 0,
@@ -160,10 +157,8 @@ def test_session_stats_planted(ray_session, tmp_path):
 
 def test_char_classes_planted(ray_session, tmp_path):
     _write_docs_cc(tmp_path, ["ab12  !", ""])
-    import ray
-    rows = {r["doc_id"]: r for t in ray.get(
-        datapipe.char_classes(str(tmp_path)).to_arrow_refs())
-        for r in t.to_pylist()}
+    rows = {r["doc_id"]: r for r in _fetch(
+        datapipe.char_classes(str(tmp_path))).to_pylist()}
     r0 = rows[0]
     assert r0["n_chars_raw"] == 7
     assert r0["alpha_frac"] == 2 / 7 and r0["digit_frac"] == 2 / 7
@@ -193,10 +188,8 @@ def test_prefix_dup_planted(ray_session, tmp_path):
     shared = "a b c d e f g h"
     _write_docs_cc(tmp_path, [shared + " tail one", "unique doc",
                               shared + " tail two", "tiny", "TINY  "])
-    import ray
-    out = sorted((r["rep_doc_id"], r["n_docs"]) for t in ray.get(
-        datapipe.prefix_dup(str(tmp_path)).to_arrow_refs())
-        for r in t.to_pylist())
+    out = sorted((r["rep_doc_id"], r["n_docs"]) for r in _fetch(
+        datapipe.prefix_dup(str(tmp_path))).to_pylist())
     assert out == [(0, 2), (3, 2)]
 
 
@@ -268,10 +261,8 @@ def test_media_caption_law(ray_session, tmp_path):
         "short doc",                            # 1 window
         "",                                     # empty -> title ("")
     ])
-    import ray
-    rows = {r["doc_id"]: r for t in ray.get(
-        datapipe.media_caption(str(tmp_path)).to_arrow_refs())
-        for r in t.to_pylist()}
+    rows = {r["doc_id"]: r for r in _fetch(
+        datapipe.media_caption(str(tmp_path))).to_pylist()}
     assert rows[0]["caption"] == "w24" and rows[0]["caption_seq"] == 3
     assert rows[0]["media_ref"] == "assets/0.img"
     assert rows[1]["caption"] == "short doc" and rows[1]["caption_seq"] == 1

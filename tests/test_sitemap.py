@@ -6,6 +6,7 @@ scenario in test_engine.py; the driver gate pins the golden records
 
 import pyarrow as pa
 
+from upton_ray.shuffle import collect
 from upton_ray.sitemap import (CHILD_KIND, LOC_KIND, expand_levels,
                                sitemap_xml_to_spans)
 
@@ -57,9 +58,7 @@ def test_expand_levels_order_and_cycle_guard(ray_session):
         B + "b.xml": _sm(LOC_KIND, "p3") + _sm(CHILD_KIND, B + "a.xml"),
     }
     links, n_files = expand_levels(web, B + "root.xml", max_depth=4)
-    t = pa.concat_tables(
-        [x for x in __import__("ray").get(links.to_arrow_refs())
-         if x.num_rows]).to_pylist()
+    t = collect(links, pa.schema([])).to_pylist()
     t.sort(key=lambda r: (r["seed_id"], r["dom_pos"]))
     assert [(r["seed_id"], r["dom_pos"], r["url"]) for r in t] == [
         (1, 0, B + "p1"), (1, 1, B + "p2"), (2, 0, B + "p3")]
@@ -75,13 +74,10 @@ def test_expand_levels_depth_cap(ray_session):
         B + "l2.xml": _sm(LOC_KIND, B + "deep"),
     }
     links, n_files = expand_levels(web, B + "l0.xml", max_depth=2)
-    rows = sum(x.num_rows for x in
-               __import__("ray").get(links.to_arrow_refs()))
+    rows = collect(links, pa.schema([])).num_rows
     assert rows == 0      # l2 is below the cap; nothing extracted
     links3, _ = expand_levels(web, B + "l0.xml", max_depth=3)
-    rows3 = pa.concat_tables(
-        [x for x in __import__("ray").get(links3.to_arrow_refs())
-         if x.num_rows])
+    rows3 = collect(links3, pa.schema([]))
     assert rows3["url"].to_pylist() == [B + "deep"]
 
 
@@ -117,9 +113,8 @@ def test_expand_levels_mixed_kind_file_dense_dom_pos(ray_session):
         B + "a.xml": _sm(LOC_KIND, B + "p2"),
     }
     links, _ = expand_levels(web, B + "r.xml", max_depth=3)
-    import ray
-    rows = sorted(((r["seed_id"], r["dom_pos"], r["url"]) for t in
-                   ray.get(links.to_arrow_refs()) for r in t.to_pylist()))
+    rows = sorted((r["seed_id"], r["dom_pos"], r["url"])
+                  for r in collect(links, pa.schema([])).to_pylist())
     assert rows == [(0, 0, B + "p0"), (0, 1, B + "p1"), (1, 0, B + "p2")]
 
 
@@ -127,8 +122,7 @@ def test_expand_levels_depth_zero_empty_not_crash(ray_session):
     B = "http://z.test/"
     web = {B + "r.xml": _sm(LOC_KIND, B + "p0")}
     links, n_files = expand_levels(web, B + "r.xml", max_depth=0)
-    import ray
-    assert sum(t.num_rows for t in ray.get(links.to_arrow_refs())) == 0
+    assert collect(links, pa.schema([])).num_rows == 0
     assert n_files == 1
 
 
@@ -174,6 +168,5 @@ def test_expand_levels_collects_no_page_url(ray_session, monkeypatch):
     assert n_files == 4
     assert set(seen_urls) == {B + "a.xml", B + "b.xml", B + "c.xml"}
     assert not pages & set(seen_urls)
-    got = sorted(r["url"] for t in ray.get(links.to_arrow_refs())
-                 for r in t.to_pylist())
+    got = sorted(r["url"] for r in collect(links, pa.schema([])).to_pylist())
     assert got == sorted(pages)

@@ -165,7 +165,7 @@ def test_skew_join_hot_user_matches_oracle(skew):
     import pyarrow as pa
     import ray
 
-    from upton_ray.shuffle import detect_hot_keys, skew_join
+    from upton_ray.shuffle import collect, detect_hot_keys, skew_join
 
     corpus, layout = skew
     ev = ray.data.read_parquet(f"{corpus}/events.parquet",
@@ -174,13 +174,12 @@ def test_skew_join_hot_user_matches_oracle(skew):
     hot = detect_hot_keys(ev, "user_id", threshold=0.1)
     assert layout["hot_user"] in hot.to_pylist()
 
-    users = sorted(set(pa.concat_tables(
-        ray.get(ev.to_arrow_refs()))["user_id"].to_pylist()))
+    users = sorted(set(collect(ev, pa.schema([]))["user_id"].to_pylist()))
     dim = pa.table({"user_id": pa.array(users, pa.int64()),
                     "tier": pa.array([f"t{u % 3}" for u in users])})
-    out = pa.concat_tables(ray.get(skew_join(
+    out = collect(skew_join(
         ev, ray.data.from_arrow(dim).repartition(2), "user_id",
-        hot_threshold=0.1, num_partitions=4).to_arrow_refs()))
+        hot_threshold=0.1, num_partitions=4), pa.schema([]))
 
     con = duckdb.connect()
     con.sql(f"CREATE VIEW e AS SELECT * FROM "

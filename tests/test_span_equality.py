@@ -7,6 +7,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from upton_ray.scenarios import scenario_configs
+from upton_ray.shuffle import collect
 
 
 def _tuples(spans):
@@ -52,9 +53,7 @@ def test_span_sequences_survive_parquet_store_and_checkpoint(
     crawler = Crawler(cfg, ("parquet", corpus, 4))
     frontier, _ = crawler.get_index()
     fetched = crawler.fetch_instances(frontier.materialize())
-    rows = pa.concat_tables(
-        [x for x in ray.get(fetched.to_arrow_refs())
-         if x.num_columns > 0]).to_pylist()
+    rows = collect(fetched, pa.schema([])).to_pylist()
     assert rows
     for r in rows:
         expected = fixture_web.get(r["instance_url"]) or []

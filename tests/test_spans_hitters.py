@@ -19,11 +19,9 @@ import pyarrow.parquet as pq
 
 
 def _collect(out):
-    if hasattr(out, "to_arrow_refs"):
-        import ray
-        tabs = [t for t in ray.get(out.to_arrow_refs())
-                if t.num_columns and t.num_rows]
-        out = pa.concat_tables(tabs) if tabs else pa.table({})
+    if not isinstance(out, pa.Table):
+        from upton_ray.shuffle import collect
+        out = collect(out, pa.schema([]))
     return out.to_pandas()
 
 

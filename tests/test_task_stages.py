@@ -108,7 +108,7 @@ def test_collect_runs_each_block_once(ray_session, tmp_path):
     to_arrow_refs re-runs the plan to fetch the schema)."""
     import ray
 
-    from upton_ray.engine import collect
+    from upton_ray.shuffle import collect
 
     d = str(tmp_path)
 

@@ -15,10 +15,11 @@ Usage: python tools/bitexact_audit.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from check_queries import canon, to_pandas  # noqa: E402
 

@@ -7,10 +7,11 @@ Usage: python tools/check_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(res):

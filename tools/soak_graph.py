@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.soak_r5 import build_graph_docs   # noqa: E402
 

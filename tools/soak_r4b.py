@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.datapipe_1m import build_corpus           # noqa: E402
 from tools.events_10m import build as build_events   # noqa: E402

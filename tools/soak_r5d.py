@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.datapipe_1m import build_corpus    # noqa: E402
 

@@ -26,7 +26,7 @@ import resource
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.check_queries import canon, to_pandas       # noqa: E402
 from tools.datapipe_1m import build_corpus             # noqa: E402

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.events_10m import build as build_events   # noqa: E402
 

@@ -62,6 +62,12 @@ import ray.data
 
 NORM_RE = r"\s+"
 
+# per-block ANN top-k candidates: a streamed fold collects these, then ranks
+_SIM_CANDS = pa.schema([("query_id", pa.int32()), ("vec_id", pa.int64()),
+                        ("sim", pa.float64())])
+_DIST_CANDS = pa.schema([("query_id", pa.int32()), ("vec_id", pa.int64()),
+                         ("dist", pa.float64())])
+
 
 def _table(sf_dir: str, name: str, columns, **kw):
     # the test tables are ONE small parquet file -> one read block; split so
@@ -95,7 +101,7 @@ def _events(sf_dir: str, columns):
     return _table(sf_dir, "events", columns)
 
 
-from upton_ray.shuffle import block_scan  # noqa: E402
+from upton_ray.shuffle import block_refs, block_scan, collect  # noqa: E402
 from upton_ray.shuffle import hash_reduce as _hash_reduce  # noqa: E402
 from upton_ray.shuffle import (hash_partition_refs as _hash_partition_refs,  # noqa: E402
                                _coalesce_refs, _hash_split)
@@ -463,14 +469,8 @@ def ngram_jaccard(sf_dir: str, threshold: float = 0.5) -> pa.Table:
             [pairs_in_block(t.slice(s, e - s))
              for s, e in zip(bounds[:-1], bounds[1:])])
 
-    out = _hash_reduce(docs, ["source"], part_blocks)
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_columns > 0]
-    empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                      "doc_b": pa.array([], pa.int64()),
-                      "jacc": pa.array([], pa.float64())})
-    if not parts:
-        return empty
-    t = pa.concat_tables(parts)
+    t = collect(_hash_reduce(docs, ["source"], part_blocks), pa.schema([
+        ("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jacc", pa.float64())]))
     return t.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
 
 
@@ -736,7 +736,7 @@ def _pair_verify(pairs, payload_ds, P: int, a_col: str, b_col: str,
     # gate caught exactly that (shuffle._exchange_block_count)
     pmat = pairs.materialize()
     pair_refs = _coalesce_refs(
-        pmat.to_arrow_refs(),
+        block_refs(pmat),
         _exchange_block_count(pmat.size_bytes(), P, 1024))
     splits = [_hash_split.options(num_returns=P).remote(r, [a_col], P)
               for r in pair_refs]
@@ -811,7 +811,7 @@ def _pair_verify_cosine_broadcast(pairs, payload_ds, a_col: str,
     payload attach, no 6 GB mid-exchange (measured: 514 s -> seconds at
     11.5M candidates).  _pair_verify remains the path for corpus-sized
     payloads (shingle sets, billion-row embeddings)."""
-    refs = payload_ds.materialize().to_arrow_refs()
+    refs = block_refs(payload_ds)
     mat_ref = _payload_matrix.remote(id_col, payload_col, *refs)
 
     def verify(t: pa.Table) -> pa.Table:
@@ -837,11 +837,7 @@ def _pair_verify_cosine_broadcast(pairs, payload_ds, a_col: str,
         return t.select([a_col, b_col]).filter(pa.array(sims >= threshold))
 
     out = _hash_reduce(pairs, [a_col, b_col], verify, num_partitions=None)
-    parts = [x for x in ray.get(out.to_arrow_refs())
-             if x.num_columns > 0 and x.num_rows > 0]
-    if not parts:
-        return empty
-    return pa.concat_tables(parts).sort_by(
+    return collect(out, empty.schema).sort_by(
         [(a_col, "ascending"), (b_col, "ascending")])
 
 
@@ -1023,7 +1019,7 @@ def ann_topk(sf_dir: str, n_queries: int = 4, k: int = 10) -> pa.Table:
 
     cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
+    df = collect(cand, _SIM_CANDS).to_pandas()
     df = df.sort_values(["query_id", "sim", "vec_id"],
                         ascending=[True, False, True])
     df["rank"] = df.groupby("query_id").cumcount() + 1
@@ -1111,8 +1107,7 @@ def ann_ivf(sf_dir: str, n_queries: int = 4, k: int = 10, n_cells: int = 8,
 
     cand = _emb(sf_dir).map_batches(block_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    parts = [t for t in ray.get(cand.to_arrow_refs()) if t.num_columns > 0]
-    df = pa.concat_tables(parts).to_pandas()
+    df = collect(cand, _SIM_CANDS).to_pandas()
     df = df.sort_values(["query_id", "sim", "vec_id"],
                         ascending=[True, False, True])
     df["rank"] = df.groupby("query_id").cumcount() + 1
@@ -1167,7 +1162,7 @@ def embedding_dedup(sf_dir: str, threshold: float = 0.95,
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"],
                                override_num_blocks=n_blocks)
-    prepped = [_norm_block.remote(r) for r in ds.to_arrow_refs()]
+    prepped = [_norm_block.remote(r) for r in block_refs(ds)]
     futs = [_block_pair_sims.remote(prepped[i], prepped[j], i == j, threshold)
             for i in range(len(prepped)) for j in range(i, len(prepped))]
     parts = [t for t in ray.get(futs) if t.num_rows]
@@ -1666,12 +1661,9 @@ def _phash_groups(sf_dir: str, encoder_fn, concurrency: int = 2,
 
     red = _hash_reduce(ph.map_batches(partial, batch_format="pyarrow",
                                       batch_size=None), ["phash"], fold)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"rep_doc_id": pa.array([], pa.int64()),
-                         "n_docs": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).sort_by([("rep_doc_id", "ascending")])
+    return collect(red, pa.schema([("rep_doc_id", pa.int64()),
+                                   ("n_docs", pa.int64())])) \
+        .sort_by([("rep_doc_id", "ascending")])
 
 
 # ------------------------------------------------------- relational patterns
@@ -2058,8 +2050,8 @@ def term_frequencies(sf_dir: str, k: int = 20) -> pa.Table:
                        .map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
                        ["term"], part_topk)
-    parts = [t for t in ray.get(agg.to_arrow_refs()) if t.num_columns > 0]
-    top = pa.concat_tables(parts).sort_by(
+    top = collect(agg, pa.schema([("term", pa.string()),
+                                  ("n", pa.int64())])).sort_by(
         [("n", "descending"), ("term", "ascending")]).slice(0, k)
     return pa.table({
         "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int64)),
@@ -2114,17 +2106,15 @@ def approx_distinct_users(sf_dir: str, p: int = 12) -> pa.Table:
         return pa.table({"registers": pa.array([hll.registers.tobytes()],
                                                pa.binary())})
 
-    parts = [t for t in ray.get(
-        _events(sf_dir, ["user_id"])
-        .map_batches(sketch, batch_format="pyarrow",
-                    batch_size=None).to_arrow_refs())
-        if t.num_columns > 0]
+    sketches = collect(_events(sf_dir, ["user_id"])
+                       .map_batches(sketch, batch_format="pyarrow",
+                                    batch_size=None),
+                       pa.schema([("registers", pa.binary())]))
     merged = HyperLogLog(p)
-    for t in parts:
-        for blob in t["registers"].to_pylist():
-            other = HyperLogLog(p)
-            other.registers = np.frombuffer(blob, dtype=np.uint8).copy()
-            merged.merge(other)
+    for blob in sketches["registers"].to_pylist():
+        other = HyperLogLog(p)
+        other.registers = np.frombuffer(blob, dtype=np.uint8).copy()
+        merged.merge(other)
     return pa.table({"approx_distinct": pa.array([int(round(merged.estimate()))],
                                                  pa.int64())})
 
@@ -2138,8 +2128,6 @@ def value_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.9, 0.99)) -> pa.Table:
     scale, recurse the same histogram step inside the bin instead of
     collecting it). Only candidate-bin rows and tiny histograms ever reach
     the driver."""
-    from upton_ray.engine import collect
-
     n_bins = 2048
     ds = _events(sf_dir, ["value"])
 
@@ -2267,14 +2255,15 @@ def asof_join_events(sf_dir: str, *, num_blocks: int = 8) -> pa.Table:
                          "user_id": t["user_id"],
                          "kind": pc.cast(kind, pa.int8())})
 
+    empty = pa.table({"event_id": pa.array([], pa.int64()),
+                      "user_id": pa.array([], pa.int64()),
+                      "ts": pa.array([], pa.timestamp("us")),
+                      "matched_event_id": pa.array([], pa.int64()),
+                      "matched_ts": pa.array([], pa.timestamp("us"))})
+
     def sweep(t: pa.Table) -> pa.Table:
         """Vectorized as-of over rows sorted by (user, ts, kind, event_id)
         — any number of users at once."""
-        empty = pa.table({"event_id": pa.array([], pa.int64()),
-                          "user_id": pa.array([], pa.int64()),
-                          "ts": pa.array([], pa.timestamp("us")),
-                          "matched_event_id": pa.array([], pa.int64()),
-                          "matched_ts": pa.array([], pa.timestamp("us"))})
         n = t.num_rows
         if n == 0:
             return empty
@@ -2338,9 +2327,7 @@ def asof_join_events(sf_dir: str, *, num_blocks: int = 8) -> pa.Table:
                           batch_size=None).union(
         srt.map_batches(edge_rows, batch_format="pyarrow", batch_size=None)
            .groupby("user_id").map_groups(residual, batch_format="pyarrow"))
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_columns > 0]
-    t = pa.concat_tables(parts)
-    return t.sort_by([("event_id", "ascending")])
+    return collect(out, empty.schema).sort_by([("event_id", "ascending")])
 
 
 def range_join_events(sf_dir: str) -> pa.Table:
@@ -2350,8 +2337,6 @@ def range_join_events(sf_dir: str) -> pa.Table:
     BROADCAST; each batch resolves containment with pure arithmetic (regular
     intervals; irregular ones would binary-search sorted starts instead).
     No shuffle at all — the canonical small-side range-join pattern."""
-    from upton_ray.engine import collect
-
     ds = _events(sf_dir, ["event_id", "ts"])
 
     def bounds(batch: pa.Table) -> pa.Table:
@@ -2538,11 +2523,8 @@ def ann_range_search(sf_dir: str, n_queries: int = 4,
                          "vec_id": pa.array(ids[mi], pa.int64())})
 
     out = _emb(sf_dir).map_batches(f, batch_format="pyarrow", batch_size=4096)
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).sort_by(
+    return collect(out, pa.schema([("query_id", pa.int64()),
+                                   ("vec_id", pa.int64())])).sort_by(
         [("query_id", "ascending"), ("vec_id", "ascending")])
 
 
@@ -2700,11 +2682,9 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
         ["term"], df_fold).materialize()
 
     if dfv.size_bytes() <= broadcast_limit_bytes:
-        parts = [t for t in ray.get(dfv.to_arrow_refs())
-                 if t.num_rows > 0 and "term" in t.column_names]
-        if not parts:
+        vt = collect(dfv, V_EMPTY.schema)
+        if vt.num_rows == 0:
             return ray.data.from_arrow(W_EMPTY)
-        vt = pa.concat_tables(parts)
         idf_np = ((n_docs * idf_scale)
                   // vt["df"].to_numpy(zero_copy_only=False))
         v_ref = ray.put((vt["term"].combine_chunks(), idf_np))
@@ -2897,7 +2877,7 @@ def ann_pq(sf_dir: str, n_queries: int = 4, k: int = 10, n_sub: int = 16,
 
     cand = _emb(sf_dir).map_batches(scan, batch_format="pyarrow",
                                     batch_size=4096)
-    df = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
+    df = collect(cand, _DIST_CANDS).to_pandas()
     df = df.sort_values(["query_id", "dist", "vec_id"])
     df["rank"] = df.groupby("query_id").cumcount() + 1
     df = df[df["rank"] <= k][["query_id", "vec_id", "rank"]] \
@@ -3022,11 +3002,9 @@ def contamination_check(sf_dir: str, n: int = 3, modulus: int = 211):
             grams.update(shingles(txt, n))
         return pa.table({"gram": pa.array(sorted(grams), pa.string())})
 
-    parts = [t for t in ray.get(
-        docs.map_batches(bench_grams, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_columns > 0]
-    bench: frozenset = frozenset().union(
-        *[set(t["gram"].to_pylist()) for t in parts]) if parts else frozenset()
+    bench = frozenset(collect(
+        docs.map_batches(bench_grams, batch_format="pyarrow"),
+        pa.schema([("gram", pa.string())]))["gram"].to_pylist())
     bench_ref = ray.put(bench)
 
     def overlap(b: pa.Table) -> pa.Table:
@@ -3060,12 +3038,9 @@ def semi_join_events(sf_dir: str, min_value: float = 190.0):
         return pa.table({"user_id": pc.unique(
             u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u)})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(purchasers, batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns > 0]
-    users = (np.unique(np.concatenate(
-        [t["user_id"].to_numpy(zero_copy_only=False) for t in parts]))
-        if parts else np.empty(0, dtype=np.int64))
+    users = np.unique(collect(
+        ds.map_batches(purchasers, batch_format="pyarrow"),
+        pa.schema([("user_id", pa.int64())]))["user_id"].to_numpy())
     users_ref = ray.put(users)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -3159,7 +3134,7 @@ def ann_pq_rerank(sf_dir: str, n_queries: int = 4, k: int = 10,
 
     cand = _emb(sf_dir).map_batches(scan, batch_format="pyarrow",
                                     batch_size=4096)
-    cdf = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
+    cdf = collect(cand, _DIST_CANDS).to_pandas()
     cdf = cdf.sort_values(["query_id", "dist", "vec_id"])
     cdf = cdf.groupby("query_id").head(k_prime)    # per-query candidate cut
 
@@ -3179,9 +3154,9 @@ def ann_pq_rerank(sf_dir: str, n_queries: int = 4, k: int = 10,
                          "sims": pa.array((M @ qm.T).tolist(),
                                           pa.list_(pa.float64()))})
 
-    st = pa.concat_tables([t for t in ray.get(
-        _emb(sf_dir).map_batches(rerank, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_columns > 0])
+    st = collect(_emb(sf_dir).map_batches(rerank, batch_format="pyarrow"),
+                 pa.schema([("vec_id", pa.int64()),
+                            ("sims", pa.list_(pa.float64()))]))
     sims = {i: np.asarray(s) for i, s in zip(st["vec_id"].to_pylist(),
                                              st["sims"].to_pylist())}
     out = {"query_id": [], "vec_id": [], "rank": []}
@@ -3234,19 +3209,18 @@ def kmeans_clusters(sf_dir: str, k: int = 8, iters: int = 5):
                 "count": pa.array(cnt, pa.int64()),
                 "vsum": pa.array([row.tobytes() for row in S], pa.binary())})
 
-        parts = [t for t in ray.get(
-            emb.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=4096).to_arrow_refs())
-            if t.num_columns > 0]
+        t = collect(emb.map_batches(partial, batch_format="pyarrow",
+                                    batch_size=4096),
+                    pa.schema([("cluster", pa.int64()), ("count", pa.int64()),
+                               ("vsum", pa.binary())]))
         S = np.zeros((k, dim))
         cnt = np.zeros(k, dtype=np.int64)
-        for t in parts:
-            # one BLOCK may hold several batches' k-row partials stacked —
-            # fold by the cluster column, never by position
-            cl = t["cluster"].to_numpy(zero_copy_only=False)
-            np.add.at(cnt, cl, t["count"].to_numpy(zero_copy_only=False))
-            for c, blob in zip(cl, t["vsum"].to_pylist()):
-                S[c] += np.frombuffer(blob)
+        # the collected table stacks every batch's k-row partials — fold
+        # by the cluster column, never by position
+        cl = t["cluster"].to_numpy()
+        np.add.at(cnt, cl, t["count"].to_numpy())
+        for c, blob in zip(cl, t["vsum"].to_pylist()):
+            S[c] += np.frombuffer(blob)
         nz = cnt > 0
         cents = cents.copy()
         cents[nz] = S[nz] / cnt[nz, None]        # empty cluster keeps its seat
@@ -3276,8 +3250,6 @@ def group_quantiles(sf_dir: str, qs=(0.5, 0.9)) -> pa.Table:
     rows (~n/bins per needed order statistic); group cardinality here is the
     event-type enum — a high-cardinality key would recurse the histogram
     step per group instead of collecting rows."""
-    from upton_ray.engine import collect
-
     n_bins = 2048
     ds = _events(sf_dir, ["event_type", "value"]) \
         .materialize()    # one read feeds all three passes
@@ -3445,11 +3417,9 @@ def unigram_logprob(sf_dir: str, broadcast_limit_bytes: int = 2 << 30):
         ["term"], vocab_fold).materialize()
 
     if vocab.size_bytes() <= broadcast_limit_bytes:
-        parts = [t for t in ray.get(vocab.to_arrow_refs())
-                 if t.num_rows > 0 and "term" in t.column_names]
-        if not parts:
+        vt = collect(vocab, V_EMPTY.schema)
+        if vt.num_rows == 0:
             return ray.data.from_arrow(EMPTY)
-        vt = pa.concat_tables(parts)
         terms_pa = vt["term"].combine_chunks()
         cf_np = vt["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
         T = float(int(pc.sum(vt["tf"]).as_py()))   # exact: < 2^53 tokens
@@ -3651,10 +3621,12 @@ def nation_year_rollup(sf_dir: str):
                          "n_orders": g["n_orders_sum"]})
 
     ds = _table(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderdate"])
-    leaves = pa.concat_tables(ray.get(_hash_reduce(
+    leaves = collect(_hash_reduce(
         ds.map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
-        ["n_name", "year"], final, num_partitions=4).to_arrow_refs()))
+        ["n_name", "year"], final, num_partitions=4), pa.schema([
+            ("n_name", pa.string()), ("year", pa.int64()),
+            ("revenue_cents", pa.int64()), ("n_orders", pa.int64())]))
 
     by_nat = leaves.group_by("n_name").aggregate(
         [("revenue_cents", "sum"), ("n_orders", "sum")])
@@ -3821,10 +3793,12 @@ def group_zscore(sf_dir: str):
                          "s2": g["s2_sum"], "n": g["n_sum"]})
 
     ev = _events(sf_dir, ["event_id", "event_type", "value"]).materialize()
-    stats = pa.concat_tables(ray.get(_hash_reduce(
+    stats = collect(_hash_reduce(
         ev.map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
-        ["event_type"], final, num_partitions=4).to_arrow_refs()))
+        ["event_type"], final, num_partitions=4), pa.schema([
+            ("event_type", pa.string()), ("s", pa.float64()),
+            ("s2", pa.float64()), ("n", pa.int64())]))
     n = stats["n"].to_numpy().astype(np.float64)
     mean = stats["s"].to_numpy() / n
     var = stats["s2"].to_numpy() / n - mean * mean
@@ -3901,11 +3875,14 @@ def table_profile(sf_dir: str) -> pa.Table:
            "min_s": [], "max_s": []}
     for col in ("o_custkey", "o_orderstatus", "totalprice_cents"):
         proj = orders.select_columns([col])
-        cnt = pa.concat_tables(ray.get(proj.map_batches(
-            make_counts(col), batch_format="pyarrow").to_arrow_refs()))
-        parts = pa.concat_tables(ray.get(_hash_reduce(
+        cnt = collect(proj.map_batches(make_counts(col),
+                                       batch_format="pyarrow"),
+                      pa.schema([("n", pa.int64()), ("nulls", pa.int64())]))
+        parts = collect(_hash_reduce(
             proj.map_batches(make_partial(col), batch_format="pyarrow"),
-            ["val"], reduce_uniques, num_partitions=4).to_arrow_refs()))
+            ["val"], reduce_uniques, num_partitions=4), pa.schema([
+                ("n_distinct", pa.int64()), ("min_s", pa.string()),
+                ("max_s", pa.string())]))
         live = parts.filter(pc.greater(parts["n_distinct"], 0))
         out["col"].append(col)
         out["n"].append(pc.sum(cnt["n"]).as_py())
@@ -3966,8 +3943,6 @@ def approx_quantiles_sketch(sf_dir: str, qs=(0.25, 0.5, 0.9, 0.99),
     one-pass no-candidate-rows alternative to :func:`value_quantiles` when a
     second pass over the data is too expensive. Approximate ⇒ rows-only
     gate; the relative-error bound is pinned in tests."""
-    from upton_ray.engine import collect
-
     gamma = (1 + alpha) / (1 - alpha)
     lg = np.log(gamma)
 
@@ -4205,11 +4180,8 @@ def dup_ngrams(sf_dir: str, n: int = 5, k: int = 100):
         .map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
         ["gram"], part_topk)
-    parts = [t for t in ray.get(agg.to_arrow_refs()) if t.num_columns > 0]
-    if not parts:
-        return pa.table({"gram": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).sort_by(
+    return collect(agg, pa.schema([("gram", pa.string()),
+                                   ("df", pa.int64())])).sort_by(
         [("df", "descending"), ("gram", "ascending")]).slice(0, k)
 
 
@@ -4430,8 +4402,8 @@ def connected_components(sf_dir: str, k: int = 25, skip: int = 3,
                          "dst": pa.array(np.r_[d, s], pa.int64())})
 
     P = num_partitions
-    edge_blocks = _docs(sf_dir, ["doc_id"]).map_batches(
-        mk_edges, batch_format="pyarrow").materialize().to_arrow_refs()
+    edge_blocks = block_refs(_docs(sf_dir, ["doc_id"]).map_batches(
+        mk_edges, batch_format="pyarrow"))
     esplits = [_hash_split.options(num_returns=P).remote(r, ["src"], P)
                for r in edge_blocks]
     if P == 1:
@@ -4465,9 +4437,9 @@ def connected_components(sf_dir: str, k: int = 25, skip: int = 3,
             start_step = int(done[-1].split("-")[1]) + 1
 
     if labels is None:
-        lab_blocks = _docs(sf_dir, ["doc_id"]).map_batches(
+        lab_blocks = block_refs(_docs(sf_dir, ["doc_id"]).map_batches(
             lambda b: pa.table({"node": b["doc_id"], "lab": b["doc_id"]}),
-            batch_format="pyarrow").materialize().to_arrow_refs()
+            batch_format="pyarrow"))
         lsplits = [_hash_split.options(num_returns=P).remote(r, ["node"], P)
                    for r in lab_blocks]
         if P == 1:
@@ -4775,16 +4747,14 @@ def q3_top_orders(sf_dir: str, segment: str = "BUILDING",
     cut = np.datetime64(cutoff)
 
     # -- small side: segment custkeys, broadcast once
-    ck_parts = [t for t in ray.get(
+    ckeys = np.sort(collect(
         ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                               columns=["c_custkey", "c_mktsegment"])
         .map_batches(
             lambda b: pa.table({"c_custkey": b.filter(
                 pc.equal(b["c_mktsegment"], segment))["c_custkey"]}),
-            batch_format="pyarrow").to_arrow_refs()) if t.num_columns > 0]
-    ckeys = (np.sort(np.concatenate(
-        [t["c_custkey"].to_numpy(zero_copy_only=False) for t in ck_parts]))
-        if ck_parts else np.empty(0, dtype=np.int64))
+            batch_format="pyarrow"),
+        pa.schema([("c_custkey", pa.int64())]))["c_custkey"].to_numpy())
     ckeys_ref = ray.put(ckeys)
 
     def orders_side(b: pa.Table) -> pa.Table:
@@ -4865,13 +4835,8 @@ def q3_top_orders(sf_dir: str, segment: str = "BUILDING",
     # each partition joins + top-ks locally, so the driver merges <= P*k
     # rows.  Replaces the former global sort + sorted-zip + map_groups
     # residual (sf0.1/32cpu: 9.6 s -> see BASELINE).
-    parts = [t for t in ray.get(
-        _hash_reduce(orders.union(li), ["key"], part_join_topk)
-        .to_arrow_refs()) if t.num_columns > 0]
-    parts = [t for t in parts if t.num_rows > 0]
-    if not parts:
-        return _EMPTY
-    return pa.concat_tables(parts).sort_by(
+    return collect(_hash_reduce(orders.union(li), ["key"], part_join_topk),
+                   _EMPTY.schema).sort_by(
         [("revenue_e4", "descending"), ("o_orderdate", "ascending"),
          ("o_orderkey", "ascending")]).slice(0, k)
 
@@ -4920,8 +4885,6 @@ def bm25_score(sf_dir: str,
     the oracle's absent tf rows.
     """
     import math
-
-    from upton_ray.engine import collect
 
     nt = len(terms)
 
@@ -5089,8 +5052,8 @@ def oov_rate(sf_dir: str, vocab_k: int = 32):
                        .map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
                        ["term"], part_topk)
-    parts = [t for t in ray.get(agg.to_arrow_refs()) if t.num_columns > 0]
-    top = pa.concat_tables(parts).sort_by(
+    top = collect(agg, pa.schema([("term", pa.string()),
+                                  ("n", pa.int64())])).sort_by(
         [("n", "descending"), ("term", "ascending")]).slice(0, vocab_k)
     vocab_ref = ray.put(top["term"].combine_chunks())
 
@@ -5137,13 +5100,12 @@ def source_gate(sf_dir: str):
                          "sc": pc.cast(g["n_chars_sum"], pa.int64()),
                          "c": pc.cast(g["count_all"], pa.int64())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow",
-                    batch_size=None).to_arrow_refs())
-        if t.num_rows]
-    st = pa.concat_tables(parts).group_by("source").aggregate(
-        [("sc", "sum"), ("c", "sum")])
+    st = collect(_docs(sf_dir, ["source", "n_chars"])
+                 .map_batches(partial, batch_format="pyarrow",
+                              batch_size=None),
+                 pa.schema([("source", pa.string()), ("sc", pa.int64()),
+                            ("c", pa.int64())])) \
+        .group_by("source").aggregate([("sc", "sum"), ("c", "sum")])
     sc = st["sc_sum"].to_numpy(zero_copy_only=False).astype(np.float64)
     c = st["c_sum"].to_numpy(zero_copy_only=False).astype(np.float64)
     means = sc / c
@@ -5408,9 +5370,8 @@ def line_dedup(sf_dir: str, window: int = 8, max_count: int = 2):
                        .map_batches(partial, batch_format="pyarrow",
                     batch_size=None),
                        ["seg"], frequent_only)
-    parts = [t for t in ray.get(agg.to_arrow_refs()) if t.num_columns > 0]
-    freq = pa.concat_tables(parts)["seg"].combine_chunks() if parts \
-        else pa.array([], pa.string())
+    freq = collect(agg, pa.schema([("seg", pa.string())]))["seg"] \
+        .combine_chunks()
     freq_ref = ray.put(freq)
 
     def scrub(batch: pa.Table) -> pa.Table:
@@ -5502,14 +5463,13 @@ def heavy_hitters(sf_dir: str, phi: float = 0.007):
                              type=pa.int64())})
 
     ev = _events(sf_dir, ["user_id"])
-    parts = [t for t in ray.get(
-        ev.map_batches(sketch, batch_format="pyarrow",
-                    batch_size=None).to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
+    summ = collect(ev.map_batches(sketch, batch_format="pyarrow",
+                                  batch_size=None),
+                   pa.schema([("user_id", pa.int64()), ("mg_n", pa.int64()),
+                              ("total", pa.int64())]))
+    if summ.num_rows == 0:
         return pa.table({"user_id": pa.array([], pa.int64()),
                          "n": pa.array([], pa.int64())})
-    summ = pa.concat_tables(parts)
     total = int(pc.sum(summ["total"]).as_py())
     g = summ.group_by("user_id").aggregate([("mg_n", "sum")])
     keys, counts = _mg_compress(
@@ -5527,14 +5487,9 @@ def heavy_hitters(sf_dir: str, phi: float = 0.007):
         return pa.table({"user_id": g["user_id"],
                          "n": pc.cast(g["count_all"], pa.int64())})
 
-    parts2 = [t for t in ray.get(
-        ev.map_batches(recount, batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts2:
-        return pa.table({"user_id": pa.array([], pa.int64()),
-                         "n": pa.array([], pa.int64())})
-    exact = pa.concat_tables(parts2).group_by("user_id") \
-        .aggregate([("n", "sum")])
+    exact = collect(ev.map_batches(recount, batch_format="pyarrow"),
+                    pa.schema([("user_id", pa.int64()), ("n", pa.int64())])) \
+        .group_by("user_id").aggregate([("n", "sum")])
     thresh = int(np.ceil(phi * total))
     out = pa.table({"user_id": exact["user_id"],
                     "n": pc.cast(exact["n_sum"], pa.int64())})
@@ -5574,15 +5529,10 @@ def span_kind_hist(sf_dir: str):
             "total_chars": pa.array([title_chars, p_chars, 0], pa.int64()),
         })
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow",
-                    batch_size=None)
-        .to_arrow_refs()) if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"kind": pa.array([], pa.string()),
-                         "n_spans": pa.array([], pa.int64()),
-                         "total_chars": pa.array([], pa.int64())})
-    g = pa.concat_tables(parts).group_by("kind").aggregate(
+    g = collect(_docs(sf_dir, ["text"]).map_batches(
+        partial, batch_format="pyarrow", batch_size=None), pa.schema([
+            ("kind", pa.string()), ("n_spans", pa.int64()),
+            ("total_chars", pa.int64())])).group_by("kind").aggregate(
         [("n_spans", "sum"), ("total_chars", "sum")])
     return pa.table({"kind": g["kind"],
                      "n_spans": pc.cast(g["n_spans_sum"], pa.int64()),
@@ -5618,15 +5568,11 @@ def reservoir_sample(sf_dir: str, k: int = 200):
         return pa.table({"doc_id": pa.array(ids[sel], pa.int64()),
                          "priority": pa.array(pri[sel], pa.string())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["doc_id"])
-        .map_batches(local_topk, batch_format="pyarrow",
-                    batch_size=None).to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "priority": pa.array([], pa.string())})
-    merged = pa.concat_tables(parts).sort_by(
+    merged = collect(_docs(sf_dir, ["doc_id"])
+                     .map_batches(local_topk, batch_format="pyarrow",
+                                  batch_size=None),
+                     pa.schema([("doc_id", pa.int64()),
+                                ("priority", pa.string())])).sort_by(
         [("priority", "ascending"), ("doc_id", "ascending")])
     return merged.slice(0, k)
 
@@ -5660,13 +5606,9 @@ def distinct_by_type(sf_dir: str):
     red = _hash_reduce(ev.map_batches(pairs, batch_format="pyarrow",
                     batch_size=None),
                        ["event_type", "user_id"], per_part)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n_users": pa.array([], pa.int64())})
-    g = pa.concat_tables(parts).group_by("event_type").aggregate(
-        [("n", "sum")])
+    g = collect(red, pa.schema([("event_type", pa.string()),
+                                ("n", pa.int64())])) \
+        .group_by("event_type").aggregate([("n", "sum")])
     return pa.table({"event_type": g["event_type"],
                      "n_users": pc.cast(g["n_sum"], pa.int64())}) \
         .sort_by([("event_type", "ascending")])
@@ -5829,15 +5771,12 @@ def sample_weighted(sf_dir: str, k: int = 200):
             "n_chars": batch["n_chars"].take(pa.array(sel, pa.int64())),
             "skey": pa.array(key[sel], pa.float64())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["doc_id", "n_chars"])
-        .map_batches(local_topk, batch_format="pyarrow",
-                    batch_size=None).to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "n_chars": pa.array([], pa.int64())})
-    merged = pa.concat_tables(parts).sort_by(
+    merged = collect(_docs(sf_dir, ["doc_id", "n_chars"])
+                     .map_batches(local_topk, batch_format="pyarrow",
+                                  batch_size=None),
+                     pa.schema([("doc_id", pa.int64()),
+                                ("n_chars", pa.int64()),
+                                ("skey", pa.float64())])).sort_by(
         [("skey", "descending"), ("doc_id", "ascending")])
     return merged.slice(0, k).select(["doc_id", "n_chars"])
 
@@ -5851,8 +5790,6 @@ def _grouped_median_exact(ds, key_col: str, val_col: str) -> dict:
     returning full-precision floats (no rounding: callers use these in
     further arithmetic that must mirror the SQL oracle bit-for-bit).
     Driver state: O(groups x bins) ints + ~n/bins candidate rows/group."""
-    from upton_ray.engine import collect
-
     n_bins = 2048
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -5996,14 +5933,9 @@ def mad_outliers(sf_dir: str, n_mads: float = 3.0):
         keep = np.abs(v - meds) > lim
         return batch.filter(pa.array(keep))
 
-    out = [t for t in ray.get(
-        ds.map_batches(flag, batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not out:
-        return pa.table({"event_id": pa.array([], pa.int64()),
-                         "event_type": pa.array([], pa.string()),
-                         "value": pa.array([], pa.float64())})
-    return pa.concat_tables(out).sort_by([("event_id", "ascending")])
+    return collect(ds.map_batches(flag, batch_format="pyarrow"), pa.schema([
+        ("event_id", pa.int64()), ("event_type", pa.string()),
+        ("value", pa.float64())])).sort_by([("event_id", "ascending")])
 
 
 def span_pack(sf_dir: str, budget: int = 768, media_tokens: int = 64):
@@ -6074,13 +6006,9 @@ def media_phash_dedup(sf_dir: str):
 
     red = _hash_reduce(dec.map_batches(partial, batch_format="pyarrow",
                                        batch_size=None), ["phash"], fold)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"phash": pa.array([], pa.int64()),
-                         "n_docs": pa.array([], pa.int64()),
-                         "rep_doc_id": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).sort_by([("phash", "ascending")])
+    return collect(red, pa.schema([
+        ("phash", pa.int64()), ("n_docs", pa.int64()),
+        ("rep_doc_id", pa.int64())])).sort_by([("phash", "ascending")])
 
 
 def balanced_sample(sf_dir: str, per_source: int = 25):
@@ -6107,13 +6035,10 @@ def balanced_sample(sf_dir: str, per_source: int = 25):
         .map_batches(key, batch_format="pyarrow", batch_size=None),
         ["source"], [("skey", "ascending"), ("doc_id", "ascending")],
         per_source, rn_col="rank")
-    parts = [t for t in ray.get(out.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"source": pa.array([], pa.string()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).select(["source", "doc_id", "rank"]) \
+    return collect(out, pa.schema([("source", pa.string()),
+                                   ("doc_id", pa.int64()),
+                                   ("rank", pa.int64())])) \
+        .select(["source", "doc_id", "rank"]) \
         .sort_by([("source", "ascending"), ("rank", "ascending")])
 
 
@@ -6409,8 +6334,10 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
 
     cr_ds = _hash_reduce(red1.map_batches(marg_rows, batch_format="pyarrow"),
                          ["rw"], fold_cr)
-    cr_parts = [t for t in ray.get(cr_ds.to_arrow_refs()) if t.num_rows > 0]
-    if not cr_parts:
+    cr_tab = collect(cr_ds, pa.schema([("rw", pa.string()),
+                                       ("cr", pa.int64())])) \
+        .sort_by([("rw", "ascending")])
+    if cr_tab.num_rows == 0:
         return pa.table({"rank": pa.array([], pa.int64()),
                          "lw": pa.array([], pa.string()),
                          "rw": pa.array([], pa.string()),
@@ -6419,7 +6346,6 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
     # the marginal table is vocab-sized — broadcastable far past any real
     # tokenizer vocabulary (1e8 terms ~ 2 GB would be the cutoff; the
     # filtered pair table is the small side long before that)
-    cr_tab = pa.concat_tables(cr_parts).sort_by([("rw", "ascending")])
     total_b = float(pc.sum(cr_tab["cr"]).as_py() or 0)
     cr_ref = ray.put((cr_tab["rw"].to_numpy(zero_copy_only=False),
                       cr_tab["cr"].to_numpy(zero_copy_only=False)))
@@ -6446,17 +6372,10 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
         return out.sort_by([("pmi", "descending"), ("lw", "ascending"),
                             ("rw", "ascending")]).slice(0, k)
 
-    parts = [t for t in ray.get(
-        red1.map_batches(score, batch_format="pyarrow",
-                         batch_size=None).to_arrow_refs())
-        if t.num_rows > 0]
-    if not parts:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "lw": pa.array([], pa.string()),
-                         "rw": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "pmi": pa.array([], pa.float64())})
-    top = pa.concat_tables(parts).sort_by(
+    top = collect(red1.map_batches(score, batch_format="pyarrow",
+                                   batch_size=None), pa.schema([
+        ("lw", pa.string()), ("rw", pa.string()), ("n", pa.int64()),
+        ("pmi", pa.float64())])).sort_by(
         [("pmi", "descending"), ("lw", "ascending"),
          ("rw", "ascending")]).slice(0, k)
     return pa.table({
@@ -6586,14 +6505,8 @@ def dsir_select(sf_dir: str, k: int = 500):
         return out.sort_by([("score", "descending"),
                             ("doc_id", "ascending")]).slice(0, k)
 
-    parts = [t for t in ray.get(
-        _hash_reduce(red1, ["doc_id"], per_doc).to_arrow_refs())
-        if t.num_rows > 0]
-    if not parts:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
-    top = pa.concat_tables(parts).sort_by(
+    top = collect(_hash_reduce(red1, ["doc_id"], per_doc), pa.schema([
+        ("doc_id", pa.int64()), ("score", pa.float64())])).sort_by(
         [("score", "descending"), ("doc_id", "ascending")]).slice(0, k)
     return pa.table({
         "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int64),
@@ -6668,12 +6581,9 @@ def retention_cohorts(sf_dir: str):
         days, batch_format="pyarrow")
     cells = _hash_reduce(rows, ["user_id"], per_user)
     out = _hash_reduce(cells, ["cohort_day", "day_offset"], fold_cells)
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows > 0]
-    if not parts:
-        return pa.table({"cohort_day": pa.array([], pa.string()),
-                         "day_offset": pa.array([], pa.int64()),
-                         "n_users": pa.array([], pa.int64())})
-    return pa.concat_tables(parts).sort_by(
+    return collect(out, pa.schema([
+        ("cohort_day", pa.string()), ("day_offset", pa.int64()),
+        ("n_users", pa.int64())])).sort_by(
         [("cohort_day", "ascending"), ("day_offset", "ascending")])
 
 
@@ -6911,20 +6821,15 @@ def centroid_distance(sf_dir: str):
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                 columns=["vec_id", "embedding", "label"])
-    parts = [t for t in ray.get(
-        emb.map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows > 0]
+    t = collect(emb.map_batches(partial, batch_format="pyarrow"), pa.schema([
+        ("label", pa.int64()), ("cnt", pa.int64()),
+        ("sums", pa.list_(pa.float64()))]))
+    mat = t["sums"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
     agg: dict[int, tuple[np.ndarray, int]] = {}
-    for t in parts:
-        labs = t["label"].to_numpy(zero_copy_only=False)
-        cnts = t["cnt"].to_numpy(zero_copy_only=False)
-        sums = t["sums"].combine_chunks() if isinstance(
-            t["sums"], pa.ChunkedArray) else t["sums"]
-        mat = sums.flatten().to_numpy(zero_copy_only=False) \
-            .reshape(t.num_rows, -1)
-        for i, l in enumerate(labs):
-            s, c = agg.get(int(l), (0.0, 0))
-            agg[int(l)] = (s + mat[i], c + int(cnts[i]))
+    for l, c, row in zip(t["label"].to_numpy(), t["cnt"].to_numpy(),
+                         mat.reshape(t.num_rows, -1) if t.num_rows else ()):
+        s, n = agg.get(int(l), (0.0, 0))
+        agg[int(l)] = (s + row, n + int(c))
     labels = np.array(sorted(agg), dtype=np.int64)
     C = np.stack([agg[int(l)][0] / agg[int(l)][1] for l in labels])
     Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
@@ -7060,7 +6965,7 @@ def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
 
     cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
+    df = collect(cand, _SIM_CANDS).to_pandas()
     if df.empty:
         return pa.table({"query_id": pa.array([], pa.int32()),
                          "vec_id": pa.array([], pa.int64()),
@@ -7153,12 +7058,8 @@ def daily_active_users(sf_dir: str):
     red = _hash_reduce(ev.map_batches(pairs, batch_format="pyarrow",
                                       batch_size=None),
                        ["day", "user_id"], per_part)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"day": pa.array([], pa.string()),
-                         "n_users": pa.array([], pa.int64())})
-    g = pa.concat_tables(parts).group_by("day").aggregate([("n", "sum")])
+    g = collect(red, pa.schema([("day", pa.string()), ("n", pa.int64())])) \
+        .group_by("day").aggregate([("n", "sum")])
     return pa.table({"day": g["day"],
                      "n_users": pc.cast(g["n_sum"], pa.int64())}) \
         .sort_by([("day", "ascending")])
@@ -7465,7 +7366,7 @@ def knn_graph(sf_dir: str, k: int = 5, num_blocks: int = 8):
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"],
                                override_num_blocks=num_blocks)
-    refs = [r for r in ds.materialize().to_arrow_refs()]
+    refs = block_refs(ds)
     tiles = [[_knn_tile.remote(q, c, k) for c in refs] for q in refs]
     return ray.data.from_arrow_refs(
         [_knn_merge.remote(k, *row) for row in tiles])
@@ -7493,11 +7394,9 @@ def ngram_containment(sf_dir: str, n: int = 3, modulus: int = 211):
             grams.update(shingles(txt, n))
         return pa.table({"gram": pa.array(sorted(grams), pa.string())})
 
-    parts = [t for t in ray.get(
-        docs.map_batches(bench_grams, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_columns > 0]
-    bench: frozenset = frozenset().union(
-        *[set(t["gram"].to_pylist()) for t in parts]) if parts else frozenset()
+    bench = frozenset(collect(
+        docs.map_batches(bench_grams, batch_format="pyarrow"),
+        pa.schema([("gram", pa.string())]))["gram"].to_pylist())
     bench_ref = ray.put(bench)
 
     def containment(b: pa.Table) -> pa.Table:
@@ -7604,7 +7503,7 @@ def _brute_topk_ranks(sf_dir: str, n_queries: int, k: int,
 
     cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
+    df = collect(cand, _SIM_CANDS).to_pandas()
     df = df.sort_values(["query_id", "sim", "vec_id"],
                         ascending=[True, False, True])
     df["rank"] = df.groupby("query_id").cumcount() + 1
@@ -7721,16 +7620,10 @@ def host_share(sf_dir: str):
         return pa.table({"source": g["source"],
                          "n": pc.cast(g["count_all"], pa.int64())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["source"]).map_batches(
-            partial, batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"source": pa.array([], pa.string()),
-                         "n_docs": pa.array([], pa.int64()),
-                         "share": pa.array([], pa.float64()),
-                         "rank": pa.array([], pa.int64())})
-    g = pa.concat_tables(parts).group_by("source").aggregate([("n", "sum")])
+    g = collect(_docs(sf_dir, ["source"]).map_batches(
+        partial, batch_format="pyarrow"), pa.schema([
+            ("source", pa.string()), ("n", pa.int64())])) \
+        .group_by("source").aggregate([("n", "sum")])
     cnt = g["n_sum"].to_numpy(zero_copy_only=False)
     src = np.asarray(g["source"].to_pylist(), dtype=object)
     if total is None:
@@ -7774,14 +7667,12 @@ def vocab_coverage(sf_dir: str, tops=(100, 1000, 10000)):
         _docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow",
                                             batch_size=None),
         ["term"], fold)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
+    all_t = collect(red, pa.schema([("term", pa.string()), ("n", pa.int64())]))
+    if all_t.num_rows == 0:
         return pa.table({"top_n": pa.array([], pa.int64()),
                          "covered": pa.array([], pa.int64()),
                          "total": pa.array([], pa.int64()),
                          "coverage": pa.array([], pa.float64())})
-    all_t = pa.concat_tables(parts)
     cnt = all_t["n"].to_numpy(zero_copy_only=False)
     term = np.asarray(all_t["term"].to_pylist(), dtype=object)
     order = np.lexsort((term, -cnt))
@@ -7848,17 +7739,12 @@ def degree_distribution(sf_dir: str, num_partitions: int = 8) -> pa.Table:
     red = _hash_reduce(edges.map_batches(endpoints, batch_format="pyarrow",
                                          batch_size=None),
                        ["node"], degree_fold)
-    parts = [t for t in ray.get(red.to_arrow_refs())
-             if t.num_columns > 0 and t.num_rows > 0]
+    h = collect(red, pa.schema([("degree", pa.int64()),
+                                ("cnt", pa.int64())])) \
+        .group_by("degree").aggregate([("cnt", "sum")])
+    deg = h["degree"].to_numpy()
+    cnt = h["cnt_sum"].to_numpy()
     n_total = _parquet_rows(f"{sf_dir}/documents.parquet")
-    if parts:
-        h = pa.concat_tables(parts).group_by("degree") \
-            .aggregate([("cnt", "sum")])
-        deg = h["degree"].to_numpy(zero_copy_only=False)
-        cnt = h["cnt_sum"].to_numpy(zero_copy_only=False)
-    else:
-        deg = np.array([], np.int64)
-        cnt = np.array([], np.int64)
     touched = int(cnt.sum())
     if n_total > touched:                       # isolated nodes
         deg = np.r_[deg, np.int64(0)]
@@ -7886,15 +7772,10 @@ def mix_weights(sf_dir: str, alpha: float = 0.7):
         return pa.table({"source": g["source"],
                          "n": pc.cast(g["count_all"], pa.int64())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["source"]).map_batches(
-            partial, batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
-        return pa.table({"source": pa.array([], pa.string()),
-                         "n_docs": pa.array([], pa.int64()),
-                         "weight": pa.array([], pa.float64())})
-    g = pa.concat_tables(parts).group_by("source").aggregate([("n", "sum")])
+    g = collect(_docs(sf_dir, ["source"]).map_batches(
+        partial, batch_format="pyarrow"), pa.schema([
+            ("source", pa.string()), ("n", pa.int64())])) \
+        .group_by("source").aggregate([("n", "sum")])
     srt = g.sort_by([("source", "ascending")])
     cnt = srt["n_sum"].to_numpy(zero_copy_only=False).astype(np.float64)
     w = cnt ** alpha
@@ -8270,13 +8151,12 @@ def _bpe_word_counts(sf_dir: str, limit_bytes: int):
             f"BPE word table {wc.size_bytes()} B exceeds the driver bound "
             f"{limit_bytes} B — raise vocab_limit_bytes or pre-truncate "
             "the vocabulary (BPE training state is inherently vocab-sized)")
-    parts = [t for t in ray.get(wc.to_arrow_refs())
-             if t.num_rows > 0 and "word" in t.column_names]
-    if not parts:
+    words = collect(wc, V_EMPTY.schema)
+    if words.num_rows == 0:
         return None
     # deterministic word order (the merge loop's tie-breaks do not depend
     # on it, but run-to-run identical state aids debugging)
-    return pa.concat_tables(parts).sort_by([("word", "ascending")])
+    return words.sort_by([("word", "ascending")])
 
 
 def _bpe_merge_loop(words: np.ndarray, counts: np.ndarray, n_merges: int):
@@ -8659,17 +8539,15 @@ def quality_classifier(sf_dir: str, label_term: str = "spark",
                              "n": pa.array([len(y)], pa.int64()),
                              "loss": pa.array([loss], pa.float64())})
 
-        parts = [t for t in ray.get(
-            cached.map_batches(grad_part, batch_format="pyarrow",
-                               batch_size=4096).to_arrow_refs())
-            if t.num_columns > 0]
+        t = collect(cached.map_batches(grad_part, batch_format="pyarrow",
+                                       batch_size=4096),
+                    pa.schema([("grad", pa.binary()), ("n", pa.int64()),
+                               ("loss", pa.float64())]))
         g = np.zeros(dim + 1, dtype=np.float64)
-        n_tot, loss_tot = 0, 0.0
-        for t in parts:
-            for blob in t["grad"].to_pylist():
-                g += np.frombuffer(blob)
-            n_tot += int(pc.sum(t["n"]).as_py() or 0)
-            loss_tot += float(pc.sum(t["loss"]).as_py() or 0.0)
+        for blob in t["grad"].to_pylist():
+            g += np.frombuffer(blob)
+        n_tot = int(pc.sum(t["n"]).as_py() or 0)
+        loss_tot = float(pc.sum(t["loss"]).as_py() or 0.0)
         if n_tot == 0:
             break
         w = w - lr * g / n_tot
@@ -8774,10 +8652,8 @@ def substring_dedup(sf_dir: str, n: int = 5,
                       "n_dup_tok": pa.array([], pa.int64())})
 
     if not force_distributed:
-        parts = [t for t in ray.get(dup_ds.to_arrow_refs())
-                 if t.num_columns > 0 and t.num_rows > 0]
-        dup = (pa.concat_tables(parts)["gram"].combine_chunks()
-               if parts else pa.array([], pa.string()))
+        dup = collect(dup_ds, pa.schema([("gram", pa.string())]))["gram"] \
+            .combine_chunks()
         if dup.nbytes <= broadcast_limit and len(dup) <= broadcast_gram_limit:
             dup_ref = ray.put(dup)
 
@@ -8911,16 +8787,14 @@ def temperature_resample(sf_dir: str, alpha: float = 0.5,
         return pa.table({"source": g["source"],
                          "n": pc.cast(g["count_all"], pa.int64())})
 
-    parts = [t for t in ray.get(
-        _docs(sf_dir, ["doc_id", "source"]).map_batches(
-            src_counts, batch_format="pyarrow",
-            batch_size=None).to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
+    tot = collect(_docs(sf_dir, ["doc_id", "source"]).map_batches(
+        src_counts, batch_format="pyarrow", batch_size=None), pa.schema([
+            ("source", pa.string()), ("n", pa.int64())])) \
+        .group_by("source").aggregate([("n", "sum")])
+    if tot.num_rows == 0:
         return pa.table({"source": pa.array([], pa.string()),
                          "n_docs": pa.array([], pa.int64()),
                          "n_kept": pa.array([], pa.int64())})
-    tot = pa.concat_tables(parts).group_by("source").aggregate([("n", "sum")])
     srcs = tot["source"].to_pylist()
     ns = {s: int(v) for s, v in zip(srcs, tot["n_sum"].to_pylist())}
     n_max = max(ns.values())
@@ -8944,17 +8818,13 @@ def temperature_resample(sf_dir: str, alpha: float = 0.5,
         return pa.table({"source": pa.array(uq.astype(object), pa.string()),
                          "nk": pa.array(nk, pa.int64())})
 
-    kparts = [t for t in ray.get(
-        _docs(sf_dir, ["doc_id", "source"]).map_batches(
-            kept_counts, batch_format="pyarrow",
-            batch_size=None).to_arrow_refs())
-        if t.num_columns > 0 and t.num_rows > 0]
+    kt = collect(_docs(sf_dir, ["doc_id", "source"]).map_batches(
+        kept_counts, batch_format="pyarrow", batch_size=None), pa.schema([
+            ("source", pa.string()), ("nk", pa.int64())])) \
+        .group_by("source").aggregate([("nk", "sum")])
     kept = {s: 0 for s in srcs}
-    if kparts:
-        kt = pa.concat_tables(kparts).group_by("source") \
-            .aggregate([("nk", "sum")])
-        kept.update({s: int(v) for s, v in
-                     zip(kt["source"].to_pylist(), kt["nk_sum"].to_pylist())})
+    kept.update({s: int(v) for s, v in
+                 zip(kt["source"].to_pylist(), kt["nk_sum"].to_pylist())})
     order = sorted(srcs)
     return pa.table({"source": pa.array(order, pa.string()),
                      "n_docs": pa.array([ns[s] for s in order], pa.int64()),
@@ -9084,9 +8954,8 @@ def snapshot_dedup(sf_dir: str, m_bits: int | None = None, n_hash: int = 4,
         return pa.table({"idx": pa.array(idx, pa.uint64())})
 
     merged = np.zeros(m_bits // 8, np.uint8)
-    for ref in side(True).map_batches(
-            bloom_partial, batch_format="pyarrow",
-            batch_size=None).to_arrow_refs():
+    for ref in block_refs(side(True).map_batches(
+            bloom_partial, batch_format="pyarrow", batch_size=None)):
         part = ray.get(ref)
         if part.num_columns and part.num_rows:
             idx = part["idx"].to_numpy(zero_copy_only=False)
@@ -9339,9 +9208,9 @@ def source_overlap(sf_dir: str):
     parts = _docs(sf_dir, ["doc_id", "text", "source"]).map_batches(
         distinct_part, batch_format="pyarrow", batch_size=None)
     partials = _hash_reduce(parts, ["fp"], pair_counts)
-    agg = pa.concat_tables(
-        ray.get(partials.to_arrow_refs())).group_by(
-        ["src_a", "src_b"]).aggregate([("n", "sum")])
+    agg = collect(partials, pa.schema([
+        ("src_a", pa.string()), ("src_b", pa.string()), ("n", pa.int64())])) \
+        .group_by(["src_a", "src_b"]).aggregate([("n", "sum")])
     na = {r["src_a"]: r["n_sum"] for r in agg.to_pylist()
           if r["src_a"] == r["src_b"]}
     rows = [r for r in agg.to_pylist()
@@ -9388,9 +9257,9 @@ def ks_drift(sf_dir: str, old_splits: int = 7, modulus: int = 10):
 
     parts = _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
         part, batch_format="pyarrow", batch_size=None)
-    small = pa.concat_tables(
-        ray.get(_hash_reduce(parts, ["v"], red).to_arrow_refs()))
-    small = small.sort_by("v")
+    small = collect(_hash_reduce(parts, ["v"], red), pa.schema([
+        ("v", pa.int64()), ("c_old", pa.int64()), ("c_new", pa.int64())])) \
+        .sort_by("v")
     co = small["c_old"].to_numpy(zero_copy_only=False)
     cn = small["c_new"].to_numpy(zero_copy_only=False)
     n_old, n_new = int(co.sum()), int(cn.sum())
@@ -9439,10 +9308,10 @@ def recrawl_priority(sf_dir: str):
 
     parts = _docs(sf_dir, ["text", "source"]).map_batches(
         part, batch_format="pyarrow", batch_size=None)
-    small = pa.concat_tables(ray.get(
-        _hash_reduce(parts, ["host"], red).to_arrow_refs()))
-    small = small.group_by("host").aggregate([("n_pages", "sum"),
-                                              ("n_changed", "sum")])
+    small = collect(_hash_reduce(parts, ["host"], red), pa.schema([
+        ("host", pa.string()), ("n_pages", pa.int64()),
+        ("n_changed", pa.int64())])) \
+        .group_by("host").aggregate([("n_pages", "sum"), ("n_changed", "sum")])
     hosts = small["host"].to_pylist()
     npg = small["n_pages_sum"].to_numpy(zero_copy_only=False)
     nch = small["n_changed_sum"].to_numpy(zero_copy_only=False)
@@ -9556,13 +9425,11 @@ def embedding_quantize(sf_dir: str):
                          "mx": pa.array([M.max(axis=0)],
                                         pa.list_(pa.float64()))})
 
-    parts = [t for t in ray.get(
-        emb.map_batches(mm, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()) if t.num_rows > 0]
-    mns = np.stack([np.asarray(t["mn"].to_pylist()[i])
-                    for t in parts for i in range(t.num_rows)])
-    mxs = np.stack([np.asarray(t["mx"].to_pylist()[i])
-                    for t in parts for i in range(t.num_rows)])
+    t = collect(emb.map_batches(mm, batch_format="pyarrow", batch_size=None),
+                pa.schema([("mn", pa.list_(pa.float64())),
+                           ("mx", pa.list_(pa.float64()))]))
+    mns = np.stack([np.asarray(x) for x in t["mn"].to_pylist()])
+    mxs = np.stack([np.asarray(x) for x in t["mx"].to_pylist()])
     mn, mx = mns.min(axis=0), mxs.max(axis=0)
     rng = mx - mn
     q_ref = ray.put((mn, rng))
@@ -9620,9 +9487,9 @@ def dup_rate(sf_dir: str):
 
     parts = _docs(sf_dir, ["text", "source"]).map_batches(
         part, batch_format="pyarrow", batch_size=None)
-    small = pa.concat_tables([t for t in ray.get(
-        _hash_reduce(parts, ["source", "fp"], red).to_arrow_refs())
-        if t.num_rows > 0])
+    small = collect(_hash_reduce(parts, ["source", "fp"], red), pa.schema([
+        ("source", pa.string()), ("n_docs", pa.int64()),
+        ("n_distinct", pa.int64())]))
     g = small.group_by("source").aggregate([("n_docs", "sum"),
                                             ("n_distinct", "sum")])
     nd = g["n_docs_sum"].to_numpy(zero_copy_only=False)
@@ -9672,9 +9539,10 @@ def feature_corr(sf_dir: str):
                          "sy": pa.array(sy)})
 
     ev = _events(sf_dir, cols)
-    p1 = pa.concat_tables([t for t in ray.get(
-        ev.map_batches(pass1, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()) if t.num_rows]) \
+    p1 = collect(ev.map_batches(pass1, batch_format="pyarrow",
+                                batch_size=None), pa.schema([
+        ("event_type", pa.string()), ("n", pa.float64()),
+        ("sx", pa.float64()), ("sy", pa.float64())])) \
         .group_by("event_type").aggregate([("n", "sum"), ("sx", "sum"),
                                            ("sy", "sum")])
     types = p1["event_type"].to_pylist()
@@ -9698,9 +9566,10 @@ def feature_corr(sf_dir: str):
             "syy": pa.array(np.bincount(idx, weights=cy * cy,
                                         minlength=len(pos)))})
 
-    p2 = pa.concat_tables([t for t in ray.get(
-        ev.map_batches(pass2, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()) if t.num_rows]) \
+    p2 = collect(ev.map_batches(pass2, batch_format="pyarrow",
+                                batch_size=None), pa.schema([
+        ("event_type", pa.string()), ("sxy", pa.float64()),
+        ("sxx", pa.float64()), ("syy", pa.float64())])) \
         .group_by("event_type").aggregate([("sxy", "sum"), ("sxx", "sum"),
                                            ("syy", "sum")])
     order = {t: i for i, t in enumerate(p2["event_type"].to_pylist())}
@@ -9765,8 +9634,8 @@ def link_reciprocity(sf_dir: str, branching: int = 3):
     parts = _hash_reduce(
         docs.map_batches(emit, batch_format="pyarrow", batch_size=None),
         ["lo", "hi"], red)
-    small = pa.concat_tables([t for t in ray.get(parts.to_arrow_refs())
-                              if t.num_rows])
+    small = collect(parts, pa.schema([("n_edges", pa.int64()),
+                                      ("n_reciprocal", pa.int64())]))
     ne = int(pc.sum(small["n_edges"]).as_py() or 0)
     nr = int(pc.sum(small["n_reciprocal"]).as_py() or 0)
     return pa.table({"n_edges": pa.array([ne], pa.int64()),
@@ -9800,12 +9669,13 @@ def embedding_pca(sf_dir: str, k: int = 2):
             "s": pa.array([M.sum(axis=0)], pa.list_(pa.float64())),
             "ss": pa.array([(M.T @ M).ravel()], pa.list_(pa.float64()))})
 
-    parts = [t for t in ray.get(
-        emb.map_batches(moments, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()) if t.num_rows > 0]
-    n = sum(int(x) for t in parts for x in t["n"].to_pylist())
-    s = sum(np.asarray(x) for t in parts for x in t["s"].to_pylist())
-    ss = sum(np.asarray(x) for t in parts for x in t["ss"].to_pylist())
+    t = collect(emb.map_batches(moments, batch_format="pyarrow",
+                                batch_size=None), pa.schema([
+        ("n", pa.int64()), ("s", pa.list_(pa.float64())),
+        ("ss", pa.list_(pa.float64()))]))
+    n = sum(int(x) for x in t["n"].to_pylist())
+    s = sum(np.asarray(x) for x in t["s"].to_pylist())
+    ss = sum(np.asarray(x) for x in t["ss"].to_pylist())
     d = len(s)
     mean = s / n
     cov = ss.reshape(d, d) / n - np.outer(mean, mean)
@@ -9966,6 +9836,9 @@ def incremental_profile(sf_dir: str, cache_dir: str | None = None):
     grown corpus costs O(new partitions), not O(corpus).  The merged
     result is independent of how much came from cache, which is exactly
     what the SQL oracle checks.  Output (col, n, nulls, min_s, max_s).
+    The default cache (``cache_dir=None``) is node-local ``/tmp``, so on a
+    cluster with more than one alive node the call raises ``ValueError``
+    unless ``cache_dir`` names a filesystem every node shares.
 
     Scale shape: the work unit is the PARTITION (one task reads one
     file, the bucket-walker granularity); summaries are cols x files
@@ -9980,6 +9853,12 @@ def incremental_profile(sf_dir: str, cache_dir: str | None = None):
               if f.endswith(".parquet")] if os.path.isdir(path)
              else [path])
     if cache_dir is None:
+        # the default cache is worker-local: on more than one node the
+        # driver would read back summaries that remote tasks wrote elsewhere
+        if sum(1 for n in ray.nodes() if n.get("Alive")) > 1:
+            raise ValueError(
+                "incremental_profile on a multi-node cluster needs a "
+                "cache_dir on a filesystem every node shares")
         cache_dir = os.path.join(
             "/tmp/upton_ray_profile",
             hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:12])

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pyarrow.parquet as pq
 
 from upton_ray.config import CrawlConfig
+from upton_ray.shuffle import collect
 from upton_ray.synth import _sp
 
 TITLE_LEN = 48
@@ -227,8 +228,6 @@ def crawl_documents(sf_dir: str, *, as_dataset: bool = False,
             }), batch_format="pyarrow")
         if as_dataset:
             return ds
-        from upton_ray.engine import collect
-
         t = collect(ds, pa.schema([
             ("instance_index", pa.int64()), ("instance_url", pa.string()),
             ("title", pa.string())]))

@@ -25,7 +25,8 @@ semantics (downloader.rb:70-98): a stashed page is never fetched, or slept
 for, again.
 
 Scale notes (10^10-URL design point, tested single-node):
-* the only driver-side materializations are (a) the per-(seed, index-page)
+* the only driver-side materializations — each a :func:`shuffle.collect`,
+  which runs its plan once — are (a) the per-(seed, index-page)
   link-count table used for the instance_index prefix-sum (one row per INDEX
   PAGE, ~1/links_per_page of the frontier) up to
   ``INDEX_OFFSET_COLLECT_LIMIT`` index pages — above it the links are
@@ -73,7 +74,7 @@ from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
                              make_store, per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet
-from upton_ray.shuffle import block_scan, hash_reduce
+from upton_ray.shuffle import block_scan, collect, hash_reduce
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
@@ -113,17 +114,12 @@ FETCHED_OUT = pa.schema([
     ("status", pa.int32()), ("robots_blocked", pa.bool_()),
 ])
 
-
-def collect(ds, fallback_schema: pa.Schema) -> pa.Table:
-    """Materialize a Dataset to one Arrow table; empty datasets yield a typed
-    empty table instead of a schema-less one.  Materializes first: on a lazy
-    Dataset, ``to_arrow_refs`` runs the plan, then starts it again for the
-    schema and cancels that run mid-task."""
-    tables = [t for t in ray.get(ds.materialize().to_arrow_refs())
-              if t.num_columns > 0]
-    if not tables:
-        return fallback_schema.empty_table()
-    return pa.concat_tables(tables, promote_options="permissive")
+INDEX_PAGES_OUT = pa.schema([
+    ("seed_id", pa.int32()), ("page_no", pa.int32()), ("base", pa.string()),
+    ("selector", pa.string()), ("spans", schema.SPANS),
+    ("from_resource", pa.bool_()), ("slept", pa.bool_()),
+    ("status", pa.int32()),
+])
 
 
 @dataclass
@@ -323,7 +319,7 @@ class Crawler:
         trace_info = None
         if trace:
             pages = pages.materialize()
-            pt = pa.concat_tables(ray.get(pages.to_arrow_refs()))
+            pt = collect(pages, INDEX_PAGES_OUT)
             trace_info = {
                 "index_sleeps": int(pc.sum(pt["slept"]).as_py() or 0),
                 "pages": pt,

@@ -5,7 +5,9 @@ aggregates) and the operator family built on it — :func:`hash_join`
 broadcast map-side, cold keys shuffled), :func:`grouped_top_n` (distributed
 ROW_NUMBER window), :func:`detect_hot_keys` — plus :func:`block_scan`, the
 exclusive prefix scan over a sorted Dataset's blocks that every global
-rank / running-sum window op uses.
+rank / running-sum window op uses — and :func:`collect` /
+:func:`block_refs`, the only two ways a Dataset's blocks reach the driver:
+both run the plan exactly once.
 
 ``Dataset.groupby`` (hash or sort strategy alike) carries a large fixed cost
 per operation: measured on this sandbox (238k-row 8-block table, 32 cpus),
@@ -61,6 +63,28 @@ def key_hash(t: pa.Table, key_cols) -> np.ndarray:
             c.to_numpy(zero_copy_only=False), categorize=False)
         h = hc if h is None else (h * _HASH_COMBINE) ^ hc
     return h
+
+
+def block_refs(ds) -> list:
+    """Object refs of a Dataset's Arrow blocks, for callers that hand them
+    to remote tasks.  Materializes first: on a plan that has not run,
+    ``to_arrow_refs`` runs it, then starts it a second time for the schema
+    and cancels that run mid-task — which can trip a Ray CHECK abort."""
+    return ds.materialize().to_arrow_refs()
+
+
+def collect(ds, fallback_schema: pa.Schema) -> pa.Table:
+    """The driver collect: run ``ds``'s plan once and concatenate its
+    blocks into one Arrow table.  Blocks with no columns (an empty
+    exchange partition) or no rows (which may carry a stale pre-map
+    schema) are dropped, the rest are concatenated with permissive type
+    promotion, and a Dataset with no rows yields
+    ``fallback_schema.empty_table()``, so an empty result is always typed."""
+    tables = [t for t in ray.get(block_refs(ds))
+              if t.num_columns > 0 and t.num_rows > 0]
+    if not tables:
+        return fallback_schema.empty_table()
+    return pa.concat_tables(tables, promote_options="permissive")
 
 
 @ray.remote
@@ -171,8 +195,7 @@ def block_scan(ds, fn, *args, weight: str | None = None):
     block that kept them or from the plan's schema — and a zero-column
     Dataset when neither knows it."""
     plan_schema = ds.schema(fetch_if_missing=False)     # never executes
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
+    refs = block_refs(ds)
     sizes = np.array(ray.get([_block_size.remote(r, weight) for r in refs]),
                      dtype=np.int64).reshape(-1, 2)
     bases = np.r_[0, np.cumsum(sizes[:, 1])][:-1]
@@ -416,10 +439,11 @@ def detect_hot_keys(ds, key: str, threshold: float = 0.05,
         g = t.group_by([key]).aggregate([("count_all", "sum")])
         return pa.table({key: g[key], "count_all": g["count_all_sum"]})
 
-    counts = pa.concat_tables(ray.get(hash_reduce(
+    counts = collect(hash_reduce(
         ds.map_batches(partial, batch_format="pyarrow",
                     batch_size=None), [key], reduce,
-        num_partitions=4).to_arrow_refs()))
+        num_partitions=4),
+        pa.schema([(key, ktype), ("count_all", pa.int64())]))
     bar = threshold * total
     return counts.filter(pc.greater_equal(counts["count_all"], bar))[key] \
         .combine_chunks()
@@ -460,7 +484,7 @@ def skew_join(left, right, on: str, how: str = "inner",
     # broadcast the right side's hot rows (small by contract)
     right_hot = pa.concat_tables(ray.get(
         [_filter_keys.remote(r, on, hot, True)
-         for r in right.to_arrow_refs()]))
+         for r in block_refs(right)]))
     right_hot = right_hot.rename_columns(
         [rmap[c] for c in right_hot.column_names])
     hot_ref = ray.put(right_hot)

@@ -37,6 +37,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from upton_ray.shuffle import collect
+
 LOC_KIND = "urlset/url/loc"
 CHILD_KIND = "sitemapindex/sitemap/loc"
 
@@ -147,8 +149,6 @@ def expand_levels(web_ref, seed_url: str, max_depth: int = 3,
     :func:`upton_ray.extract.extract_links_batch`, ready for the engine's
     instance_index prefix-sum.  Returns (links_ds, n_files)."""
     import ray.data
-
-    from upton_ray.engine import collect
 
     probe = make_sitemap_probe(web_ref)
     pending: list[tuple[int, str]] = [(0, seed_url)]
