@@ -433,60 +433,50 @@ def _driver_rotate(q: dict[str, Callable[[str], Any]]) -> dict[str, Callable[[st
     """Reorder queries() for the driver's CORRECTNESS snapshot window.
 
     The driver records a CORRECTNESS row for only the FIRST 50 entries of
-    this dict (observed in CORRECTNESS_r01..r04: 39/49/50/50 rows, always a
-    dict-order prefix).  Rounds 1-4 therefore covered the same 51 keys and
-    left the rest (91 of 142 at round-5 close) with no driver-side row
-    (VERDICT r4, "What's missing" item 1).  This round rotates: the
-    never-driver-checked queries come
-    first so they land in the snapshot window.  Within that block the
-    ordering is deliberate:
+    this dict (every CORRECTNESS_r*.json is a dict-order prefix), so the
+    order decides which queries it checks:
 
-    1. never-checked, oracle-expressible, with no independent at-scale
-       verification yet — these gain the most from a driver row;
-    2. never-checked but already soak-verified byte-/1e-9-exact against
-       DuckDB at 1M-10M rows (BASELINE.md round-4 soak table) — a driver
-       row adds least here;
-    3. never-checked rows-only gates (approximate/iterative by design —
-       the driver row would be rows-only anyway);
-    4. the 51 keys already green in CORRECTNESS_r01-r04.
+    1. never driver-gated, oracle-backed and bit-exact across engines;
+    2. never driver-gated, oracle-checked at atol=1e-9 but not bit-exact
+       (``float_reassoc``), which a hash-equality gate could flag;
+    3. never driver-gated rows-only ops (approximate/iterative by design);
+    4. every key already in a CORRECTNESS_r*.json (``gated``), last.
 
     Pure reordering: same keys, same callables, same oracle pairing (the
     driver joins queries()/oracle_sql() by key, not position).
     """
-    soaked = [
-        # verified at 1M-10M rows against DuckDB in round-4 soaks
-        "heavy_hitters", "distinct_by_type", "bigram_logprob", "pmi_bigrams",
-        "user_path", "token_entropy", "reservoir_sample", "sample_weighted",
-        "running_total", "event_lag", "rolling_avg", "first_last_touch",
-        "conversion_lag", "daily_active_users",
-        # verified at 1M-10M rows in the round-5 soaks (BASELINE.md round-5
-        # sections: snapshot family planted-exact at 10^7, the 19-op
-        # soak_r5 table, graph soak, soak_r5d) — demoting them pulls the
-        # still-unsoaked queries into the driver's 50-row window
-        "snapshot_dedup", "snapshot_minhash_dedup", "snapshot_embedding_dedup",
-        "media_phash_dedup", "pagerank", "connected_components",
-        "prepare_corpus", "line_dedup", "inter_event_stats", "triangle_count",
-        "knn_graph", "top_terms_per_lang", "trailing_window_sum",
-        "vocab_coverage", "degree_distribution", "perplexity_buckets",
-        "hits_scores", "gopher_rules", "normalize_text", "host_cap",
-        "media_ref_dedup", "substring_dedup", "temperature_resample",
-        # unigram_logprob is the verified hot stage of the 1M
-        # perplexity_buckets soak; time_decay_score verified at 10M events
-        # in the round-4c soak
-        "unigram_logprob", "time_decay_score",
-        # round-5 continuation session: every op below gained independent
-        # at-scale verification (soak_r5f/r5g/sitemap tables in
-        # BASELINE.md), so per the bucket-1 rule they demote and 13
-        # never-verified queries take their window slots
-        "crawl_sitemap", "media_jpeg_real", "anchor_text", "dup_rate",
-        "link_reciprocity", "session_stats", "char_classes", "prefix_dup",
-        "soft_dedup", "group_split", "source_overlap", "ks_drift",
-        "recrawl_priority",
-    ]
-    rows_only_unchecked = [
-        "ann_pq_rerank", "kmeans_clusters", "approx_quantiles", "ann_lsh",
-        "bpe_train", "bpe_encode", "semdedup", "quality_classifier",
-        "embedding_pca",
+    gated = [  # the union of CORRECTNESS_r01..r05.json, in file order
+        "crawl_documents", "crawl_basic", "crawl_list", "crawl_table",
+        "crawl_paginated", "crawl_robots", "crawl_continuation",
+        "url_parts", "url_canonical", "pagination_successor",
+        "dedup_exact", "fingerprint", "winnow_fingerprint",
+        "token_count", "token_pieces", "quality_score", "lang_id",
+        "simhash", "minhash_dedup", "ngram_jaccard", "ann_topk",
+        "ann_ivf", "embedding_dedup", "embedding_dedup_lsh",
+        "events_window", "sessionize", "events_sliding",
+        "term_frequencies", "value_quantiles", "asof_join_events",
+        "range_join_events", "approx_distinct_users", "crawl_bfs",
+        "lineitem_pricing", "nation_revenue", "frontier_topk",
+        "media_decode", "media_resize", "frame_sample", "crawl_csv",
+        "crawl_selectors", "ann_pq", "redact_pii", "dedup_keep_best",
+        "ann_range_search", "doc_length_histogram", "sample_stratified",
+        "dedup_clusters", "tfidf_top_term", "doc_chunk", "ann_recall",
+        "media_decode_real", "media_phash_real", "media_resize_real",
+        "frame_sample_real", "media_caption", "seeded_shuffle",
+        "contamination_check", "semi_join_events", "group_quantiles",
+        "type_token_ratio", "length_rank", "dedup_filter",
+        "repetition_score", "dup_ngrams", "sequence_pack",
+        "q3_top_orders", "customer_orders_join", "user_events_join",
+        "customers_no_orders", "top_orders_per_customer",
+        "length_ntile", "nation_year_rollup", "table_profile",
+        "bucketed_customer_orders", "group_zscore", "funnel_conversion",
+        "winsorize_values", "percentile_rank", "pivot_events",
+        "melt_events", "bm25_score", "hash_split", "interleave_sources",
+        "oov_rate", "source_gate", "decontaminate_large", "event_dedup",
+        "span_explode", "span_kind_hist", "mad_outliers", "span_pack",
+        "balanced_sample", "dsir_select", "retention_cohorts",
+        "readability_score", "url_dedup", "ngram_containment",
+        "rrf_fuse", "host_share", "incremental_profile",
     ]
     float_reassoc = [
         # oracle-checked at atol=1e-9 (tools/check_queries.py) but NOT
@@ -505,34 +495,13 @@ def _driver_rotate(q: dict[str, Callable[[str], Any]]) -> dict[str, Callable[[st
         # centered-moment folds reassociate vs DuckDB's streaming corr()
         "feature_corr",
     ]
-    prev_checked = [
-        "crawl_documents", "crawl_basic", "crawl_list", "crawl_table",
-        "crawl_paginated", "crawl_robots", "crawl_continuation", "crawl_csv",
-        "crawl_selectors", "url_parts", "url_canonical",
-        "pagination_successor", "dedup_exact", "fingerprint",
-        "winnow_fingerprint", "token_count", "token_pieces", "quality_score",
-        "lang_id", "simhash", "minhash_dedup", "ngram_jaccard", "ann_topk",
-        "ann_ivf", "ann_pq", "ann_recall", "embedding_dedup",
-        "embedding_dedup_lsh", "events_window", "sessionize",
-        "events_sliding", "term_frequencies", "value_quantiles",
-        "asof_join_events", "range_join_events", "approx_distinct_users",
-        "crawl_bfs", "lineitem_pricing", "nation_revenue", "frontier_topk",
-        "media_decode", "media_resize", "frame_sample", "redact_pii",
-        "dedup_keep_best", "ann_range_search", "doc_length_histogram",
-        "sample_stratified", "dedup_clusters", "tfidf_top_term", "doc_chunk",
-    ]
-    newest_first: list[str] = [
-        # (emptied: the round-5 continuation soaks verified every former
-        # member at 1M-10M rows, so they moved to the soaked bucket)
-    ]
-    late = (set(soaked) | set(rows_only_unchecked) | set(float_reassoc)
-            | set(prev_checked))
-    order = ([k for k in newest_first if k in q]
-             + [k for k in q if k not in late and k not in set(newest_first)]
-             + [k for k in soaked if k in q]
-             + [k for k in float_reassoc if k in q]
-             + [k for k in rows_only_unchecked if k in q]
-             + [k for k in prev_checked if k in q])
+    oracles = oracle_sql()
+    late = set(gated) | set(float_reassoc)
+    fresh = [k for k in q if k not in late]
+    order = ([k for k in fresh if k in oracles]
+             + [k for k in float_reassoc if k in q and k not in gated]
+             + [k for k in fresh if k not in oracles]
+             + [k for k in gated if k in q])
     assert set(order) == set(q) and len(order) == len(q)
     return {k: q[k] for k in order}
 

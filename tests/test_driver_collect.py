@@ -5,7 +5,9 @@
   (a bare ``to_arrow_refs`` on a plan that has not run executes it, then
   starts it again for the schema and cancels that run mid-task);
 - runtime: no ``to_arrow_refs`` call on an unexecuted plan while a sample
-  of driver-collecting operators runs;
+  of driver-collecting operators runs, and no limit-1 execution (a lazy
+  schema read, a Dataset-level aggregate, a one-row take) in the joins and
+  the global folds;
 - the collect rule itself: blocks with no columns or no rows are dropped,
   the rest concatenate with permissive promotion, an empty result is
   typed by the fallback schema;
@@ -81,6 +83,71 @@ def test_no_collect_on_unexecuted_plan(ray_session, monkeypatch, op):
         out = collect(out, pa.schema([]))
     assert out.num_rows > 0
     assert lazy == []
+
+
+@pytest.mark.parametrize("op,sf", [
+    ("customer_orders_join", SF), ("user_events_join", SF),
+    ("nation_revenue", SF), ("time_decay_score", SF), ("dsir_select", SF),
+    ("hits_scores", SF),
+    # sf0.01 has candidate pairs (none verifies), so the verify and its
+    # width read run; sf0.001 has none
+    ("embedding_dedup_lsh", "/root/testdata/sf0.01")])
+def test_no_limit_one_execution(ray_session, monkeypatch, op, sf):
+    """Each of these runs a LimitOperator[limit=1] execution of its own:
+    ``schema()`` on an unexecuted plan (the joins' schema reads), a
+    Dataset-level ``min``/``max``/``sum`` (an aggregate and a limit-1
+    fetch) and a one-row ``take_batch``.  None may happen."""
+    from ray.data import Dataset
+    from ray.data.dataset import MaterializedDataset
+
+    seen = []
+
+    def lazy(ds):
+        return not isinstance(ds, MaterializedDataset) \
+            and not ds._plan.has_computed_output()
+
+    real_schema, real_agg = Dataset.schema, Dataset.aggregate
+    real_take = Dataset.take_batch
+
+    def schema(self, *a, **kw):
+        if lazy(self):
+            seen.append(("schema", str(self)))
+        return real_schema(self, *a, **kw)
+
+    def aggregate(self, *a, **kw):
+        seen.append(("aggregate", str(self)))
+        return real_agg(self, *a, **kw)
+
+    def take_batch(self, batch_size=20, *a, **kw):
+        if batch_size == 1:
+            seen.append(("take_batch(1)", str(self)))
+        return real_take(self, batch_size, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "schema", schema)
+    monkeypatch.setattr(Dataset, "aggregate", aggregate)
+    monkeypatch.setattr(Dataset, "take_batch", take_batch)
+    out = getattr(datapipe, op)(sf)
+    if not isinstance(out, pa.Table):
+        collect(out, pa.schema([]))
+    assert seen == []
+
+
+def test_column_agg_matches_pyarrow(ray_session):
+    import ray
+
+    from upton_ray.shuffle import column_agg
+
+    t = pa.table({"v": pa.array([3.5, -1.0, None, 7.25], pa.float64()),
+                  "s": pa.array(["b", "a", None, "c"], pa.string())})
+    ds = ray.data.from_arrow_refs([ray.put(t.slice(0, 2)),
+                                   ray.put(t.slice(2, 0)),
+                                   ray.put(pa.table({})),
+                                   ray.put(t.slice(2, 2))])
+    assert column_agg(ds, "v", "sum", pa.float64()) == 9.75
+    assert column_agg(ds, "v", "max", pa.float64()) == 7.25
+    assert column_agg(ds, "s", "min", pa.string()) == "a"
+    empty = ray.data.from_arrow_refs([ray.put(t.slice(0, 0))])
+    assert column_agg(empty, "v", "max", pa.float64()) is None
 
 
 def test_incremental_profile_default_cache_refused_multi_node(

@@ -39,10 +39,43 @@ def canon(df):
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def compare(got, exp) -> str:
+    """The gate's comparison of a query result with its oracle's: "OK", or
+    what differs.  Rows are matched order-insensitively (:func:`canon`);
+    integer columns must be equal, other numeric columns equal to within
+    atol=1e-9 (NaN equals NaN), everything else equal as strings."""
+    import numpy as np
+
+    if len(got) == 0 and len(exp) == 0:
+        # Dataset.to_pandas drops columns on an all-empty result; an
+        # empty frame matching an empty oracle is a pass either way
+        return "OK"
+    if sorted(got.columns) != sorted(exp.columns):
+        return f"COLS {sorted(got.columns)} != {sorted(exp.columns)}"
+    if len(got) != len(exp):
+        return f"ROWS {len(got)} != {len(exp)}"
+    g, x = canon(got), canon(exp)
+    num = g.select_dtypes(include=[np.number]).columns
+    for c in g.columns:
+        gc, xc = g[c].to_numpy(), x[c].to_numpy()
+        if gc.dtype.kind in "iu" and xc.dtype.kind in "iu":
+            ok = np.array_equal(gc, xc)
+        elif c in num:
+            ok = np.allclose(g[c].to_numpy(dtype=float),
+                             x[c].to_numpy(dtype=float),
+                             rtol=0, atol=1e-9, equal_nan=True)
+        else:
+            ok = bool((gc == xc).all())
+        if not ok:
+            bad = gc != xc
+            i = int(np.flatnonzero(bad)[0]) if bad.any() else 0
+            return (f"VALUES differ in {c} @canon-row {i}: "
+                    f"{g[c].iloc[i]!r} != {x[c].iloc[i]!r}")
+    return "OK"
+
+
 def main():
     import duckdb
-    import numpy as np
-    import pandas as pd
     import ray
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
@@ -74,43 +107,21 @@ def main():
         if name not in oracles:
             print(f"{name:24s} rows={len(got):7d}  (rows-only) {dt:6.2f}s")
             continue
-        exp = con.sql(oracles[name]).df()
-        status = "OK"
-        if len(got) == 0 and len(exp) == 0:
-            # Dataset.to_pandas drops columns on an all-empty result; an
-            # empty frame matching an empty oracle is a pass either way
-            pass
-        elif sorted(got.columns) != sorted(exp.columns):
-            status = f"COLS {sorted(got.columns)} != {sorted(exp.columns)}"
-        elif len(got) != len(exp):
-            status = f"ROWS {len(got)} != {len(exp)}"
-        else:
-            g, x = canon(got), canon(exp)
-            num = g.select_dtypes(include=[np.number]).columns
-            ok = True
-            for c in g.columns:
-                if c in num:
-                    if not np.allclose(g[c].to_numpy(dtype=float),
-                                       x[c].to_numpy(dtype=float),
-                                       rtol=0, atol=1e-9, equal_nan=True):
-                        ok = False
-                elif not (g[c].to_numpy() == x[c].to_numpy()).all():
-                    ok = False
-                if not ok:
-                    bad = (g[c].to_numpy() != x[c].to_numpy())
-                    i = int(np.flatnonzero(bad)[0]) if bad.any() else 0
-                    status = f"VALUES differ in {c} @canon-row {i}: {g[c].iloc[i]!r} != {x[c].iloc[i]!r}"
-                    break
+        status = compare(got, con.sql(oracles[name]).df())
         print(f"{name:24s} rows={len(got):7d}  {status} {dt:6.2f}s")
         if status != "OK":
             failures.append((name, status))
-    ray.shutdown()
     if failures:
         print("\nFAILURES:")
         for n, s in failures:
             print(" ", n, s)
-        sys.exit(1)
-    print("\nall queries match")
+    else:
+        print("\nall queries match")
+    # the verdict is out first: Ray's native teardown can end the process
+    # with status 1 after every query has been compared
+    sys.stdout.flush()
+    ray.shutdown()
+    sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":

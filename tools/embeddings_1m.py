@@ -66,6 +66,23 @@ def build(n_vecs: int, seed: int = 11, dup_frac: float = 0.05,
     return out
 
 
+def planted_pairs(n_vecs: int, dup_frac: float = 0.05,
+                  bucket_rows: int = 125_000) -> set:
+    """The exact (src, dup) near-dup pairs :func:`build` plants: inside
+    each part, marked row i of the first half copies row i + half."""
+    pairs = set()
+    written = 0
+    while written < n_vecs:
+        rows = min(bucket_rows, n_vecs - written)
+        half = rows // 2
+        loc = np.flatnonzero(
+            (np.arange(half) + written) % int(1 / dup_frac) == 0)
+        for i in loc:
+            pairs.add((int(written + i), int(written + i + half)))
+        written += rows
+    return pairs
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n-vecs", type=int, default=1_000_000)
@@ -85,55 +102,34 @@ def main():
 
     from upton_ray import datapipe
 
-    def planted(n_vecs: int, dup_frac: float = 0.05,
-                bucket_rows: int = 125_000) -> set:
-        pairs = set()
-        written = 0
-        while written < n_vecs:
-            rows = min(bucket_rows, n_vecs - written)
-            half = rows // 2
-            loc = np.flatnonzero(
-                (np.arange(half) + written) % int(1 / dup_frac) == 0)
-            for i in loc:
-                pairs.add((int(written + i), int(written + i + half)))
-            written += rows
-        return pairs
-
-    def maxrss_mb() -> float:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    from tools.soak import counted, rss_gated
 
     results = {}
     for op in args.ops.split(","):
         fn = getattr(datapipe, op)
-        rss0 = maxrss_mb()
-        t0 = time.time()
-        out = fn(corpus)
-        n = out.count() if hasattr(out, "count") else out.num_rows
-        dt = time.time() - t0
+        # ru_maxrss counts plasma-mmapped SHARED pages the driver touches
+        # while materializing block metadata for the ~11.5M spurious SRP
+        # candidates of embedding_dedup_lsh (~530 MB at 1M vectors,
+        # object-store resident, not driver heap); its distributed verify
+        # measures 0 MB of driver growth — the 1200 MB bound guards
+        # against a return of the old driver-side candidate/vector
+        # materialization.  The other ops are timed, not gated.
+        bound = 1200.0 if op == "embedding_dedup_lsh" else float("inf")
+        (out, n), dt, delta = rss_gated(op, lambda: counted(fn(corpus)),
+                                        bound)
         results[op] = {"sec": round(dt, 2), "rows": int(n),
                        "vecs_per_sec": round(args.n_vecs / dt, 1),
-                       "driver_rss_delta_mb": round(maxrss_mb() - rss0, 1)}
+                       "driver_rss_delta_mb": delta}
         if op == "embedding_dedup_lsh":
-            # exact planted-family recovery + flat driver high-water mark
-            # (post round-4: verify is distributed, the driver never holds
-            # candidates or vectors)
-            want = planted(args.n_vecs)
+            # exact planted-family recovery (the verify is distributed:
+            # the driver never holds candidates or vectors)
+            want = planted_pairs(args.n_vecs)
             got = set(zip(out["vec_a"].to_pylist(), out["vec_b"].to_pylist()))
             assert got == want, (
                 f"lsh recovery mismatch: {len(got)} found vs {len(want)} "
                 f"planted; missing={len(want - got)} "
                 f"spurious={len(got - want)}")
             results[op]["planted_recovered"] = len(want)
-            # ru_maxrss counts plasma-mmapped SHARED pages the driver
-            # touches while materializing block metadata for the ~11.5M
-            # spurious SRP candidates (~530 MB at 1M vectors, object-store
-            # resident, not driver heap); the verify stage itself measures
-            # 0 MB of driver growth — the bound guards against a return of
-            # the old driver-side candidate/vector materialization
-            delta = results[op]["driver_rss_delta_mb"]
-            assert delta < 1200, \
-                f"driver RSS grew {delta} MB during the distributed verify"
     print(json.dumps({"n_vecs": args.n_vecs, "corpus_build_s": build_s,
                       "ops": results}))
     ray.shutdown()

@@ -90,26 +90,14 @@ def main():
 
     from upton_ray import datapipe
 
-    import resource
-
-    def _maxrss_mb() -> float:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    from tools.soak import counted, rss_gated
 
     results = {}
     for op in args.ops.split(","):
         fn = getattr(datapipe, op)
-        rss0 = _maxrss_mb()
-        t0 = time.time()
-        out = fn(corpus)
-        n = out.count() if hasattr(out, "count") else out.num_rows
-        dt = time.time() - t0
-        # driver-RSS gate (VERDICT r4 item 7): every family soak asserts
-        # the driver high-water mark stays flat — no operator may fold
-        # corpus-sized data onto the driver
-        delta = _maxrss_mb() - rss0
-        assert delta < 400, f"driver RSS grew {delta:.0f} MB during {op}"
+        (out, n), dt, delta = rss_gated(op, lambda: counted(fn(corpus)))
         results[op] = {"sec": round(dt, 2), "rows": int(n),
-                       "driver_rss_delta_mb": round(delta, 1),
+                       "driver_rss_delta_mb": delta,
                        "events_per_sec": round(args.n_events / dt, 1)}
     print(json.dumps({"n_events": args.n_events, "corpus_build_s": build_s,
                       "ops": results}))

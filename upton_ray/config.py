@@ -52,8 +52,11 @@ class CrawlConfig:
     # start (distributed probe, one result row per host) instead of — or in
     # addition to — the pre-supplied robots/robots_txt tables
     fetch_robots: bool = False
-    status_overlay: dict = field(default_factory=dict)  # url -> http status (fault injection)
-    max_retries: int = 3               # bounded (reference retries forever, T4)
+    # url -> http status: status-only fault injection.  A listed URL answers
+    # with that status at once (a non-200 one yields the empty page, M8);
+    # nothing is retried.  The bounded timeout retry (T4) is
+    # HttpWebStore(max_retries=...).
+    status_overlay: dict = field(default_factory=dict)
     canonicalize_seen: bool = False    # key the seen set by canonical URL form
                                        # (reference semantics: raw URL keys —
                                        # distinct query-string orderings are

@@ -101,6 +101,7 @@ def _events(sf_dir: str, columns):
     return _table(sf_dir, "events", columns)
 
 
+from upton_ray.shuffle import _first_file, column_agg  # noqa: E402
 from upton_ray.shuffle import block_refs, block_scan, collect  # noqa: E402
 from upton_ray.shuffle import hash_reduce as _hash_reduce  # noqa: E402
 from upton_ray.shuffle import (hash_partition_refs as _hash_partition_refs,  # noqa: E402
@@ -973,6 +974,17 @@ def _parquet_rows(path: str) -> int:
         return sum(_pq.read_metadata(os.path.join(path, f)).num_rows
                    for f in os.listdir(path) if f.endswith(".parquet"))
     return _pq.read_metadata(path).num_rows
+
+
+def _emb_dim(path: str) -> int:
+    """Embedding width from the first row of the first parquet file: a
+    one-row driver read, not a Ray plan."""
+    import pyarrow.parquet as _pq
+
+    f = path if os.path.isfile(path) else _first_file(path)
+    first = next(_pq.ParquetFile(f).iter_batches(batch_size=1,
+                                                 columns=["embedding"]))
+    return len(first["embedding"][0])
 
 
 def _emb(sf_dir: str):
@@ -1962,8 +1974,7 @@ def embedding_dedup_lsh(sf_dir: str, threshold: float = 0.95,
     # exchange (_pair_verify) for corpus-sized payloads where no single
     # matrix can exist
     n_rows = _parquet_rows(f"{sf_dir}/embeddings.parquet")
-    head = _emb(sf_dir).take_batch(1, batch_format="pyarrow")
-    dim = len(head["embedding"][0])
+    dim = _emb_dim(f"{sf_dir}/embeddings.parquet")
     if n_rows * dim * 8 <= _BROADCAST_PAYLOAD_BYTES:
         return _pair_verify_cosine_broadcast(
             pairs, _emb(sf_dir), "vec_a", "vec_b", "vec_id", "embedding",
@@ -3485,8 +3496,7 @@ def unigram_logprob(sf_dir: str, broadcast_limit_bytes: int = 2 << 30):
         explode, batch_format="pyarrow").materialize()
 
     # total tokens T: tiny streamed sum over the exploded rows
-    total = rows.sum("tf")
-    T = float(total if not isinstance(total, dict) else total["sum(tf)"])
+    T = float(column_agg(rows, "tf", "sum", pa.int64()) or 0)
 
     def part_term(t: pa.Table) -> pa.Table:
         """A term's rows land whole in one hash partition, so its global
@@ -6112,9 +6122,9 @@ def time_decay_score(sf_dir: str, tau_days: float = 7.0):
 
     Output: (user_id, decay_score[round 6])."""
     tau_s = tau_days * 86400.0
-    tmax = np.datetime64(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts"]).max("ts"), "us")
+    tmax = np.datetime64(column_agg(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"]),
+        "ts", "max", pa.timestamp("us")), "us")
 
     def partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -6409,8 +6419,9 @@ def dsir_select(sf_dir: str, k: int = 500):
 
     Ordering contract (shared with the oracle): score ROUNDED to 6, ties
     by doc_id.  Output: (rank, doc_id, score)."""
-    tgt = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                columns=["source"]).min("source")
+    tgt = column_agg(ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                           columns=["source"]),
+                     "source", "min", pa.string())
 
     def explode(b: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -7909,8 +7920,7 @@ def hits_scores(sf_dir: str, iters: int = 2, branching: int = 3):
         raw = _hash_reduce(
             state.map_batches(emit, batch_format="pyarrow"),
             ["node"], part_raw).materialize()
-        s = raw.sum("v")
-        norm = float(s if not isinstance(s, dict) else s["sum(v)"]) or 1.0
+        norm = column_agg(raw, "v", "sum", pa.float64()) or 1.0
         return raw.map_batches(
             lambda b: pa.table({
                 "node": b["node"],

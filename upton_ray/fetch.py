@@ -11,9 +11,11 @@ HTTP GET per URL with a filesystem stash; errors map to the empty page
   idempotent re-lookup that must NOT count as a network fetch nor sleep
   (quirk Q8, upton.rb:219-224);
 * *politeness* is the per-host deadline heap (:mod:`upton_ray.frontier`);
-* *errors* map to empty span lists with the row kept positionally (M7/M8),
-  and the timeout retry is BOUNDED (cfg.max_retries), unlike the reference's
-  infinite ``retry``.
+* *errors* map to empty span lists with the row kept positionally (M7/M8).
+  ``cfg.status_overlay`` is status-only fault injection: a listed URL
+  answers with its status at once, with no retry.  The bounded timeout
+  retry (``max_retries``; the reference's ``retry`` is infinite) lives in
+  :class:`HttpWebStore`, the store that talks to a real network.
 
 ``IndexWalker`` runs the inherently-sequential per-seed pagination chain (P2:
 early-stop on empty page) — parallel across seeds, sequential within one.
@@ -748,9 +750,6 @@ class InstanceWalker:
         status = 200
         if from_resource:
             status = st.statuses.get(url, 200)
-            if status == 408:      # bounded retry (reference loops forever, T4)
-                for _ in range(self.cfg.max_retries):
-                    pass           # sandbox: status is static; retries exhaust
             if self.cfg.real_sleep:
                 # a hot host's singleton (continuation) fetch consumes a
                 # global token and honors the leased window too

@@ -87,6 +87,24 @@ def collect(ds, fallback_schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(tables, promote_options="permissive")
 
 
+def column_agg(ds, col: str, how: str, type_: pa.DataType):
+    """Global ``min``, ``max`` or ``sum`` (``how``) of one column: each
+    block folds to one row in a map pass and the driver folds those
+    (:func:`collect`).  ``Dataset.min/max/sum`` instead run an all-to-all
+    aggregate under a ``LimitOperator[limit=1]`` that fetches its one row.
+    None when the column holds no value."""
+    fold = getattr(pc, how)
+
+    def part(b: pa.Table) -> pa.Table:
+        # a zero-column block is an empty exchange partition
+        v = fold(b[col]).as_py() if col in b.column_names else None
+        return pa.table({col: pa.array([v], type_)})
+
+    rows = collect(ds.map_batches(part, batch_format="pyarrow",
+                                  batch_size=None), pa.schema([(col, type_)]))
+    return fold(rows[col]).as_py()
+
+
 @ray.remote
 def _hash_split(t: pa.Table, key_cols, P: int):
     """Slice one block into P hash partitions (one stable argsort, P
@@ -296,15 +314,18 @@ def hash_join(left, right, on, how: str = "inner",
     one partition (rows of both sides for its key range) fits one worker —
     pre-aggregate or raise ``num_partitions`` for skewed/huge keys."""
     keys = [on] if isinstance(on, str) else list(on)
-    lcols = left.schema().names
-    rcols = right.schema().names
+    # read each schema once, from a materialized side: on a plan that has
+    # not run, schema() runs a limit-1 prefix of it first
+    left, right = left.materialize(), right.materialize()
+    ls, rs = left.schema(), right.schema()
+    lcols, rcols = ls.names, rs.names
     rmap = {c: (c if (c in keys or c not in lcols) else c + suffix)
             for c in rcols}
 
     # unify schemas: left columns then right's non-key columns (renamed);
     # each side fills the other's columns with typed nulls
-    lt = {c: left.schema().types[lcols.index(c)] for c in lcols}
-    rt = {rmap[c]: right.schema().types[rcols.index(c)] for c in rcols}
+    lt = dict(zip(lcols, ls.types))
+    rt = {rmap[c]: t for c, t in zip(rcols, rs.types)}
     out_cols = list(lt) + [c for c in rt if c not in lt]
 
     def widen(b: pa.Table, mine: dict, mapping=None) -> pa.Table:
@@ -528,6 +549,9 @@ def broadcast_join(left, right: pa.Table, on, how: str = "inner",
     if how not in ("inner", "left outer", "left semi", "left anti"):
         raise ValueError(f"broadcast_join cannot do {how!r} map-side")
     keys = [on] if isinstance(on, str) else list(on)
+    # read the schema from the materialized input: on a plan that has not
+    # run, schema() runs a limit-1 prefix of it first
+    left = left.materialize()
     lcols = left.schema().names
     right = right.rename_columns(
         [c if (c in keys or c not in lcols) else c + suffix
