@@ -421,19 +421,21 @@ def test_embedding_lsh_bucket_cap_bounds_degenerate_corpus(
 
 
 def test_media_decoder_injection_seam(ray_session, dup_dir):
-    """A non-fake decoder drops in via fn_constructor_kwargs with ZERO
+    """A non-fake decoder drops in as a ``per_process`` kwarg with ZERO
     pipeline changes — the media stubs' production-shape claim."""
+    from upton_ray.fetch import per_process
+
     def _bytes_header_decoder(ref: str) -> tuple[int, int]:
         # stand-in for a real PIL/ffprobe decoder: derives dimensions from a
         # 'header' (first bytes of the ref) the way a real probe reads a file
         # header — deliberately a different algorithm from the built-in fake
-        # (nested def: cloudpickle ships it by value into the actors)
+        # (nested def: cloudpickle ships it by value into the workers)
         h = sum(ref.encode()[:4])
         return 100 + h % 50, 200 + h % 25
 
     ds = datapipe._media_refs_ds(dup_dir).map_batches(
-        datapipe.MediaDecoder, batch_format="pyarrow", concurrency=2,
-        batch_size=4096, fn_constructor_kwargs={"decode_fn": _bytes_header_decoder})
+        per_process(datapipe.MediaDecoder, decode_fn=_bytes_header_decoder),
+        batch_format="pyarrow", batch_size=4096)
     t = collect(ds, pa.schema([]))
     refs = t["media_ref"].to_pylist()
     expect = [_bytes_header_decoder(r) for r in refs]
@@ -443,13 +445,47 @@ def test_media_decoder_injection_seam(ray_session, dup_dir):
 
 
 def test_frame_sampler_injection_seam(ray_session, dup_dir):
+    from upton_ray.fetch import per_process
+
     ds = datapipe._media_refs_ds(dup_dir).map_batches(
-        datapipe.FrameSampler, batch_format="pyarrow", concurrency=2,
-        batch_size=4096, fn_constructor_kwargs={"duration_fn": lambda r: 25})
+        per_process(datapipe.FrameSampler, duration_fn=lambda r: 25),
+        batch_format="pyarrow", batch_size=4096)
     t = collect(ds, pa.schema([]))
     # 25 s at 10 s step -> frames at t = 0, 10, 20 for every doc
     per_doc = t.to_pandas().groupby("doc_id")["t_s"].apply(list).to_dict()
     assert all(v == [0, 10, 20] for v in per_doc.values())
+
+
+def test_media_stages_finish_on_two_cpus(dup_dir):
+    """The media stages run as plain tasks, so they finish in a Ray session
+    with only 2 CPUs (an actor pool per stage never started there).  Own
+    process: the session fixture's CPU count would hide it."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    prog = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.getcwd()!r})
+        import ray
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR")
+        from upton_ray import datapipe
+        from upton_ray.shuffle import collect
+        import pyarrow as pa
+        sf = {str(dup_dir)!r}
+        n = collect(datapipe.media_decode(sf), pa.schema([])).num_rows
+        m = collect(datapipe.media_decode_real(sf), pa.schema([])).num_rows
+        d = datapipe.media_phash_dedup(sf).num_rows
+        ray.shutdown()
+        print("MEDIA_OK", n, m, d)
+    """)
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    out = subprocess.run([sys.executable, "-c", prog], env=env,
+                         capture_output=True, text=True, timeout=240)
+    assert "MEDIA_OK 5 5 " in out.stdout, out.stderr[-2000:]
 
 
 def test_redact_pii_planted(ray_session, tmp_path):

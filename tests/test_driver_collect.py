@@ -3,7 +3,8 @@
 
 - static: ``to_arrow_refs`` is referenced only in ``upton_ray/shuffle.py``
   (a bare ``to_arrow_refs`` on a plan that has not run executes it, then
-  starts it again for the schema and cancels that run mid-task);
+  starts it again for the schema and cancels that run mid-task), and
+  ``take_all`` nowhere in ``upton_ray/``;
 - runtime: no ``to_arrow_refs`` call on an unexecuted plan while a sample
   of driver-collecting operators runs, and no limit-1 execution (a lazy
   schema read, a Dataset-level aggregate, a one-row take) in the joins and
@@ -30,17 +31,25 @@ PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "upton_ray")
 
 
-def test_to_arrow_refs_only_in_shuffle():
+def _attr_users(attr: str) -> set:
     users = set()
     for name in sorted(os.listdir(PKG)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PKG, name)) as f:
             tree = ast.parse(f.read())
-        if any(isinstance(n, ast.Attribute) and n.attr == "to_arrow_refs"
+        if any(isinstance(n, ast.Attribute) and n.attr == attr
                for n in ast.walk(tree)):
             users.add(name)
-    assert users == {"shuffle.py"}
+    return users
+
+
+def test_to_arrow_refs_only_in_shuffle():
+    assert _attr_users("to_arrow_refs") == {"shuffle.py"}
+
+
+def test_no_take_all_in_package():
+    assert _attr_users("take_all") == set()
 
 
 def test_collect_drops_empty_blocks_and_types_empty_result(ray_session):
@@ -63,7 +72,7 @@ def test_collect_drops_empty_blocks_and_types_empty_result(ray_session):
 
 @pytest.mark.parametrize("op", [
     "embedding_quantize", "snapshot_dedup", "ann_topk",
-    "approx_distinct_users", "distinct_by_type"])
+    "approx_distinct_users", "distinct_by_type", "sample_stratified"])
 def test_no_collect_on_unexecuted_plan(ray_session, monkeypatch, op):
     from ray.data import Dataset
     from ray.data.dataset import MaterializedDataset
@@ -88,7 +97,7 @@ def test_no_collect_on_unexecuted_plan(ray_session, monkeypatch, op):
 @pytest.mark.parametrize("op,sf", [
     ("customer_orders_join", SF), ("user_events_join", SF),
     ("nation_revenue", SF), ("time_decay_score", SF), ("dsir_select", SF),
-    ("hits_scores", SF),
+    ("hits_scores", SF), ("sample_stratified", SF),
     # sf0.01 has candidate pairs (none verifies), so the verify and its
     # width read run; sf0.001 has none
     ("embedding_dedup_lsh", "/root/testdata/sf0.01")])

@@ -1,5 +1,6 @@
 """Unit tests for upton_ray.shuffle — the manual hash-partitioned reduce,
-the generic equi-join built on it, and the block prefix scan."""
+the grouped aggregate and the generic equi-join built on it, and the block
+prefix scan."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,7 +9,8 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-from upton_ray.shuffle import block_scan, hash_join, hash_reduce, key_hash
+from upton_ray.shuffle import (block_scan, collect, group_agg, hash_join,
+                               hash_reduce, key_hash)
 
 
 def _sum_by(t: pa.Table, key="k", val="v") -> dict:
@@ -76,6 +78,123 @@ def test_hash_reduce_empty_input(ray_session):
     out = pa.concat_tables(
         ray.get(hash_reduce(ds, ["k"], _make_reduce_fn()).to_arrow_refs()))
     assert out.num_rows == 0
+
+
+_AGGS = {"s": ("v", "sum"), "lo": ("v", "min"), "hi": ("v", "max"),
+         "n": ("v", "count"), "rows": (None, "count_all"),
+         "fs": ("f", "sum"), "smin": ("ks", "min")}
+
+
+def _agg_src(n=3000, seed=11) -> pa.Table:
+    rng = np.random.RandomState(seed)
+    ki = rng.randint(0, 40, n)
+    ks = np.array([f"s{i}" for i in rng.randint(0, 25, n)], object)
+    v = rng.randint(-500, 500, n)
+    return pa.table({
+        "ki": pa.array(ki, pa.int64(), mask=rng.rand(n) < 0.05),
+        "kf": pa.array(rng.randint(0, 30, n) / 4.0, pa.float64()),
+        "ks": pa.array(ks, pa.string(), mask=rng.rand(n) < 0.05),
+        "v": pa.array(v, pa.int64(), mask=rng.rand(n) < 0.1),
+        # integer-valued floats: every summation order is exact
+        "f": pa.array(rng.randint(0, 100, n).astype(np.float64)),
+    })
+
+
+def _single_pass(src: pa.Table, keys, aggs) -> pa.Table:
+    g = src.group_by(keys).aggregate(
+        [([] if c is None else c, f) for c, f in aggs.values()])
+    cols = [g[k] for k in keys] + [
+        g["count_all" if c is None else f"{c}_{f}"] for c, f in aggs.values()]
+    return pa.table(cols, names=list(keys) + list(aggs))
+
+
+def _rows(t: pa.Table, keys) -> list:
+    return sorted(t.to_pylist(),
+                  key=lambda r: tuple((r[k] is None, r[k] or 0)
+                                      if not isinstance(r[k], str)
+                                      else (r[k] is None, r[k]) for k in keys))
+
+
+@pytest.mark.parametrize("keys", [["ki"], ["kf"], ["ks"], ["ki", "ks"]])
+def test_group_agg_matches_single_pass(ray_session, keys):
+    """Partial per block, merge per partition == one pass over the whole
+    table: int, float, string and two-column keys, null keys as one
+    group, sum/min/max/count/count_all (counts int64).  (The two-key case
+    puts the int first: pyarrow 16's ``group_by(["ks", "ki"])`` on this
+    table splits some (null string, int) groups in two, even single-pass.)"""
+    src = _agg_src()
+    ds = ray.data.from_arrow(src).repartition(7)
+    out = collect(group_agg(ds, keys, _AGGS, num_partitions=5),
+                  pa.schema([]))
+    exp = _single_pass(src, keys, _AGGS)
+    assert out.schema == exp.schema
+    assert out.schema.field("n").type == pa.int64()
+    assert out.schema.field("rows").type == pa.int64()
+    assert _rows(out, keys) == _rows(exp, keys)
+
+
+def test_group_agg_post_runs_per_partition(ray_session):
+    src = _agg_src()
+    ds = ray.data.from_arrow(src).repartition(4)
+
+    def big(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater(t["rows"], 80)).select(["ki", "rows"])
+
+    out = collect(group_agg(ds, ["ki"], {"rows": (None, "count_all")},
+                            num_partitions=3, post=big), pa.schema([]))
+    exp = _single_pass(src, ["ki"], {"rows": (None, "count_all")})
+    exp = exp.filter(pc.greater(exp["rows"], 80))
+    assert _rows(out, ["ki"]) == _rows(exp, ["ki"])
+
+
+def test_group_agg_empty_and_stale_blocks(ray_session):
+    """Zero-row blocks with a stale (pre-map) schema and zero-column
+    blocks mix with live ones: the result covers the live rows only, and
+    every partition — those with no rows included — comes out typed,
+    post-step applied."""
+    stale = pa.table({"x": pa.array([], pa.string())})
+    live = [pa.table({"k": pa.array([1, 2, 1], pa.int64()),
+                      "v": pa.array([1.0, 2.0, 3.0])}),
+            pa.table({"k": pa.array([2, 3], pa.int64()),
+                      "v": pa.array([4.0, 5.0])}),
+            pa.table({"k": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.float64())})]
+    ds = ray.data.from_arrow_refs(
+        [ray.put(stale), ray.put(pa.table({}))] + [ray.put(t) for t in live])
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("tag",
+                               pa.array(["p"] * t.num_rows, pa.string()))
+
+    out = group_agg(ds, ["k"], {"s": ("v", "sum"), "m": ("v", "max")},
+                    num_partitions=8, post=tag)
+    blocks = ray.get(out.materialize().to_arrow_refs())
+    want = pa.schema([("k", pa.int64()), ("s", pa.float64()),
+                      ("m", pa.float64()), ("tag", pa.string())])
+    assert len(blocks) == 8
+    assert all(b.schema == want for b in blocks)
+    t = pa.concat_tables(blocks).sort_by("k")
+    assert t["k"].to_pylist() == [1, 2, 3]
+    assert t["s"].to_pylist() == [4.0, 6.0, 5.0]
+    assert t["m"].to_pylist() == [3.0, 4.0, 5.0]
+
+
+def test_group_agg_empty_input_typed_by_collect(ray_session):
+    """No block with a row anywhere: every partition is a zero-column
+    block, which collect's fallback schema types."""
+    fallback = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+    for ds in (ray.data.from_arrow_refs([ray.put(pa.table({"x": pa.array(
+                   [], pa.string())})), ray.put(pa.table({}))]),
+               ray.data.from_arrow(fallback.empty_table())):
+        t = collect(group_agg(ds, ["k"], {"n": (None, "count_all")}),
+                    fallback)
+        assert t.num_rows == 0 and t.schema == fallback
+
+
+def test_group_agg_rejects_non_mergeable(ray_session):
+    ds = ray.data.from_arrow(pa.table({"k": [1], "v": [1.0]}))
+    with pytest.raises(ValueError):
+        group_agg(ds, ["k"], {"m": ("v", "mean")})
 
 
 def test_key_hash_deterministic_and_order_free(ray_session):

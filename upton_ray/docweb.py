@@ -24,7 +24,7 @@ from __future__ import annotations
 import pyarrow.parquet as pq
 
 from upton_ray.config import CrawlConfig
-from upton_ray.shuffle import collect
+from upton_ray.shuffle import collect, group_agg
 from upton_ray.synth import _sp
 
 TITLE_LEN = 48
@@ -138,12 +138,15 @@ def write_docweb_store(sf_dir: str, path: str, num_buckets: int = 16) -> None:
 def docweb_seeds(sf_dir: str) -> list[tuple[int, str, str]]:
     """Seed list (one per host) from the distinct sources — a tiny aggregate
     (one row per host reaches the driver, never the documents)."""
+    import pyarrow as pa
     import ray.data
 
-    src = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                columns=["source"]) \
-        .groupby("source").count().take_all()
-    hosts = sorted(int(r["source"][3:]) for r in src)
+    src = collect(group_agg(
+        ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                              columns=["source"]),
+        ["source"], {"n": (None, "count_all")}),
+        pa.schema([("source", pa.string()), ("n", pa.int64())]))
+    hosts = sorted(int(s[3:]) for s in src["source"].to_pylist())
     return [(i, f"http://src{n}.docs.example/index.html", INDEX_SELECTOR)
             for i, n in enumerate(hosts)]
 

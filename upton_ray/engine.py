@@ -74,7 +74,7 @@ from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
                              make_store, per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet
-from upton_ray.shuffle import block_scan, collect, hash_reduce
+from upton_ray.shuffle import block_scan, collect, group_agg
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
@@ -351,8 +351,8 @@ class Crawler:
         per-(seed, page) link counts + ``dom_pos`` — Upton's sequential
         numbering, computed distributed.
 
-        Counts reduce through an Arrow combiner + ``hash_reduce`` (one row
-        per INDEX PAGE, 1/links-per-page of the frontier).  Up to
+        Counts reduce through ``group_agg`` (one row per INDEX PAGE,
+        1/links-per-page of the frontier).  Up to
         ``INDEX_OFFSET_COLLECT_LIMIT`` rows, the rollup is collected and
         broadcast as sorted int64 page keys + offsets that links look up by
         ``np.searchsorted`` (cheapest at sandbox scale).  Above it — a
@@ -361,35 +361,16 @@ class Crawler:
         ``block_scan``: ``dom_pos`` is dense from 0 within each page, so a
         link's rank in that order IS its page offset + ``dom_pos``.  Both
         paths produce identical indices (pinned by test)."""
-        def _page_counts(b: pa.Table) -> pa.Table:
-            g = b.select(["seed_id", "page_no"]) \
-                .group_by(["seed_id", "page_no"]) \
-                .aggregate([([], "count_all")])   # Arrow-native, no pandas
-            return pa.table({"seed_id": g["seed_id"], "page_no": g["page_no"],
-                             "size": pc.cast(g["count_all"], pa.int64())})
-
-        def _part_counts(t: pa.Table) -> pa.Table:
-            if "seed_id" not in t.column_names:   # all-empty partition
-                return pa.table({"seed_id": pa.array([], pa.int32()),
-                                 "page_no": pa.array([], pa.int32()),
-                                 "sum(size)": pa.array([], pa.int64())})
-            g = t.group_by(["seed_id", "page_no"]).aggregate([("size", "sum")])
-            return pa.table({"seed_id": g["seed_id"], "page_no": g["page_no"],
-                             "sum(size)": g["size_sum"]})
-
-        # final rollup on hash_reduce: the partials are one row per index
-        # page per block, far below Dataset.groupby's fixed cost
-        counts_ds = hash_reduce(
-            links.map_batches(_page_counts, batch_format="pyarrow"),
-            ["seed_id", "page_no"], _part_counts)
+        counts_ds = group_agg(links, ["seed_id", "page_no"],
+                              {"size": (None, "count_all")})
         if counts_ds.count() > INDEX_OFFSET_COLLECT_LIMIT:
             return block_scan(links.sort(["seed_id", "page_no", "dom_pos"]),
                               _rank_links)
 
         t = collect(counts_ds, pa.schema([
             ("seed_id", pa.int32()), ("page_no", pa.int32()),
-            ("sum(size)", pa.int64())]))
-        sz = t["sum(size)"].to_numpy(zero_copy_only=False)
+            ("size", pa.int64())]))
+        sz = t["size"].to_numpy(zero_copy_only=False)
         keys = _page_keys(t)
         o = np.argsort(keys, kind="stable")
         keys = keys[o]
@@ -618,28 +599,21 @@ class Crawler:
 
     @staticmethod
     def _find_hot_hosts(frontier, threshold: int) -> frozenset:
-        """Per-host frontier counts: per-block Arrow combiner -> distributed
-        groupby-sum -> DISTRIBUTED threshold filter, so only the hosts that
-        are actually hot (few, by definition) ever reach the driver — a
-        web-scale frontier has ~10^8 distinct hosts, far too many to
-        collect."""
-        def partial(b: pa.Table) -> pa.Table:
+        """Per-host frontier counts on ``group_agg``, with the threshold
+        filter inside its reduce tasks, so only the hosts that are actually
+        hot (few, by definition) ever reach the driver — a web-scale
+        frontier has ~10^8 distinct hosts, far too many to collect."""
+        def host_col(b: pa.Table) -> pa.Table:
             hs = hosts_of(b["url"].to_numpy(zero_copy_only=False))
-            g = pa.table({"host": pa.array(hs, pa.string())}) \
-                .group_by("host").aggregate([([], "count_all")])
-            return pa.table({"host": g["host"],
-                             "size": pc.cast(g["count_all"], pa.int64())})
+            return pa.table({"host": pa.array(hs, pa.string())})
 
-        def part_hot(t: pa.Table) -> pa.Table:
-            if "host" not in t.column_names:      # all-empty partition
-                return pa.table({"host": pa.array([], pa.string())})
-            g = t.group_by("host").aggregate([("size", "sum")])
-            return pa.table({"host": g["host"].filter(
-                pc.greater(g["size_sum"], threshold))})
+        def over(t: pa.Table) -> pa.Table:
+            return t.filter(pc.greater(t["size"], threshold)).select(["host"])
 
-        hot = hash_reduce(
-            frontier.map_batches(partial, batch_format="pyarrow"),
-            ["host"], part_hot)
+        hot = group_agg(
+            frontier.map_batches(host_col, batch_format="pyarrow",
+                                 batch_size=None),
+            ["host"], {"size": (None, "count_all")}, post=over)
         t = collect(hot, pa.schema([("host", pa.string())]))
         return frozenset(t["host"].to_pylist())
 

@@ -1,23 +1,29 @@
 """Manual hash-partitioned exchange primitives: :func:`hash_reduce` (the
-engine's lightweight alternative to ``Dataset.groupby`` for POST-COMBINER
-aggregates) and the operator family built on it — :func:`hash_join`
-(large-large equi-join, inner/outer/semi/anti), :func:`skew_join` (hot keys
-broadcast map-side, cold keys shuffled), :func:`grouped_top_n` (distributed
-ROW_NUMBER window), :func:`detect_hot_keys` — plus :func:`block_scan`, the
-exclusive prefix scan over a sorted Dataset's blocks that every global
-rank / running-sum window op uses — and :func:`collect` /
-:func:`block_refs`, the only two ways a Dataset's blocks reach the driver:
-both run the plan exactly once.
+engine's lightweight alternative to ``Dataset.groupby``), the grouped
+aggregate :func:`group_agg` on it, and the operator family built on them —
+:func:`hash_join` (large-large equi-join, inner/outer/semi/anti),
+:func:`skew_join` (hot keys broadcast map-side, cold keys shuffled),
+:func:`grouped_top_n` (distributed ROW_NUMBER window),
+:func:`detect_hot_keys` — plus :func:`block_scan`, the exclusive prefix
+scan over a sorted Dataset's blocks that every global rank / running-sum
+window op uses — and :func:`collect` / :func:`block_refs`, the only two
+ways a Dataset's blocks reach the driver: both run the plan exactly once.
 
 ``Dataset.groupby`` (hash or sort strategy alike) carries a large fixed cost
 per operation: measured on this sandbox (238k-row 8-block table, 32 cpus),
 ``groupby().sum()`` costs 4.3-5.5 s where the same all-to-all exchange done
-as plain Ray tasks costs 0.07 s.  Any aggregate whose input is already
-partial-aggregated (one row per key per block — the combiner pattern every
-wide operator here uses) is far below that fixed cost, so those final
-reduces run on :func:`hash_reduce` instead.  Corpus-keyed shuffles whose
-partitions may not fit a worker (e.g. exact dedup over raw fingerprints)
-stay on ``Dataset.groupby``'s external machinery on purpose.
+as plain Ray tasks costs 0.07 s.  So the policy is:
+
+- a keyed sum / count / min / max over BOUNDED keys (one row per key per
+  block after the partial — terms, hosts, windows, sources) is a
+  :func:`group_agg`: the per-block partial and the merge of the partials
+  live there once, with the empty-partition rule;
+- any other reduce whose input is already partial-aggregated or fits a
+  partition (joins, top-k, pair expansion, verifiers) is a
+  :func:`hash_reduce` with its own reduce function;
+- corpus-keyed shuffles whose partitions may not fit a worker (exact dedup
+  over raw fingerprints) stay on ``Dataset.groupby``'s external machinery
+  on purpose.
 """
 
 from __future__ import annotations
@@ -142,6 +148,29 @@ def _hash_reduce_part(fn, *tabs):
 _REDUCE_PARTITION_BYTES = 128 * 1024 * 1024
 
 
+def _exchange(ds, key_cols, part, args, num_partitions: int | None,
+              max_split_tasks: int) -> list:
+    """The all-to-all under :func:`hash_reduce`, :func:`group_agg` and
+    :func:`hash_partition_refs`: every input block is split by key-hash
+    into P slices (one task per block), then remote ``part(*args,
+    *slices)`` runs once per partition over that partition's slices, in
+    block order.  Returns the P output refs."""
+    mat = ds.materialize()
+    if num_partitions is None:
+        num_partitions = int(min(512, max(
+            8, mat.size_bytes() // _REDUCE_PARTITION_BYTES)))
+    refs = _coalesce_refs(mat.to_arrow_refs(), min(
+        max_split_tasks,
+        _exchange_block_count(mat.size_bytes(), num_partitions,
+                              max_split_tasks)))
+    splits = [_hash_split.options(num_returns=num_partitions)
+              .remote(r, list(key_cols), num_partitions) for r in refs]
+    if num_partitions == 1:     # num_returns=1 yields a bare ref
+        splits = [[s] for s in splits]
+    return [part.remote(*args, *[s[i] for s in splits])
+            for i in range(num_partitions)]
+
+
 def hash_reduce(ds, key_cols, reduce_fn, num_partitions: int | None = 8,
                 max_split_tasks: int = 1024):
     """Manual hash-partitioned reduce: every input block is split by
@@ -167,21 +196,77 @@ def hash_reduce(ds, key_cols, reduce_fn, num_partitions: int | None = 8,
     LSH band-bucket table at 32 rows/doc): a fixed P=8 put 40M-row
     partitions in single reduce tasks at the 10M-doc soak and serialized
     the whole stage."""
-    mat = ds.materialize()
-    if num_partitions is None:
-        num_partitions = int(min(512, max(
-            8, mat.size_bytes() // _REDUCE_PARTITION_BYTES)))
-    refs = _coalesce_refs(mat.to_arrow_refs(), min(
-        max_split_tasks,
-        _exchange_block_count(mat.size_bytes(), num_partitions,
-                              max_split_tasks)))
-    splits = [_hash_split.options(num_returns=num_partitions)
-              .remote(r, list(key_cols), num_partitions) for r in refs]
-    if num_partitions == 1:     # num_returns=1 yields a bare ref
-        splits = [[s] for s in splits]
-    outs = [_hash_reduce_part.remote(reduce_fn, *[s[i] for s in splits])
-            for i in range(num_partitions)]
-    return ray.data.from_arrow_refs(outs)
+    return ray.data.from_arrow_refs(_exchange(
+        ds, key_cols, _hash_reduce_part, (reduce_fn,), num_partitions,
+        max_split_tasks))
+
+
+# partial aggregate -> how its partials merge
+_MERGE = {"sum": "sum", "count": "sum", "count_all": "sum",
+          "min": "min", "max": "max"}
+
+
+def _agg_table(t: pa.Table, keys: list, aggs: dict) -> pa.Table:
+    """``t.group_by(keys)`` with ``aggs`` (out column -> (column, func)),
+    as keys then the out columns, under their out names."""
+    g = t.group_by(keys).aggregate(
+        [([] if c is None else c, f) for c, f in aggs.values()])
+    return pa.table(
+        [g[k] for k in keys]
+        + [g["count_all" if c is None else f"{c}_{f}"]
+           for c, f in aggs.values()],
+        names=keys + list(aggs))
+
+
+@ray.remote
+def _group_agg_part(keys, merge, post, *tabs):
+    # a partition's typed slices are the partials; a slice without every
+    # partial column is a stale or zero-column block that never ran the
+    # partial.  No typed slice anywhere: no block of the input had a row.
+    cols = set(keys) | set(merge)
+    typed = [t for t in tabs if cols <= set(t.column_names)]
+    if not typed:
+        return pa.table({})
+    live = [t for t in typed if t.num_rows > 0] or typed[:1]
+    out = _agg_table(pa.concat_tables(live), keys, merge)
+    return out if post is None else post(out)
+
+
+def group_agg(ds, keys, aggs: dict, num_partitions: int | None = 8,
+              post=None):
+    """Keyed algebraic aggregate over bounded keys: one row per distinct
+    ``keys`` value, with a column per ``aggs`` entry (out column ->
+    ``(column, func)``, func one of ``sum``, ``count``, ``min``, ``max``,
+    or ``count_all`` with column ``None``).  Counts are int64.
+
+    Partial: ``group_by(keys).aggregate`` over each whole block, a
+    ``map_batches(batch_size=None)`` that fuses with the caller's row map
+    before it.  Merge: the partials meet on :func:`hash_reduce`'s exchange
+    (``num_partitions`` passed through), where sums and counts sum, mins
+    min and maxes max, over the partition's slices in block order.
+    ``post`` (optional) runs on each merged partition inside its reduce
+    task — the row-local step: rename, cast, rounding, a filter, a
+    per-partition top-k.
+
+    Empty partitions are typed here, once: a partition with no rows
+    yields the merge of a typed zero-row partial (then ``post``).  When
+    no block ran the partial (the input had no rows) every partition is
+    a zero-column block, which :func:`collect`'s fallback schema types."""
+    keys = list(keys)
+    bad = [f for _c, f in aggs.values() if f not in _MERGE]
+    if bad:
+        raise ValueError(f"group_agg merges {sorted(_MERGE)}, not {bad}")
+    need = set(keys) | {c for c, _f in aggs.values() if c is not None}
+
+    def partial(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0 and not need <= set(b.column_names):
+            return pa.table({})         # a stale empty block
+        return _agg_table(b, keys, aggs)
+
+    merge = {n: (n, _MERGE[f]) for n, (_c, f) in aggs.items()}
+    return ray.data.from_arrow_refs(_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        keys, _group_agg_part, (keys, merge, post), num_partitions, 1024))
 
 
 @ray.remote
@@ -287,17 +372,8 @@ def hash_partition_refs(ds, key_cols, num_partitions: int,
     candidate pair's two payloads in two successive probe passes without
     re-exchanging the payload table).  Same memory contract as
     :func:`hash_reduce`: one partition fits one worker."""
-    P = num_partitions
-    mat = ds.materialize()
-    refs = _coalesce_refs(mat.to_arrow_refs(), min(
-        max_split_tasks,
-        _exchange_block_count(mat.size_bytes(), P, max_split_tasks)))
-    splits = [_hash_split.options(num_returns=P)
-              .remote(r, list(key_cols), P) for r in refs]
-    if P == 1:
-        splits = [[s] for s in splits]
-    return [_concat_blocks.remote(*[s[i] for s in splits])
-            for i in range(P)]
+    return _exchange(ds, key_cols, _concat_blocks, (), num_partitions,
+                     max_split_tasks)
 
 
 def hash_join(left, right, on, how: str = "inner",
@@ -445,7 +521,7 @@ def detect_hot_keys(ds, key: str, threshold: float = 0.05,
     if total == 0:
         return pa.array([], ktype)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def top_counts(b: pa.Table) -> pa.Table:
         g = b.select([key]).group_by([key]).aggregate([([], "count_all")])
         if g.num_rows > top_per_block:
             cnt = g["count_all"].to_numpy()
@@ -453,17 +529,9 @@ def detect_hot_keys(ds, key: str, threshold: float = 0.05,
             g = g.take(pa.array(idx[-top_per_block:], pa.int64()))
         return g
 
-    def reduce(t: pa.Table) -> pa.Table:
-        if key not in t.column_names:
-            return pa.table({key: pa.array([], ktype),
-                             "count_all": pa.array([], pa.int64())})
-        g = t.group_by([key]).aggregate([("count_all", "sum")])
-        return pa.table({key: g[key], "count_all": g["count_all_sum"]})
-
-    counts = collect(hash_reduce(
-        ds.map_batches(partial, batch_format="pyarrow",
-                    batch_size=None), [key], reduce,
-        num_partitions=4),
+    counts = collect(group_agg(
+        ds.map_batches(top_counts, batch_format="pyarrow", batch_size=None),
+        [key], {"count_all": ("count_all", "sum")}, num_partitions=4),
         pa.schema([(key, ktype), ("count_all", pa.int64())]))
     bar = threshold * total
     return counts.filter(pc.greater_equal(counts["count_all"], bar))[key] \
