@@ -900,6 +900,72 @@ def test_ann_pq_rerank_recall_and_exactness(ray_session):
     assert r_rerank >= max(r_pq, 0.7), (r_rerank, r_pq)
 
 
+@pytest.fixture(scope="module")
+def tie_dir(tmp_path_factory):
+    """Each of the two query vectors (rows 0 and 1) has 7 exact copies at
+    permuted positions of one block (one file, one read batch), among
+    random vectors whose vec_ids are a permutation: every top-k cut below
+    falls inside a group of 8 tied scores."""
+    d = tmp_path_factory.mktemp("ties")
+    rng = np.random.RandomState(5)
+    vecs = rng.randn(256, 16).astype(np.float32)
+    pos = rng.permutation(np.arange(2, 256))[:14]
+    vecs[pos[:7]] = vecs[0]
+    vecs[pos[7:]] = vecs[1]
+    ids = rng.permutation(256).astype(np.int64) * 3 + 1
+    pq.write_table(pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.array([list(map(float, v)) for v in vecs],
+                              pa.list_(pa.float32()))}),
+        d / "embeddings.parquet")
+    return str(d), ids, vecs.astype(np.float64)
+
+
+def _lexsort_ranks(ids, S, k) -> list:
+    """(query, vec_id, rank) of each column's top k by (score desc,
+    vec_id asc), the oracles' order."""
+    return [(q, int(ids[i]), r + 1) for q in range(S.shape[1])
+            for r, i in enumerate(np.lexsort((ids, -S[:, q]))[:k])]
+
+
+@pytest.mark.parametrize("op", ["ann_topk", "ann_ivf", "ann_lsh",
+                                "knn_graph", "rrf_fuse"])
+def test_topk_ties_break_by_vec_id(ray_session, tie_dir, op):
+    """Duplicate embeddings tie at the top-k boundary: every keyed top-k
+    equals a numpy lexsort (score desc, vec_id asc) reference."""
+    sf, ids, X = tie_dir
+    k = 4
+    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
+    cos = Xn @ Xn[:2].T
+    if op == "knn_graph":
+        got = _collect(datapipe.knn_graph(sf, k=k, num_blocks=1))
+        S = Xn @ Xn.T
+        np.fill_diagonal(S, -np.inf)
+        want = [(int(ids[q]), v, r) for q, v, r in _lexsort_ranks(ids, S, k)]
+        rows = zip(got["src_id"].to_pylist(), got["dst_id"].to_pylist(),
+                   got["rank"].to_pylist())
+    elif op == "rrf_fuse":
+        got = datapipe.rrf_fuse(sf, n_queries=2, k_each=k, k_out=k)
+        score: dict = {}
+        for S in (cos, X @ X[:2].T):
+            for q, v, r in _lexsort_ranks(ids, S, k):
+                score[q, v] = score.get((q, v), 0.0) + 1.0 / (60 + r)
+        want = []
+        for q in range(2):
+            mine = sorted((-s, v) for (qq, v), s in score.items() if qq == q)
+            want += [(q, v, -s, r + 1) for r, (s, v) in enumerate(mine[:k])]
+        rows = zip(got["query_id"].to_pylist(), got["vec_id"].to_pylist(),
+                   got["score"].to_pylist(), got["rank"].to_pylist())
+    else:
+        kw = {"ann_ivf": {"n_cells": 8, "nprobe": 8},
+              "ann_lsh": {"n_bands": 4, "band_bits": 6}}.get(op, {})
+        got = getattr(datapipe, op)(sf, n_queries=2, k=k, **kw)
+        want = _lexsort_ranks(ids, cos, k)
+        rows = zip(got["query_id"].to_pylist(), got["vec_id"].to_pylist(),
+                   got["rank"].to_pylist())
+    assert sorted(rows) == sorted(want)
+
+
 def test_kmeans_clusters_converges_and_matches_reference(ray_session):
     import pyarrow.parquet as pq
 

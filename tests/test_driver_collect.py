@@ -12,6 +12,9 @@
 - the collect rule itself: blocks with no columns or no rows are dropped,
   the rest concatenate with permissive promotion, an empty result is
   typed by the fallback schema;
+- the ANN top-k ops merge their per-block candidates remotely: the
+  largest table one of them collects is queries x k rows, whatever the
+  block count;
 - ``incremental_profile`` refuses its node-local default cache on a
   multi-node cluster.
 """
@@ -19,6 +22,7 @@
 import ast
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -139,6 +143,45 @@ def test_no_limit_one_execution(ray_session, monkeypatch, op, sf):
     if not isinstance(out, pa.Table):
         collect(out, pa.schema([]))
     assert seen == []
+
+
+@pytest.fixture(scope="module")
+def emb_parts(tmp_path_factory):
+    """An embeddings.parquet DIRECTORY of 8 part files of 4096 rows: 8
+    read blocks, each one 4096-row ANN batch."""
+    d = tmp_path_factory.mktemp("parts") / "embeddings.parquet"
+    d.mkdir()
+    rng = np.random.RandomState(3)
+    for i in range(8):
+        pq.write_table(pa.table({
+            "vec_id": pa.array(np.arange(i * 4096, (i + 1) * 4096),
+                               pa.int64()),
+            "embedding": pa.array(rng.randn(4096, 16).tolist(),
+                                  pa.list_(pa.float32()))}),
+            d / f"part-{i}.parquet")
+    return str(d.parent)
+
+
+@pytest.mark.parametrize("op,kw,bound", [
+    ("ann_topk", {}, 10), ("ann_ivf", {"nprobe": 8}, 10),
+    ("ann_pq", {}, 10), ("ann_pq_rerank", {"k_prime": 20}, 20),
+    ("ann_lsh", {"n_bands": 2, "band_bits": 6, "n_flip": 6}, 10),
+    ("rrf_fuse", {"k_each": 10}, 10)])
+def test_ann_collects_queries_times_k(ray_session, monkeypatch, emb_parts,
+                                      op, kw, bound):
+    """The per-block candidates meet on a remote query-keyed top-k, so no
+    collect holds more than n_queries x k rows (8 x that before)."""
+    sizes = []
+
+    def spy(ds, fallback_schema):
+        t = collect(ds, fallback_schema)
+        sizes.append(t.num_rows)
+        return t
+
+    monkeypatch.setattr(datapipe, "collect", spy)
+    out = getattr(datapipe, op)(emb_parts, n_queries=4, **kw)
+    assert out.num_rows == 40
+    assert sizes and max(sizes) <= 4 * bound, sizes
 
 
 def test_column_agg_matches_pyarrow(ray_session):

@@ -93,6 +93,16 @@ def test_semdedup_runs_on_sf0001(ray_session):
     assert got.equals(again)
 
 
+def test_semdedup_default_cells_scale_with_corpus(ray_session, monkeypatch):
+    """Default k = max(8, n // 20_000), n from parquet metadata: the gate's
+    500 vectors get 8 cells, a 400k-vector count gets 20."""
+    got = _collect(datapipe.semdedup(SF))
+    assert got["cell"].max() < 8
+    monkeypatch.setattr(datapipe, "_parquet_rows", lambda path: 400_000)
+    got = _collect(datapipe.semdedup(SF))
+    assert 8 <= got["cell"].max() < 20
+
+
 # ------------------------------------------------------------------ zipf_fit
 
 

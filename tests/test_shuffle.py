@@ -108,8 +108,9 @@ def _single_pass(src: pa.Table, keys, aggs) -> pa.Table:
     return pa.table(cols, names=list(keys) + list(aggs))
 
 
-def _rows(t: pa.Table, keys) -> list:
-    return sorted(t.to_pylist(),
+def _rows(t, keys) -> list:
+    """A table's (or a list of row dicts') rows, sorted by ``keys``."""
+    return sorted(t if isinstance(t, list) else t.to_pylist(),
                   key=lambda r: tuple((r[k] is None, r[k] or 0)
                                       if not isinstance(r[k], str)
                                       else (r[k] is None, r[k]) for k in keys))
@@ -119,9 +120,7 @@ def _rows(t: pa.Table, keys) -> list:
 def test_group_agg_matches_single_pass(ray_session, keys):
     """Partial per block, merge per partition == one pass over the whole
     table: int, float, string and two-column keys, null keys as one
-    group, sum/min/max/count/count_all (counts int64).  (The two-key case
-    puts the int first: pyarrow 16's ``group_by(["ks", "ki"])`` on this
-    table splits some (null string, int) groups in two, even single-pass.)"""
+    group, sum/min/max/count/count_all (counts int64)."""
     src = _agg_src()
     ds = ray.data.from_arrow(src).repartition(7)
     out = collect(group_agg(ds, keys, _AGGS, num_partitions=5),
@@ -131,6 +130,40 @@ def test_group_agg_matches_single_pass(ray_session, keys):
     assert out.schema.field("n").type == pa.int64()
     assert out.schema.field("rows").type == pa.int64()
     assert _rows(out, keys) == _rows(exp, keys)
+
+
+def _dict_agg(src: pa.Table, keys, aggs) -> list:
+    """Plain-Python grouped aggregate (nulls skipped, all-null sum None)."""
+    groups: dict = {}
+    for r in src.to_pylist():
+        groups.setdefault(tuple(r[k] for k in keys), []).append(r)
+    out = []
+    for key, rs in groups.items():
+        row = dict(zip(keys, key))
+        for name, (c, f) in aggs.items():
+            vals = [r[c] for r in rs if c is not None and r[c] is not None]
+            row[name] = {"sum": lambda: sum(vals) if vals else None,
+                         "min": lambda: min(vals, default=None),
+                         "max": lambda: max(vals, default=None),
+                         "count": lambda: len(vals),
+                         "count_all": lambda: len(rs)}[f]()
+        out.append(row)
+    return out
+
+
+def test_group_agg_nullable_string_key_first(ray_session):
+    """A nullable string key BEFORE an int key: pyarrow 16's own
+    ``group_by(["ks", "ki"])`` splits some (ks, ki) groups in two here, so
+    the reference is a Python dict.  One row per distinct pair, in the
+    caller's key order."""
+    src = _agg_src()
+    keys = ["ks", "ki"]
+    out = collect(group_agg(ray.data.from_arrow(src).repartition(7), keys,
+                            _AGGS, num_partitions=5), pa.schema([]))
+    want = _dict_agg(src, keys, _AGGS)
+    assert out.column_names == keys + list(_AGGS)
+    assert out.num_rows == len(want)
+    assert _rows(out, keys) == _rows(want, keys)
 
 
 def test_group_agg_post_runs_per_partition(ray_session):
@@ -401,6 +434,43 @@ def test_grouped_top_n_matches_duckdb(ray_session):
     got = out.sort_by([("g", "ascending"), ("rn", "ascending")])
     for c in ("g", "v", "id", "rn"):
         assert got[c].to_pylist() == exp[c].to_pylist(), c
+
+
+def test_grouped_top_n_empty_and_stale_blocks(ray_session):
+    """4 groups over 8 partitions, mixed with zero-row, stale-schema and
+    zero-column input blocks: every output block is typed, rank int64, and
+    the rows are the live rows' top 2 per group.  An input with no rows
+    yields zero-column blocks, which collect's fallback schema types."""
+    from upton_ray.shuffle import grouped_top_n
+
+    stale = pa.table({"x": pa.array([], pa.string())})   # pre-map schema
+    live = pa.table({"g": pa.array([0, 1, 2, 3, 0, 1, 2, 0], pa.int64()),
+                     "v": pa.array([5., 4., 3., 2., 9., 1., 7., 5.]),
+                     "id": pa.array(np.arange(8), pa.int64())})
+    ds = ray.data.from_arrow_refs(
+        [ray.put(stale), ray.put(pa.table({})), ray.put(live.slice(0, 3)),
+         ray.put(live.slice(0, 0)), ray.put(live.slice(3))])
+    keys = [("v", "descending"), ("id", "ascending")]
+    out = grouped_top_n(ds, ["g"], keys, 2, rn_col="rank", num_partitions=8)
+    blocks = ray.get(out.materialize().to_arrow_refs())
+    want = live.schema.append(pa.field("rank", pa.int64()))
+    assert len(blocks) == 8
+    assert all(b.schema == want for b in blocks)
+    got = pa.concat_tables(blocks).sort_by([("g", "ascending"),
+                                            ("rank", "ascending")])
+    assert list(zip(got["g"].to_pylist(), got["id"].to_pylist(),
+                    got["rank"].to_pylist())) == [
+        (0, 4, 1), (0, 0, 2), (1, 1, 1), (1, 5, 2), (2, 6, 1), (2, 2, 2),
+        (3, 3, 1)]
+
+    for empty in (ray.data.from_arrow_refs([ray.put(stale),
+                                            ray.put(pa.table({}))]),
+                  ray.data.from_arrow(live.slice(0, 0))):
+        out = grouped_top_n(empty, ["g"], keys, 2, rn_col="rank")
+        blocks = ray.get(out.materialize().to_arrow_refs())
+        assert all(b.num_columns == 0 or b.schema == want for b in blocks)
+        t = collect(out, want)
+        assert t.num_rows == 0 and t.schema == want
 
 
 def test_grouped_top_n_string_groups_and_small_groups(ray_session):

@@ -63,12 +63,6 @@ import ray.data
 
 NORM_RE = r"\s+"
 
-# per-block ANN top-k candidates: a streamed fold collects these, then ranks
-_SIM_CANDS = pa.schema([("query_id", pa.int32()), ("vec_id", pa.int64()),
-                        ("sim", pa.float64())])
-_DIST_CANDS = pa.schema([("query_id", pa.int32()), ("vec_id", pa.int64()),
-                         ("dist", pa.float64())])
-
 
 def _table(sf_dir: str, name: str, columns, **kw):
     # the test tables are ONE small parquet file -> one read block; split so
@@ -105,6 +99,7 @@ def _events(sf_dir: str, columns):
 from upton_ray.fetch import per_process  # noqa: E402
 from upton_ray.shuffle import _first_file, column_agg  # noqa: E402
 from upton_ray.shuffle import block_refs, block_scan, collect  # noqa: E402
+from upton_ray.shuffle import _first_n_per_group, grouped_top_n  # noqa: E402
 from upton_ray.shuffle import group_agg  # noqa: E402
 from upton_ray.shuffle import hash_reduce as _hash_reduce  # noqa: E402
 from upton_ray.shuffle import (hash_partition_refs as _hash_partition_refs,  # noqa: E402
@@ -993,43 +988,44 @@ def _emb_matrix(batch: pa.Table) -> np.ndarray:
     return flat.reshape(len(col), -1)
 
 
+# one ANN candidate: query (column of the score matrix), vector, score
+# (larger is better); the final order is (score desc, vec_id asc)
+_CANDS = pa.schema([("query_id", pa.int32()), ("vec_id", pa.int64()),
+                    ("score", pa.float64())])
+_BY_SCORE = [("score", "descending"), ("vec_id", "ascending")]
+
+
+def _topk_candidates(ids: np.ndarray, S: np.ndarray, k: int) -> pa.Table:
+    """One block's top-k candidates per query, from its (n, q) score
+    matrix ``S`` (larger is better; ``-inf`` marks a non-candidate).  Every
+    finite row at least as good as its column's k-th best is kept, so rows
+    tied at the boundary all reach the exact (score desc, vec_id asc) cut
+    of :func:`_topk_merge`.  Long (query_id, vec_id, score) rows."""
+    kk = min(k, S.shape[0])
+    kth = -np.partition(-S, kk - 1, axis=0)[kk - 1]     # per column
+    r, c = np.nonzero((S >= kth) & np.isfinite(S))
+    return pa.table([pa.array(c, pa.int32()), pa.array(ids[r], pa.int64()),
+                     pa.array(S[r, c], pa.float64())], schema=_CANDS)
+
+
+def _topk_merge(cand, k: int) -> pa.Table:
+    """Each query's top ``k`` candidates by (score desc, vec_id asc): a
+    :func:`grouped_top_n` on query_id, so only queries x k rows reach the
+    driver.  (query_id, vec_id, rank), by query then rank."""
+    return collect(
+        grouped_top_n(cand, ["query_id"], _BY_SCORE, k, rn_col="rank"),
+        _CANDS.append(pa.field("rank", pa.int64()))).sort_by(
+        [("query_id", "ascending"), ("rank", "ascending")]).select(
+        ["query_id", "vec_id", "rank"])
+
+
 def ann_topk(sf_dir: str, n_queries: int = 4, k: int = 10) -> pa.Table:
     """Brute-force cosine top-k: queries broadcast once (ray.put), each batch
-    computes a (batch x q) matmul and emits its local top-k per query; the
-    driver merges the tiny per-block candidate sets. Ties break by vec_id.
-    The query rows come from ``take_batch`` (limit-pushdown read of the first
-    rows) — never a driver-side read of the full table."""
-    qt = _emb(sf_dir).take_batch(n_queries, batch_format="pyarrow")
-    Q = _emb_matrix(qt)
-    Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    q_ref = ray.put(Q)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        Qm = ray.get(q_ref)
-        M = _emb_matrix(batch)
-        M = M / np.linalg.norm(M, axis=1, keepdims=True)
-        sims = M @ Qm.T                      # (n, q)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        rows = {"query_id": [], "vec_id": [], "sim": []}
-        kk = min(k, len(ids))
-        for qi in range(Qm.shape[0]):
-            s = sims[:, qi]
-            part = np.argpartition(-s, kk - 1)[:kk]
-            rows["query_id"].extend([qi] * len(part))
-            rows["vec_id"].extend(ids[part].tolist())
-            rows["sim"].extend(s[part].tolist())
-        return pa.table({"query_id": pa.array(rows["query_id"], pa.int32()),
-                         "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                         "sim": pa.array(rows["sim"], pa.float64())})
-
-    cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
-                                    batch_size=4096)
-    df = collect(cand, _SIM_CANDS).to_pandas()
-    df = df.sort_values(["query_id", "sim", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    df = df[df["rank"] <= k][["query_id", "vec_id", "rank"]].reset_index(drop=True)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    computes a (batch x q) matmul and emits its local top-k candidates per
+    query, merged by :func:`_topk_merge`. Ties break by vec_id.  The query
+    rows come from ``take_batch`` (limit-pushdown read of the first rows) —
+    never a driver-side read of the full table."""
+    return _brute_topk_ranks(sf_dir, n_queries, k, "cosine")
 
 
 def _kmeans_cosine(x: np.ndarray, n_cells: int, iters: int = 8,
@@ -1061,11 +1057,12 @@ def ann_ivf(sf_dir: str, n_queries: int = 4, k: int = 10, n_cells: int = 8,
     emitting a per-block top-k (per-cell top-k is a mergeable aggregate,
     so no groupby/shuffle of the vectors is ever needed — an earlier
     ``groupby(cell).map_groups`` shape moved every vector through a sort
-    exchange and cost 42 s at 10^6 vectors; this pass costs 4 s) → tiny
-    candidate merge on the driver (blocks x queries x k rows).  With
-    ``nprobe == n_cells`` this degrades to exact brute force — the
-    property the unit test pins. Approximate for ``nprobe < n_cells``, so
-    the driver gate checks rows-only (no SQL oracle), like simhash.
+    exchange and cost 42 s at 10^6 vectors; this pass costs 4 s) → the
+    :func:`_topk_merge` of the candidates (queries x k rows reach the
+    driver).  With ``nprobe == n_cells`` this degrades to exact brute
+    force — the property the unit test pins. Approximate for
+    ``nprobe < n_cells``, so the driver gate checks rows-only (no SQL
+    oracle), like simhash.
 
     The quantizer trains on a bounded ``take_batch(train_sample)`` sample
     (limit-pushdown read of the leading rows — at corpus scale, point it at a
@@ -1083,41 +1080,17 @@ def ann_ivf(sf_dir: str, n_queries: int = 4, k: int = 10, n_cells: int = 8,
     state_ref = ray.put((cents, q, probe))
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int32()),
-                          "vec_id": pa.array([], pa.int64()),
-                          "sim": pa.array([], pa.float64())})
-        if batch.num_rows == 0:
-            return empty
         cents_m, qm, probe_m = ray.get(state_ref)
         m = _emb_matrix(batch)
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
         cell = (m @ cents_m.T).argmax(axis=1)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        rows = {"query_id": [], "vec_id": [], "sim": []}
-        for qi in range(len(qm)):               # n_queries iterations, tiny
-            mask = np.isin(cell, probe_m[qi])
-            if not mask.any():
-                continue
-            s = m[mask] @ qm[qi]
-            kk = min(k, len(s))
-            part = np.argpartition(-s, kk - 1)[:kk]
-            rows["query_id"].extend([qi] * len(part))
-            rows["vec_id"].extend(ids[mask][part].tolist())
-            rows["sim"].extend(s[part].tolist())
-        if not rows["query_id"]:
-            return empty
-        return pa.table({"query_id": pa.array(rows["query_id"], pa.int32()),
-                         "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                         "sim": pa.array(rows["sim"], pa.float64())})
+        probed = (cell[:, None, None] == probe_m[None]).any(axis=2)  # (n, q)
+        return _topk_candidates(batch["vec_id"].to_numpy(
+            zero_copy_only=False), np.where(probed, m @ qm.T, -np.inf), k)
 
     cand = _emb(sf_dir).map_batches(block_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = collect(cand, _SIM_CANDS).to_pandas()
-    df = df.sort_values(["query_id", "sim", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    df = df[df["rank"] <= k][["query_id", "vec_id", "rank"]].reset_index(drop=True)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    return _topk_merge(cand, k)
 
 
 @ray.remote
@@ -1308,17 +1281,9 @@ def sessionize(sf_dir: str, gap_minutes: int = 30, *, num_blocks: int = 8):
 
 def frontier_topk(sf_dir: str, k: int = 3):
     """Top-k documents per source host by (n_chars desc, doc_id asc) — the
-    frontier-priority-queue shape as a keyed top-k (sort inside each group,
-    never a global sort)."""
-
-    def topk(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("n_chars", "descending"), ("doc_id", "ascending")])
-        t = t.slice(0, k)
-        return t.append_column("rank", pa.array(
-            np.arange(1, t.num_rows + 1, dtype=np.int64)))
-
-    ds = _docs(sf_dir, ["doc_id", "source", "n_chars"])
-    return ds.groupby("source").map_groups(topk, batch_format="pyarrow")
+    frontier-priority-queue shape as a keyed top-k (never a global sort):
+    :func:`host_cap` with its rank column named ``rank``."""
+    return _source_top_k(sf_dir, k, "rank")
 
 
 # ------------------------------------------------------------- media stubs
@@ -2758,11 +2723,23 @@ def ann_pq(sf_dir: str, n_queries: int = 4, k: int = 10, n_sub: int = 16,
     vectors never could; IVF (:func:`ann_ivf`) prunes WHICH vectors to scan,
     PQ shrinks WHAT is scanned — production systems compose both.
 
-    Pipeline: bounded take_batch sample trains the codebooks (broadcast —
-    n_sub*n_cent*sub_dim floats, KBs) -> one streamed map_batches encodes
-    AND scans each block against the query distance tables, emitting local
-    top-k -> tiny driver merge.  Approximate (quantization is lossy):
-    rows-only gate; the recall floor vs brute force is pinned in tests."""
+    Pipeline: :func:`_pq_scan` (codebooks trained on a bounded sample and
+    broadcast, one streamed encode-and-scan pass emitting each block's
+    top-k candidates) -> :func:`_topk_merge` on (dist asc, vec_id asc).
+    Approximate (quantization is lossy): rows-only gate; the recall floor
+    vs brute force is pinned in tests."""
+    cand = _pq_scan(sf_dir, n_queries, k, n_sub, n_cent, train_sample)[0]
+    return _topk_merge(cand, k)
+
+
+def _pq_scan(sf_dir: str, n_queries: int, k: int, n_sub: int, n_cent: int,
+             train_sample: int):
+    """The ADC candidate pass of :func:`ann_pq` / :func:`ann_pq_rerank`:
+    a bounded take_batch sample trains the codebooks (broadcast —
+    n_sub*n_cent*sub_dim floats, KBs), then one streamed map_batches
+    encodes AND scans each block against the query distance tables,
+    emitting its :func:`_topk_candidates` with score = -dist.  Returns the
+    candidate Dataset and the normalized (q x dim) query matrix."""
     head = _emb(sf_dir).take_batch(max(train_sample, n_queries),
                                    batch_format="pyarrow")
     sample = _emb_matrix(head)
@@ -2782,34 +2759,18 @@ def ann_pq(sf_dir: str, n_queries: int = 4, k: int = 10, n_sub: int = 16,
         bks, tbl = ray.get(side_ref)
         M = _emb_matrix(batch)
         M = M / np.linalg.norm(M, axis=1, keepdims=True)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        codes = np.empty((n, n_sub), dtype=np.int64)
+        codes = np.empty((len(M), n_sub), dtype=np.int64)
         for m in range(n_sub):
             x = M[:, m * ds_:(m + 1) * ds_]
             codes[:, m] = ((x[:, None, :] - bks[m][None, :, :]) ** 2) \
                 .sum(axis=2).argmin(axis=1)
         # ADC: approx dist(q, v) = sum_m tbl[q, m, codes[v, m]]
-        rows = {"query_id": [], "vec_id": [], "dist": []}
-        kk = min(k, n)
-        for qi in range(tbl.shape[0]):
-            dist = tbl[qi][np.arange(n_sub)[None, :], codes].sum(axis=1)
-            part = np.argpartition(dist, kk - 1)[:kk]
-            rows["query_id"].extend([qi] * len(part))
-            rows["vec_id"].extend(ids[part].tolist())
-            rows["dist"].extend(dist[part].tolist())
-        return pa.table({"query_id": pa.array(rows["query_id"], pa.int32()),
-                         "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                         "dist": pa.array(rows["dist"], pa.float64())})
+        dist = tbl[:, np.arange(n_sub)[None, :], codes].sum(axis=2)  # (q, n)
+        return _topk_candidates(batch["vec_id"].to_numpy(
+            zero_copy_only=False), -dist.T, k)
 
-    cand = _emb(sf_dir).map_batches(scan, batch_format="pyarrow",
-                                    batch_size=4096)
-    df = collect(cand, _DIST_CANDS).to_pandas()
-    df = df.sort_values(["query_id", "dist", "vec_id"])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    df = df[df["rank"] <= k][["query_id", "vec_id", "rank"]] \
-        .reset_index(drop=True)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    return _emb(sf_dir).map_batches(scan, batch_format="pyarrow",
+                                    batch_size=4096), q
 
 
 # ------------------------------------------------ training-data extras (r3)
@@ -3006,55 +2967,17 @@ def ann_pq_rerank(sf_dir: str, n_queries: int = 4, k: int = 10,
     candidate stage and rises with k_prime; at ``k_prime >= corpus`` this
     is exactly brute force (pinned in tests, like ann_ivf's
     nprobe == n_cells property).  Approximate ⇒ rows-only gate."""
-    head = _emb(sf_dir).take_batch(max(train_sample, n_queries),
-                                   batch_format="pyarrow")
-    sample = _emb_matrix(head)
-    sample = sample / np.linalg.norm(sample, axis=1, keepdims=True)
-    books = _pq_train(sample[:train_sample], n_sub, n_cent)
-    q = sample[:n_queries]
-    ds_ = sample.shape[1] // n_sub
-    tables = np.empty((n_queries, n_sub, n_cent))
-    for m in range(n_sub):
-        qm = q[:, m * ds_:(m + 1) * ds_]
-        tables[:, m, :] = ((qm[:, None, :] - books[m][None, :, :]) ** 2) \
-            .sum(axis=2)
-    side_ref = ray.put((books, tables, q))
-
-    def scan(batch: pa.Table) -> pa.Table:
-        bks, tbl, _ = ray.get(side_ref)
-        M = _emb_matrix(batch)
-        M = M / np.linalg.norm(M, axis=1, keepdims=True)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        codes = np.empty((n, n_sub), dtype=np.int64)
-        for m in range(n_sub):
-            x = M[:, m * ds_:(m + 1) * ds_]
-            codes[:, m] = ((x[:, None, :] - bks[m][None, :, :]) ** 2) \
-                .sum(axis=2).argmin(axis=1)
-        rows = {"query_id": [], "vec_id": [], "dist": []}
-        kk = min(k_prime, n)
-        for qi in range(tbl.shape[0]):
-            dist = tbl[qi][np.arange(n_sub)[None, :], codes].sum(axis=1)
-            part = np.argpartition(dist, kk - 1)[:kk]
-            rows["query_id"].extend([qi] * len(part))
-            rows["vec_id"].extend(ids[part].tolist())
-            rows["dist"].extend(dist[part].tolist())
-        return pa.table({"query_id": pa.array(rows["query_id"], pa.int32()),
-                         "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                         "dist": pa.array(rows["dist"], pa.float64())})
-
-    cand = _emb(sf_dir).map_batches(scan, batch_format="pyarrow",
-                                    batch_size=4096)
-    cdf = collect(cand, _DIST_CANDS).to_pandas()
-    cdf = cdf.sort_values(["query_id", "dist", "vec_id"])
-    cdf = cdf.groupby("query_id").head(k_prime)    # per-query candidate cut
+    cand, q = _pq_scan(sf_dir, n_queries, k_prime, n_sub, n_cent,
+                       train_sample)
+    cut = _topk_merge(cand, k_prime)    # per-query candidate cut
 
     # exact re-rank: stream the corpus once, keeping ONLY candidate rows
     # (vectorized is_in), compute true cosine inside the task
-    involved = pa.array(sorted(set(cdf["vec_id"])), pa.int64())
+    involved = pc.unique(cut["vec_id"])
+    q_ref = ray.put(q)
 
     def rerank(b: pa.Table) -> pa.Table:
-        _, _, qm = ray.get(side_ref)
+        qm = ray.get(q_ref)
         t = b.filter(pc.is_in(b["vec_id"], value_set=involved))
         if t.num_rows == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
@@ -3068,19 +2991,16 @@ def ann_pq_rerank(sf_dir: str, n_queries: int = 4, k: int = 10,
     st = collect(_emb(sf_dir).map_batches(rerank, batch_format="pyarrow"),
                  pa.schema([("vec_id", pa.int64()),
                             ("sims", pa.list_(pa.float64()))]))
-    sims = {i: np.asarray(s) for i, s in zip(st["vec_id"].to_pylist(),
-                                             st["sims"].to_pylist())}
-    out = {"query_id": [], "vec_id": [], "rank": []}
-    for qi, g in cdf.groupby("query_id"):
-        ids = g["vec_id"].to_numpy()
-        s = np.array([sims[i][qi] for i in ids])
-        order = np.lexsort((ids, -s))[:k]
-        out["query_id"].extend([qi] * len(order))
-        out["vec_id"].extend(ids[order].tolist())
-        out["rank"].extend(range(1, len(order) + 1))
-    return pa.table({"query_id": pa.array(out["query_id"], pa.int32()),
-                     "vec_id": pa.array(out["vec_id"], pa.int64()),
-                     "rank": pa.array(out["rank"], pa.int64())})
+    sims = st["sims"].combine_chunks().flatten().to_numpy().reshape(
+        -1, len(q))                                   # (candidates, q)
+    row = pc.index_in(cut["vec_id"],
+                      value_set=st["vec_id"].combine_chunks()).to_numpy()
+    qid = cut["query_id"].to_numpy()
+    exact = cut.select(["query_id", "vec_id"]).append_column(
+        "score", pa.array(sims[row, qid], pa.float64()))
+    return _first_n_per_group(exact, ["query_id"], _BY_SCORE, k,
+                              rn_col="rank").select(
+        ["query_id", "vec_id", "rank"])
 
 
 def kmeans_clusters(sf_dir: str, k: int = 8, iters: int = 5):
@@ -4437,8 +4357,6 @@ def top_orders_per_customer(sf_dir: str, n: int = 2):
     Per-block combiner bounds the shuffle to n rows per group per block;
     the rank is attached in the final co-partitioned scan where each
     group's surviving candidates are all present."""
-    from upton_ray.shuffle import grouped_top_n
-
     orders = _table(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     return grouped_top_n(
         orders, ["o_custkey"],
@@ -4804,20 +4722,15 @@ def interleave_sources(sf_dir: str):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "source": pa.array([], pa.string()),
                              "pri": pa.array([], pa.int64())})
-        t = t.sort_by([("source", "ascending"), ("doc_id", "ascending")])
-        codes = pc.dictionary_encode(t["source"].combine_chunks()) \
-            .indices.to_numpy(zero_copy_only=False)
-        n = len(codes)
         # group-local 1-based rank over the (source, doc_id) sort
-        starts = np.r_[0, np.flatnonzero(np.diff(codes)) + 1]
-        rn = np.arange(n, dtype=np.int64) - np.repeat(
-            starts, np.diff(np.r_[starts, n])) + 1
+        t = _first_n_per_group(t, ["source"], [("doc_id", "ascending")],
+                               t.num_rows, rn_col="rn")
         src_num = pc.cast(pc.utf8_slice_codeunits(
             t["source"].combine_chunks(), start=3, stop=32), pa.int64()) \
             .to_numpy(zero_copy_only=False)
         w = 1 + (src_num % 4)
         return pa.table({"doc_id": t["doc_id"], "source": t["source"],
-                         "pri": pa.array(rn * (12 // w), pa.int64())})
+                         "pri": pc.multiply(t["rn"], pa.array(12 // w))})
 
     def attach(t: pa.Table, base: int, _total: int) -> pa.Table:
         return pa.table({"pos": _ranks(t, base), "doc_id": t["doc_id"],
@@ -5753,8 +5666,6 @@ def balanced_sample(sf_dir: str, per_source: int = 25):
     combiner keeps each source's local top-k, so at most k x |sources|
     rows per block shuffle through ONE source-keyed exchange where the
     exact rank attaches.  Output: (source, doc_id, rank)."""
-    from upton_ray.shuffle import grouped_top_n
-
     def key(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -6610,8 +6521,9 @@ def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
     Same driver discipline as :func:`embedding_dedup_lsh`: the projection
     planes are deterministic (seeded) and regenerated inside each task —
     only the (q x dim) normalized query matrix is broadcast; each block
-    emits its local top-k per query and the driver merges blocks x q x k
-    rows.  The corpus never shuffles, and the scan-fraction / recall trade
+    emits its local top-k candidates per query and :func:`_topk_merge`
+    cuts them (q x k rows reach the driver).  The corpus never shuffles,
+    and the scan-fraction / recall trade
     is the knob pair (n_bands, band_bits): wider bands cut candidates
     geometrically, more bands buy recall back linearly.  Recall floors are
     pinned in :func:`ann_recall` (the synthetic gaussian corpus has weak
@@ -6638,8 +6550,6 @@ def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
         ckeys = _band_keys(Mn, planes)              # (n, n_bands)
         qkeys = _band_keys(Qm, planes)              # (q, n_bands)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        out = {"query_id": [], "vec_id": [], "sim": []}
         # all XOR masks of popcount 1..n_flip (ADVICE r4: n_flip used to be
         # a de-facto boolean — n_flip=2 now really adds the 2-bit probes)
         from itertools import combinations
@@ -6648,38 +6558,18 @@ def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
             [sum(1 << p for p in pos)
              for r in range(1, max(0, n_flip) + 1)
              for pos in combinations(range(band_bits), r)], np.int64)
+        hit = np.zeros((len(Mn), len(Qm)), dtype=bool)     # (n, q)
         for qi in range(len(Qm)):
-            mask = np.zeros(len(ids), dtype=bool)
             for b in range(n_bands):
                 probe = np.concatenate(
                     ([qkeys[qi, b]], qkeys[qi, b] ^ flips))
-                mask |= np.isin(ckeys[:, b], probe)
-            if not mask.any():
-                continue
-            sims = Mn[mask] @ Qm[qi]
-            cid = ids[mask]
-            kk = min(k, len(cid))
-            part = np.argpartition(-sims, kk - 1)[:kk]
-            out["query_id"].extend([qi] * kk)
-            out["vec_id"].extend(cid[part].tolist())
-            out["sim"].extend(sims[part].tolist())
-        return pa.table({"query_id": pa.array(out["query_id"], pa.int32()),
-                         "vec_id": pa.array(out["vec_id"], pa.int64()),
-                         "sim": pa.array(out["sim"], pa.float64())})
+                hit[:, qi] |= np.isin(ckeys[:, b], probe)
+        return _topk_candidates(batch["vec_id"].to_numpy(
+            zero_copy_only=False), np.where(hit, Mn @ Qm.T, -np.inf), k)
 
     cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = collect(cand, _SIM_CANDS).to_pandas()
-    if df.empty:
-        return pa.table({"query_id": pa.array([], pa.int32()),
-                         "vec_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    df = df.sort_values(["query_id", "sim", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    df = df[df["rank"] <= k][["query_id", "vec_id", "rank"]] \
-        .reset_index(drop=True)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    return _topk_merge(cand, k)
 
 
 def conversion_lag(sf_dir: str, from_type: str = "signup",
@@ -6966,7 +6856,7 @@ def triangle_count(sf_dir: str, deltas=(1, 2, 3),
 @ray.remote
 def _knn_tile(qt: pa.Table, ct: pa.Table, k: int) -> pa.Table:
     """One (query-block x corpus-block) tile: normalized matmul, self
-    masked, local top-k per query row."""
+    masked, each query row's :func:`_topk_candidates`."""
     qid = qt["vec_id"].to_numpy(zero_copy_only=False)
     cid = ct["vec_id"].to_numpy(zero_copy_only=False)
     Q = _emb_matrix(qt)
@@ -6975,39 +6865,20 @@ def _knn_tile(qt: pa.Table, ct: pa.Table, k: int) -> pa.Table:
     C /= np.linalg.norm(C, axis=1, keepdims=True)
     sims = Q @ C.T
     sims[qid[:, None] == cid[None, :]] = -np.inf      # exclude self
-    kk = min(k, sims.shape[1])
-    part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-    s = np.take_along_axis(sims, part, axis=1).ravel()
-    live = s > -np.inf
-    return pa.table({
-        "src_id": pa.array(np.repeat(qid, kk)[live], pa.int64()),
-        "dst_id": pa.array(cid[part.ravel()[live]], pa.int64()),
-        "sim": pa.array(s[live], pa.float64())})
+    c = _topk_candidates(cid, sims.T, k)
+    return pa.table({"src_id": pa.array(qid[c["query_id"].to_numpy()],
+                                        pa.int64()),
+                     "dst_id": c["vec_id"], "sim": c["score"]})
 
 
 @ray.remote
 def _knn_merge(k: int, *tiles) -> pa.Table:
-    """Exact merge of one query block's tile candidates: lexsort by
-    (src, -sim, dst), grouped-arange rank, keep rank <= k."""
-    live = [x for x in tiles if x.num_rows > 0]
-    if not live:
-        return pa.table({"src_id": pa.array([], pa.int64()),
-                         "dst_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    t = pa.concat_tables(live)
-    src = t["src_id"].to_numpy(zero_copy_only=False)
-    dst = t["dst_id"].to_numpy(zero_copy_only=False)
-    sim = t["sim"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((dst, -sim, src))
-    src, dst = src[order], dst[order]
-    n = len(src)
-    start = np.r_[True, src[1:] != src[:-1]]
-    rank = np.arange(n) - np.maximum.accumulate(
-        np.where(start, np.arange(n), 0)) + 1
-    keep = rank <= k
-    return pa.table({"src_id": pa.array(src[keep], pa.int64()),
-                     "dst_id": pa.array(dst[keep], pa.int64()),
-                     "rank": pa.array(rank[keep], pa.int64())})
+    """Exact merge of one query block's tile candidates: rank 1..k per
+    src_id by (sim desc, dst_id asc)."""
+    return _first_n_per_group(
+        pa.concat_tables(tiles), ["src_id"],
+        [("sim", "descending"), ("dst_id", "ascending")], k,
+        rn_col="rank").select(["src_id", "dst_id", "rank"])
 
 
 def knn_graph(sf_dir: str, k: int = 5, num_blocks: int = 8):
@@ -7090,8 +6961,8 @@ def top_terms_per_lang(sf_dir: str, top_n: int = 5):
     Scale shape: per-block (lang, term, count) pre-aggregation, then ONE
     lang-keyed :func:`_hash_reduce` — a language's whole term table lands
     in one partition (vocab-bounded, the same per-key-bounded argument as
-    pmi_bigrams' marginal), where a grouped-arange rank keeps N rows per
-    lang.  The exchange carries one row per (lang, term) per block, never
+    pmi_bigrams' marginal), where :func:`_first_n_per_group` keeps N rows
+    per lang.  The exchange carries one row per (lang, term) per block, never
     token instances.  Output: (lang, term, n, rank)."""
     EMPTY = pa.table({"lang": pa.array([], pa.string()),
                       "term": pa.array([], pa.string()),
@@ -7114,21 +6985,11 @@ def top_terms_per_lang(sf_dir: str, top_n: int = 5):
         if "lang" not in t.column_names or t.num_rows == 0:
             return EMPTY
         g = t.group_by(["lang", "term"]).aggregate([("n", "sum")])
-        srt = pa.table({"lang": g["lang"], "term": g["term"],
-                        "n": pc.cast(g["n_sum"], pa.int64()),
-                        "neg": pc.multiply(g["n_sum"], -1)}) \
-            .sort_by([("lang", "ascending"), ("neg", "ascending"),
-                      ("term", "ascending")])
-        lang = srt["lang"].to_numpy(zero_copy_only=False)
-        m = len(lang)
-        start = np.r_[True, lang[1:] != lang[:-1]]
-        rank = np.arange(m) - np.maximum.accumulate(
-            np.where(start, np.arange(m), 0)) + 1
-        keep = rank <= top_n
-        return pa.table({"lang": srt["lang"].filter(pa.array(keep)),
-                         "term": srt["term"].filter(pa.array(keep)),
-                         "n": srt["n"].filter(pa.array(keep)),
-                         "rank": pa.array(rank[keep], pa.int64())})
+        return _first_n_per_group(
+            pa.table({"lang": g["lang"], "term": g["term"],
+                      "n": pc.cast(g["n_sum"], pa.int64())}),
+            ["lang"], [("n", "descending"), ("term", "ascending")], top_n,
+            rn_col="rank")
 
     return _hash_reduce(
         _docs(sf_dir, ["lang", "text"]).map_batches(
@@ -7137,10 +6998,10 @@ def top_terms_per_lang(sf_dir: str, top_n: int = 5):
 
 
 def _brute_topk_ranks(sf_dir: str, n_queries: int, k: int,
-                      metric: str) -> "pd.DataFrame":
-    """Shared blockwise brute-force top-k (the :func:`ann_topk` shape) for
-    either cosine (normalized matmul) or raw inner product; returns the
-    merged (query_id, vec_id, rank) frame.  Ties break by vec_id."""
+                      metric: str) -> pa.Table:
+    """Shared blockwise brute-force top-k (:func:`ann_topk`) for either
+    cosine (normalized matmul) or raw inner product; returns the merged
+    (query_id, vec_id, rank) table.  Ties break by vec_id."""
     qt = _emb(sf_dir).take_batch(n_queries, batch_format="pyarrow")
     Q = _emb_matrix(qt)
     if metric == "cosine":
@@ -7152,25 +7013,12 @@ def _brute_topk_ranks(sf_dir: str, n_queries: int, k: int,
         M = _emb_matrix(batch)
         if metric == "cosine":
             M = M / np.linalg.norm(M, axis=1, keepdims=True)
-        sims = M @ Qm.T
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        kk = min(k, len(ids))
-        part = np.argpartition(-sims, kk - 1, axis=0)[:kk]   # (kk, q)
-        nq = Qm.shape[0]
-        return pa.table({
-            "query_id": pa.array(np.tile(np.arange(nq, dtype=np.int32),
-                                         kk), pa.int32()),
-            "vec_id": pa.array(ids[part].ravel(), pa.int64()),
-            "sim": pa.array(np.take_along_axis(
-                sims, part, axis=0).ravel(), pa.float64())})
+        return _topk_candidates(batch["vec_id"].to_numpy(
+            zero_copy_only=False), M @ Qm.T, k)
 
     cand = _emb(sf_dir).map_batches(local_topk, batch_format="pyarrow",
                                     batch_size=4096)
-    df = collect(cand, _SIM_CANDS).to_pandas()
-    df = df.sort_values(["query_id", "sim", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    return df[df["rank"] <= k][["query_id", "vec_id", "rank"]]
+    return _topk_merge(cand, k)
 
 
 def rrf_fuse(sf_dir: str, n_queries: int = 4, k_each: int = 50,
@@ -7189,28 +7037,20 @@ def rrf_fuse(sf_dir: str, n_queries: int = 4, k_each: int = 50,
     engines produce identical doubles.  Output:
     (query_id, vec_id, score, rank), rank 1..k_out by (score desc,
     vec_id asc)."""
-    import pandas as pd
-
     cos = _brute_topk_ranks(sf_dir, n_queries, k_each, "cosine")
     ip = _brute_topk_ranks(sf_dir, n_queries, k_each, "ip")
-    f = cos.rename(columns={"rank": "r1"}).merge(
-        ip.rename(columns={"rank": "r2"}),
-        on=["query_id", "vec_id"], how="outer")
-    s1 = 1.0 / (rrf_k + f["r1"].to_numpy(dtype=np.float64))
-    s2 = 1.0 / (rrf_k + f["r2"].to_numpy(dtype=np.float64))
-    f["score"] = np.nan_to_num(s1) + np.nan_to_num(s2)
-    f = f.sort_values(["query_id", "score", "vec_id"],
-                      ascending=[True, False, True])
-    f["rank"] = f.groupby("query_id").cumcount() + 1
-    f = f[f["rank"] <= k_out]
-    return pa.table({
-        "query_id": pa.array(f["query_id"].to_numpy(dtype=np.int32),
-                             pa.int32()),
-        "vec_id": pa.array(f["vec_id"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-        "score": pa.array(f["score"].to_numpy(dtype=np.float64),
-                          pa.float64()),
-        "rank": pa.array(f["rank"].to_numpy(dtype=np.int64), pa.int64())})
+    f = cos.rename_columns(["query_id", "vec_id", "r1"]).join(
+        ip.rename_columns(["query_id", "vec_id", "r2"]),
+        ["query_id", "vec_id"], join_type="full outer")
+
+    def rr(r: str) -> np.ndarray:      # 1/(rrf_k + rank), 0 when unranked
+        return np.nan_to_num(1.0 / (rrf_k + f[r].to_numpy(
+            zero_copy_only=False).astype(np.float64)))
+
+    f = f.select(["query_id", "vec_id"]).append_column(
+        "score", pa.array(rr("r1") + rr("r2"), pa.float64()))
+    return _first_n_per_group(f, ["query_id"], _BY_SCORE, k_out,
+                              rn_col="rank")
 
 
 def trailing_window_sum(sf_dir: str, window_s: int = 3600, *,
@@ -7666,13 +7506,14 @@ def host_cap(sf_dir: str, k: int = 3):
     combiner bounds the shuffle to k rows per host per block, then one
     hash co-partition attaches the exact rank.  Output: (doc_id, source,
     n_chars, rk)."""
-    from upton_ray.shuffle import grouped_top_n
+    return _source_top_k(sf_dir, k, "rk")
 
-    docs = _docs(sf_dir, ["doc_id", "source", "n_chars"])
-    return grouped_top_n(
-        docs, ["source"],
-        [("n_chars", "descending"), ("doc_id", "ascending")],
-        k, rn_col="rk")
+
+def _source_top_k(sf_dir: str, k: int, rn_col: str):
+    return grouped_top_n(_docs(sf_dir, ["doc_id", "source", "n_chars"]),
+                         ["source"],
+                         [("n_chars", "descending"), ("doc_id", "ascending")],
+                         k, rn_col=rn_col)
 
 
 def media_ref_dedup(sf_dir: str, modulus: int = 97):
@@ -7933,7 +7774,7 @@ def _semdedup_part(t: pa.Table, threshold: float, chunk: int) -> pa.Table:
                      "keep": pa.array(keep, pa.bool_())})
 
 
-def semdedup(sf_dir: str, k: int = 8, threshold: float = 0.92,
+def semdedup(sf_dir: str, k: int | None = None, threshold: float = 0.92,
              train_sample: int = 4096, chunk: int = 2048):
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540) — the cluster-then-
     intra-cluster semantic dedup used to prune web-scale training corpora:
@@ -7949,10 +7790,14 @@ def semdedup(sf_dir: str, k: int = 8, threshold: float = 0.92,
     through exactly ONE cell-keyed exchange (``hash_partition_refs``), and
     the per-cell screen is chunked-triangular matmuls — O(n_c^2) FLOPs per
     cell by the paper's own design (k is chosen so cells stay small; a
-    cell's slab is never densified beyond ``chunk`` rows).  Driver holds
+    cell's slab is never densified beyond ``chunk`` rows).  ``k`` defaults
+    to ``max(8, n // 20_000)`` for ``n`` vectors (parquet metadata), so a
+    cell averages at most ~20k vectors at any corpus size.  Driver holds
     only refs.  Iterative, seed-dependent quantizer => rows-only gate;
     planted-duplicate recovery, the keep-lowest-cent-sim rule, and the
     threshold>1 identity are pinned in tests/test_round5c_ops.py."""
+    if k is None:
+        k = max(8, _parquet_rows(f"{sf_dir}/embeddings.parquet") // 20_000)
     head = _emb(sf_dir).take_batch(train_sample, batch_format="pyarrow")
     sample = _emb_matrix(head)
     sample = sample / np.maximum(

@@ -18,9 +18,13 @@ as plain Ray tasks costs 0.07 s.  So the policy is:
   block after the partial — terms, hosts, windows, sources) is a
   :func:`group_agg`: the per-block partial and the merge of the partials
   live there once, with the empty-partition rule;
+- a keyed top-k or group-local rank is a :func:`grouped_top_n` (per-block
+  cut, one co-partition, exact rank there), or its per-table cut
+  :func:`_first_n_per_group` inside a reduce that already holds whole
+  groups;
 - any other reduce whose input is already partial-aggregated or fits a
-  partition (joins, top-k, pair expansion, verifiers) is a
-  :func:`hash_reduce` with its own reduce function;
+  partition (joins, pair expansion, verifiers) is a :func:`hash_reduce`
+  with its own reduce function;
 - corpus-keyed shuffles whose partitions may not fit a worker (exact dedup
   over raw fingerprints) stay on ``Dataset.groupby``'s external machinery
   on purpose.
@@ -208,8 +212,14 @@ _MERGE = {"sum": "sum", "count": "sum", "count_all": "sum",
 
 def _agg_table(t: pa.Table, keys: list, aggs: dict) -> pa.Table:
     """``t.group_by(keys)`` with ``aggs`` (out column -> (column, func)),
-    as keys then the out columns, under their out names."""
-    g = t.group_by(keys).aggregate(
+    as keys then the out columns, under their out names.  String keys are
+    grouped last: pyarrow 16's ``group_by`` splits groups when a nullable
+    string key comes before another key."""
+    def is_str(k: str) -> bool:
+        ty = t.schema.field(k).type
+        return pa.types.is_string(ty) or pa.types.is_large_string(ty)
+
+    g = t.group_by(sorted(keys, key=is_str)).aggregate(
         [([] if c is None else c, f) for c, f in aggs.values()])
     return pa.table(
         [g[k] for k in keys]
@@ -488,13 +498,20 @@ def grouped_top_n(ds, group_cols, sort_keys, n: int,
     a per-block combiner keeps each group's local top ``n`` (so at most
     ``n`` rows per group per block shuffle), then one hash co-partition
     re-runs the same scan over each group's surviving candidates — where
-    the rank is exact, so ``rn_col`` is attached there."""
+    the rank is exact, so ``rn_col`` (int64) is attached there.
+
+    Empty partitions follow :func:`group_agg`'s rule: a partition with no
+    rows yields the typed empty output, and when no block has a row every
+    partition is a zero-column block, which :func:`collect`'s fallback
+    schema types."""
     group_cols = list(group_cols)
 
     def partial(b: pa.Table) -> pa.Table:
         return _first_n_per_group(b, group_cols, sort_keys, n)
 
     def final(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:
+            return t
         return _first_n_per_group(t, group_cols, sort_keys, n, rn_col)
 
     return hash_reduce(ds.map_batches(partial, batch_format="pyarrow",
