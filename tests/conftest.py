@@ -15,7 +15,9 @@ def ray_session():
                  ignore_reinit_error=True,
                  logging_level="ERROR")
     yield
-    ray.shutdown()
+    from tools.check_queries import shutdown
+
+    shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,9 @@
 non-vacuous coverage for the dedup/similarity family (the testdata corpus has
 none at high thresholds)."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -1210,3 +1213,91 @@ def test_nation_joins_drop_orphan_custkey(ray_session, tmp_path):
                    ("n_name", pa.string()), ("revenue_cents", pa.int64()),
                    ("n_orders", pa.int64()))
     assert rows(got, cols) == want
+
+
+# ------------------------------------------------------------ token kernel
+
+_KERNEL_TEXTS = ["", "   ", "Alpha  beta\tGAMMA", "  épée   straße ",
+                 "x", "one two one two one", "a b c d e f g"]
+
+
+def _ref_split(text: str, keep_empty: bool) -> list:
+    norm = re.sub(r"\s+", " ", text).lower().strip()
+    # string_split(norm, ' ') vs Python str.split()
+    return norm.split(" ") if keep_empty else norm.split()
+
+
+@pytest.mark.parametrize("keep_empty", [False, True])
+def test_token_kernel_matches_python_split(keep_empty):
+    texts = pa.chunked_array([_KERNEL_TEXTS[:3], _KERNEL_TEXTS[3:]])
+    want = [_ref_split(t, keep_empty) for t in _KERNEL_TEXTS]
+    assert datapipe._split(texts, keep_empty).to_pylist() == want
+    assert datapipe._split(texts[:0], keep_empty).to_pylist() == []
+
+    b = pa.table({"doc_id": pa.chunked_array([[10, 11, 12], [13, 14, 15, 16]]),
+                  "lang": pa.chunked_array([["en"] * 3, ["de"] * 4]),
+                  "text": texts})
+    rows = datapipe._token_rows(b, ["doc_id", "lang"], keep_empty)
+    assert rows.column_names == ["doc_id", "lang", "term"]
+    assert rows.to_pylist() == [
+        {"doc_id": 10 + i, "lang": "en" if i < 3 else "de", "term": w}
+        for i, toks in enumerate(want) for w in toks]
+
+    tf = datapipe._term_tf(b, keep_empty=keep_empty)
+    assert tf.column_names == ["doc_id", "term", "tf"]
+    assert sorted(tf.to_pylist(), key=lambda r: (r["doc_id"], r["term"])) \
+        == [{"doc_id": 10 + i, "term": w, "tf": c}
+            for i, toks in enumerate(want)
+            for w, c in sorted(Counter(toks).items())]
+
+
+def test_token_kernel_raw_text_keeps_inner_empty_tokens():
+    """``norm=False`` splits the raw text: only an empty text loses its
+    '' token (the span-window contract)."""
+    texts = pa.array(["", "a  b", " c", "d"])
+    assert datapipe._split(texts, norm=False).to_pylist() == \
+        [[], ["a", "", "b"], ["", "c"], ["d"]]
+    lens, n_seg, seg_doc, seg_id, segs = datapipe._token_window_lists(
+        texts, 2)
+    assert lens.tolist() == [0, 3, 2, 1]
+    assert n_seg.tolist() == [0, 2, 1, 1]
+    assert list(zip(seg_doc.tolist(), seg_id.tolist())) == \
+        [(1, 0), (1, 1), (2, 0), (3, 0)]
+    assert segs.to_pylist() == ["a ", "b", " c", "d"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ragged_ngrams_match_python(n):
+    """Grams, their docs and start positions, and the per-position token
+    arrays, on docs shorter and longer than n and on the [''] doc."""
+    toks = datapipe._split(pa.array(_KERNEL_TEXTS), keep_empty=True)
+    want = [(d, t[i:i + n], i) for d, t in enumerate(toks.to_pylist())
+            for i in range(len(t) - n + 1)]
+    doc_of, grams, g, pos = datapipe._ragged_ngrams(toks, n)
+    assert list(zip(doc_of.tolist(), grams.to_pylist(), pos.tolist())) \
+        == [(d, " ".join(w), i) for d, w, i in want]
+    assert g.tolist() == [max(len(t) - n + 1, 0) for t in toks.to_pylist()]
+    _, parts, _, _ = datapipe._ragged_ngrams(toks, n, join=False)
+    assert [list(w) for w in zip(*(p.to_pylist() for p in parts))] == \
+        [w for _, w, _ in want]
+
+
+def test_knn_graph_with_empty_blocks_matches_numpy(ray_session, dup_dir):
+    """6 vectors read as 8 blocks: two blocks have no rows, and no tile
+    may see one (a zero-row block has no width to reshape by)."""
+    t = pq.read_table(f"{dup_dir}/embeddings.parquet")
+    ids = t["vec_id"].to_numpy()
+    m = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    sims = m @ m.T
+    k = 2
+    want = sorted(
+        (int(ids[i]), int(ids[j]), r + 1)
+        for i in range(len(ids))
+        for r, j in enumerate(sorted((j for j in range(len(ids)) if j != i),
+                                     key=lambda j: (-sims[i, j], ids[j]))[:k]))
+    got = _collect(datapipe.knn_graph(dup_dir, k=k, num_blocks=8),
+                   ("src_id", pa.int64()), ("dst_id", pa.int64()),
+                   ("rank", pa.int64()))
+    assert sorted(zip(*(got[c].to_pylist()
+                        for c in ("src_id", "dst_id", "rank")))) == want

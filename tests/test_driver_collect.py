@@ -4,7 +4,8 @@
 - static: ``to_arrow_refs`` is referenced only in ``upton_ray/shuffle.py``
   (a bare ``to_arrow_refs`` on a plan that has not run executes it, then
   starts it again for the schema and cancels that run mid-task), and
-  ``take_all`` nowhere in ``upton_ray/``;
+  ``take_all`` and ``take_batch`` nowhere in ``upton_ray/`` (the leading
+  embedding rows are one parquet read, ``datapipe._emb_head``);
 - runtime: no ``to_arrow_refs`` call on an unexecuted plan while a sample
   of driver-collecting operators runs, and no limit-1 execution (a lazy
   schema read, a Dataset-level aggregate, a one-row take) in the joins and
@@ -54,6 +55,7 @@ def test_to_arrow_refs_only_in_shuffle():
 
 def test_no_take_all_in_package():
     assert _attr_users("take_all") == set()
+    assert _attr_users("take_batch") == set()
 
 
 def test_collect_drops_empty_blocks_and_types_empty_result(ray_session):
@@ -182,6 +184,23 @@ def test_ann_collects_queries_times_k(ray_session, monkeypatch, emb_parts,
     out = getattr(datapipe, op)(emb_parts, n_queries=4, **kw)
     assert out.num_rows == 40
     assert sizes and max(sizes) <= 4 * bound, sizes
+
+
+@pytest.mark.parametrize("n", [0, 4, 5000, 9000, 40000])
+def test_emb_head_is_take_batch(ray_session, monkeypatch, emb_parts, n):
+    """The leading rows of an 8-file directory, across file boundaries
+    and past the end, as the Ray plan's ``take_batch`` returns them when
+    it keeps block order (without ``preserve_order`` a later file's block
+    can come first)."""
+    import ray
+
+    monkeypatch.setattr(ray.data.DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    got = datapipe._emb_head(emb_parts, n)
+    want = datapipe._emb(emb_parts).take_batch(n, batch_format="pyarrow") \
+        if n else got.slice(0, 0)
+    assert got.num_rows == min(n, 8 * 4096)
+    assert got.equals(want)
 
 
 def test_column_agg_matches_pyarrow(ray_session):

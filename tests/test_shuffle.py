@@ -212,6 +212,34 @@ def test_group_agg_empty_and_stale_blocks(ray_session):
     assert t["m"].to_pylist() == [3.0, 4.0, 5.0]
 
 
+@pytest.mark.parametrize("kw", [{"batch_size": None}, {}, {"batch_size": 1}],
+                         ids=["None", "default", "1"])
+def test_map_batches_never_sees_an_empty_block(ray_session, kw):
+    """Ray Data does not call a ``map_batches`` function on a zero-row
+    block (stale schema or not) or a zero-column one, whatever the batch
+    size, and not at all when every block is empty.  So no function that
+    only ``map_batches`` runs (``group_agg``'s partial, the datapipe row
+    maps) guards against one; reduces and remote tasks still do."""
+    stale = pa.table({"x": pa.array([], pa.string())})
+    live = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+
+    def live_only(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0 or b.num_columns == 0:
+            raise AssertionError(f"called on an empty block: {b.schema}")
+        return b
+
+    def never(b: pa.Table) -> pa.Table:
+        raise AssertionError("called on an all-empty input")
+
+    for fn, blocks, want in (
+            (live_only, [stale, pa.table({}), live], [1, 2, 3]),
+            (never, [stale, pa.table({}), stale.slice(0, 0)], [])):
+        ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
+        out = collect(ds.map_batches(fn, batch_format="pyarrow", **kw),
+                      live.schema)
+        assert sorted(out["k"].to_pylist()) == want
+
+
 def test_group_agg_empty_input_typed_by_collect(ray_session):
     """No block with a row anywhere: every partition is a zero-column
     block, which collect's fallback schema types."""

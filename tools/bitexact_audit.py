@@ -21,7 +21,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from check_queries import canon, to_pandas  # noqa: E402
+from check_queries import canon, shutdown, to_pandas  # noqa: E402
 
 
 def main():
@@ -80,7 +80,7 @@ def main():
         print(f"{name:24s} {status} {dt:6.2f}s")
         if worst:
             soft.append((name, worst))
-    ray.shutdown()
+    shutdown()
     print(f"\n{len(names) - len(soft)}/{len(names)} bit-exact")
     if soft:
         print("needs hardening or rotation out of the window:")

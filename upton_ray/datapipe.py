@@ -45,6 +45,12 @@ Operators:
   `media_decode_real`/`media_phash_real` run GENUINE PNG/BMP/PPM bytes
   through real pure-Python codecs + a real DCT perceptual hash
   (upton_ray/mediadec.py) — round 5 closed the "fake decoders" flag.
+
+Text: every op tokenizes through one helper, :func:`_split` (the
+single-space split of the :func:`_norm_text` text), and builds word
+n-grams with :func:`_ragged_ngrams`.  An empty text has two contracts,
+chosen per op with ``keep_empty``: Python ``str.split()`` (no token) or
+DuckDB ``string_split`` with no filter (the one token '').
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ from upton_ray.fetch import per_process  # noqa: E402
 from upton_ray.shuffle import _first_file, column_agg  # noqa: E402
 from upton_ray.shuffle import block_refs, block_scan, collect  # noqa: E402
 from upton_ray.shuffle import _first_n_per_group, grouped_top_n  # noqa: E402
-from upton_ray.shuffle import group_agg  # noqa: E402
+from upton_ray.shuffle import _agg_table, group_agg  # noqa: E402
 from upton_ray.shuffle import hash_reduce as _hash_reduce  # noqa: E402
 from upton_ray.shuffle import (hash_partition_refs as _hash_partition_refs,  # noqa: E402
                                _coalesce_refs, _hash_split)
@@ -111,6 +117,58 @@ def _norm_text(texts: pa.Array) -> pa.Array:
     lower(trim(regexp_replace(text, '\\s+', ' ', 'g')))."""
     t = pc.replace_substring_regex(texts, pattern=NORM_RE, replacement=" ")
     return pc.utf8_trim_whitespace(pc.utf8_lower(t))
+
+
+def _split(texts, keep_empty: bool = False, norm: bool = True):
+    """The one tokenizer: the single-space split of the ``_norm_text``
+    text (raw text with ``norm=False``), one list<string> row per text.
+
+    An empty text has two contracts.  ``keep_empty=False`` is Python's
+    ``str.split()``: an empty text has no token.  ``keep_empty=True`` is
+    DuckDB's ``string_split`` with no filter: an empty text is the one
+    token ''.  Normalized text only has a '' token when it is empty."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    if norm:
+        texts = _norm_text(texts)
+    toks = pc.split_pattern(texts, pattern=" ")
+    if keep_empty:
+        return toks
+    empty = pc.fill_null(pc.equal(texts, ""), False) \
+        .to_numpy(zero_copy_only=False)
+    if not empty.any():
+        return toks
+    lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+    keep = np.repeat(~empty, lens)
+    off = np.zeros(len(lens) + 1, dtype=np.int32)
+    np.cumsum(np.where(empty, 0, lens), out=off[1:])
+    return pa.ListArray.from_arrays(
+        pa.array(off), pc.list_flatten(toks).filter(pa.array(keep)))
+
+
+def _tokens(texts, keep_empty: bool = False) -> tuple:
+    """(row index, token) of every token of ``texts`` (:func:`_split`), in
+    row then position order: an int64 numpy array and a string array."""
+    toks = _split(texts, keep_empty)
+    return (pc.list_parent_indices(toks).to_numpy(zero_copy_only=False),
+            pc.list_flatten(toks))
+
+
+def _token_rows(b: pa.Table, keys=(), keep_empty: bool = False) -> pa.Table:
+    """One row per token of ``b["text"]`` (:func:`_tokens`): the ``keys``
+    columns of the token's row, then ``term``."""
+    rows, terms = _tokens(b["text"], keep_empty)
+    rows = pa.array(rows)
+    return pa.table([pc.take(b[k], rows) for k in keys] + [terms],
+                    names=[*keys, "term"])
+
+
+def _term_tf(b: pa.Table, keys=("doc_id",),
+             keep_empty: bool = False) -> pa.Table:
+    """``(keys..., term, tf)``: each distinct term's count per ``keys``
+    value in this block."""
+    return _agg_table(_token_rows(b, keys, keep_empty), [*keys, "term"],
+                      {"tf": (None, "count_all")})
 
 
 def _md5_hex(strings) -> list[str]:
@@ -980,6 +1038,29 @@ def _emb(sf_dir: str):
                                  columns=["vec_id", "embedding"])
 
 
+def _emb_head(sf_dir: str, n: int) -> pa.Table:
+    """The leading ``n`` rows of :func:`_emb`: a driver read of the
+    parquet files in sorted path order until it has ``n`` rows, not a Ray
+    plan under a ``LimitOperator``."""
+    import pyarrow.parquet as _pq
+
+    cols = ["vec_id", "embedding"]
+    path = f"{sf_dir}/embeddings.parquet"
+    files = [path] if os.path.isfile(path) else sorted(
+        os.path.join(root, f) for root, _dirs, fs in os.walk(path)
+        for f in fs if f.endswith(".parquet"))
+    schema = _pq.read_schema(files[0])
+    head, got = [], 0
+    for b in (b for f in files for b in _pq.ParquetFile(f).iter_batches(
+            batch_size=max(n, 1), columns=cols)):
+        if got >= n:
+            break
+        head.append(b.slice(0, n - got))
+        got += head[-1].num_rows
+    return pa.Table.from_batches(
+        head, pa.schema([schema.field(c) for c in cols]))
+
+
 def _emb_matrix(batch: pa.Table) -> np.ndarray:
     col = batch["embedding"]
     if isinstance(col, pa.ChunkedArray):
@@ -1023,8 +1104,8 @@ def ann_topk(sf_dir: str, n_queries: int = 4, k: int = 10) -> pa.Table:
     """Brute-force cosine top-k: queries broadcast once (ray.put), each batch
     computes a (batch x q) matmul and emits its local top-k candidates per
     query, merged by :func:`_topk_merge`. Ties break by vec_id.  The query
-    rows come from ``take_batch`` (limit-pushdown read of the first rows) —
-    never a driver-side read of the full table."""
+    rows are the leading rows (:func:`_emb_head`) — never a driver-side
+    read of the full table."""
     return _brute_topk_ranks(sf_dir, n_queries, k, "cosine")
 
 
@@ -1064,11 +1145,11 @@ def ann_ivf(sf_dir: str, n_queries: int = 4, k: int = 10, n_cells: int = 8,
     ``nprobe < n_cells``, so the driver gate checks rows-only (no SQL
     oracle), like simhash.
 
-    The quantizer trains on a bounded ``take_batch(train_sample)`` sample
-    (limit-pushdown read of the leading rows — at corpus scale, point it at a
+    The quantizer trains on a bounded ``_emb_head(train_sample)`` sample
+    (a driver read of the leading rows — at corpus scale, point it at a
     seeded sample shard); the driver never reads the full table.
     """
-    head = _emb(sf_dir).take_batch(train_sample, batch_format="pyarrow")
+    head = _emb_head(sf_dir, train_sample)
     sample = _emb_matrix(head)
     sample = sample / np.linalg.norm(sample, axis=1, keepdims=True)
     cents = _kmeans_cosine(sample, n_cells)
@@ -1249,8 +1330,6 @@ def sessionize(sf_dir: str, gap_minutes: int = 30, *, num_blocks: int = 8):
         return np.flatnonzero(change), n
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return _sessions_vec(b)
         bounds, n = _user_bounds(b)
         lo, hi = bounds[1], bounds[-2]           # strip edge user segments
         if lo >= hi:
@@ -1258,8 +1337,6 @@ def sessionize(sf_dir: str, gap_minutes: int = 30, *, num_blocks: int = 8):
         return _sessions_vec(b.slice(lo, hi - lo))
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
         bounds, n = _user_bounds(b)
         keep = np.zeros(n, dtype=bool)
         keep[:bounds[1]] = True
@@ -1925,23 +2002,12 @@ def events_sliding(sf_dir: str):
         post=finish)
 
 
-def _term_rows(batch: pa.Table) -> pa.Table:
-    """One ``term`` row per token of ``batch["text"]``.  Arrow-native
-    tokenize: split on the single space _norm_text guarantees, flatten —
-    no per-doc Python.  Empty docs split to [''], which str.split()
-    semantics (and the SQL oracle's corpus) never count, so '' terms are
-    dropped."""
-    flat = pc.list_flatten(
-        pc.split_pattern(_norm_text(batch["text"]), pattern=" "))
-    return pa.table({"term": flat.filter(pc.not_equal(flat, ""))})
-
-
 def _top_terms(sf_dir: str, k: int) -> pa.Table:
     """The k most frequent (term, n) of the corpus, n descending then term
     ascending."""
     order = [("n", "descending"), ("term", "ascending")]
     agg = group_agg(_docs(sf_dir, ["text"])
-                    .map_batches(_term_rows, batch_format="pyarrow",
+                    .map_batches(_token_rows, batch_format="pyarrow",
                                  batch_size=None),
                     ["term"], {"n": (None, "count_all")},
                     post=lambda t: t.sort_by(order).slice(0, k))
@@ -2212,15 +2278,11 @@ def asof_join_events(sf_dir: str, *, num_blocks: int = 8) -> pa.Table:
         return np.flatnonzero(change), n
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return sweep(b)
         bounds, n = _user_bounds(b)
         lo, hi = bounds[1], bounds[-2]
         return sweep(b.slice(lo, hi - lo) if lo < hi else b.slice(0, 0))
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
         bounds, n = _user_bounds(b)
         keep = np.zeros(n, dtype=bool)
         keep[:bounds[1]] = True
@@ -2415,7 +2477,7 @@ def ann_range_search(sf_dir: str, n_queries: int = 4,
     query (the retrieval-dedup sibling of top-k).  Queries broadcast once
     (ray.put), one matmul per streamed block, only (query_id, vec_id) id
     pairs ever leave a task."""
-    qt = _emb(sf_dir).take_batch(n_queries, batch_format="pyarrow")
+    qt = _emb_head(sf_dir, n_queries)
     Q = _emb_matrix(qt)
     Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
     qids = qt["vec_id"].to_numpy(zero_copy_only=False)
@@ -2556,21 +2618,10 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
     V_EMPTY = pa.table({"term": pa.array([], pa.string()),
                         "df": pa.array([], pa.int64())})
 
-    def doc_terms(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(np.repeat(
-                b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks)})
-        # one row per (doc, term): a term's row count is its df
-        return t.filter(pc.not_equal(t["term"], "")) \
-            .group_by(["doc_id", "term"]).aggregate([])
-
+    # one row per (doc, term): a term's row count is its df
     dfv = group_agg(
         _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            doc_terms, batch_format="pyarrow", batch_size=None),
+            _term_tf, batch_format="pyarrow", batch_size=None),
         ["term"], {"df": (None, "count_all")}).materialize()
 
     if dfv.size_bytes() <= broadcast_limit_bytes:
@@ -2582,27 +2633,14 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
         v_ref = ray.put((vt["term"].combine_chunks(), idf_np))
 
         def score_pick(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
+            g = _term_tf(b)
+            if g.num_rows == 0:
                 return W_EMPTY
-            toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-            n_per = pc.list_value_length(toks).to_numpy(
-                zero_copy_only=False)
-            t = pa.table({
-                "doc_id": pa.array(np.repeat(
-                    b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                    pa.int64()),
-                "term": pc.list_flatten(toks)})
-            t = t.filter(pc.not_equal(t["term"], ""))
-            if t.num_rows == 0:
-                return W_EMPTY
-            g = t.group_by(["doc_id", "term"]).aggregate(
-                [([], "count_all")])
             terms_s, idf_s = ray.get(v_ref)    # zero-copy plasma view
             idx = pc.index_in(g["term"].combine_chunks(),
                               value_set=terms_s) \
                 .to_numpy(zero_copy_only=False)
-            tf = pc.cast(g["count_all"], pa.int64()).to_numpy(
-                zero_copy_only=False)
+            tf = g["tf"].to_numpy(zero_copy_only=False)
             scored = pa.table({
                 "doc_id": g["doc_id"], "term": g["term"],
                 "score": pa.array(tf * idf_s[idx], pa.int64())})
@@ -2621,25 +2659,8 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
 
     # ------- partitioned fallback (vocab past the broadcast cutoff)
 
-    def explode(b: pa.Table) -> pa.Table:
-        # Arrow-native (doc_id, term, tf) explode: list-split + repeat the
-        # doc_id by each doc's token count + one groupby-count — no per-doc
-        # Python loop. '' tokens (empty docs) are dropped to match
-        # str.split() / the oracle's string_split over non-empty docs.
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(
-                np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks)})
-        t = t.filter(pc.not_equal(t["term"], ""))
-        g = t.group_by(["doc_id", "term"]).aggregate([([], "count_all")])
-        return pa.table({"doc_id": g["doc_id"], "term": g["term"],
-                         "tf": pc.cast(g["count_all"], pa.int64())})
-
     rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        explode, batch_format="pyarrow")
+        _term_tf, batch_format="pyarrow")
 
     def part_score(t: pa.Table) -> pa.Table:
         """A term's rows land whole in one hash partition, so its df is a
@@ -2735,13 +2756,12 @@ def ann_pq(sf_dir: str, n_queries: int = 4, k: int = 10, n_sub: int = 16,
 def _pq_scan(sf_dir: str, n_queries: int, k: int, n_sub: int, n_cent: int,
              train_sample: int):
     """The ADC candidate pass of :func:`ann_pq` / :func:`ann_pq_rerank`:
-    a bounded take_batch sample trains the codebooks (broadcast —
+    a bounded _emb_head sample trains the codebooks (broadcast —
     n_sub*n_cent*sub_dim floats, KBs), then one streamed map_batches
     encodes AND scans each block against the query distance tables,
     emitting its :func:`_topk_candidates` with score = -dist.  Returns the
     candidate Dataset and the normalized (q x dim) query matrix."""
-    head = _emb(sf_dir).take_batch(max(train_sample, n_queries),
-                                   batch_format="pyarrow")
+    head = _emb_head(sf_dir, max(train_sample, n_queries))
     sample = _emb_matrix(head)
     sample = sample / np.linalg.norm(sample, axis=1, keepdims=True)
     books = _pq_train(sample[:train_sample], n_sub, n_cent)
@@ -2793,11 +2813,8 @@ def doc_chunk(sf_dir: str, size: int = 16, stride: int = 12):
                       "n_tokens": pa.array([], pa.int64())})
 
     def chunks(b: pa.Table) -> pa.Table:
-        toks = b["text"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        toks = pc.split_pattern(_norm_text(toks), pattern=" ")
-        return _chunk_batch(b["doc_id"], toks, size, stride, empty)
+        return _chunk_batch(b["doc_id"], _split(b["text"], keep_empty=True),
+                            size, stride, empty)
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         chunks, batch_format="pyarrow")
@@ -3012,12 +3029,12 @@ def kmeans_clusters(sf_dir: str, k: int = 8, iters: int = 5):
     via ray.put (k × dim floats, KBs), each batch computes assignments with
     a single |x|² − 2xCᵀ + |c|² matmul and emits k partial rows (per-cluster
     vector sum + count), and the driver folds k rows per block — never a
-    vector table.  Deterministic: init = first k rows (take_batch), no RNG.
+    vector table.  Deterministic: init = first k rows (_emb_head), no RNG.
     Iterative + seed-dependent ⇒ rows-only gate; convergence (monotone
     non-increasing inertia) and agreement with a single-process reference
     are pinned in tests."""
     emb = _emb(sf_dir).materialize()    # one read feeds all iters + assign
-    init = _emb_matrix(emb.take_batch(k, batch_format="pyarrow"))
+    init = _emb_matrix(_emb_head(sf_dir, k))
     cents = init.copy()
     dim = cents.shape[1]
 
@@ -3214,15 +3231,13 @@ def unigram_logprob(sf_dir: str, broadcast_limit_bytes: int = 2 << 30):
     terms ~ 2 GB is the cutoff), and past ``broadcast_limit_bytes`` the
     original partitioned two-exchange path below takes over unchanged.
     Total token count T = sum(cf), an exact int fold."""
-    import pyarrow.parquet as _pq  # noqa: F401  (parity with tfidf imports)
-
     docs = _docs(sf_dir, ["doc_id", "text"])
     EMPTY = pa.table({"doc_id": pa.array([], pa.int64()),
                       "logprob": pa.array([], pa.float64())})
     V_EMPTY = pa.table({"term": pa.array([], pa.string()),
                         "tf": pa.array([], pa.int64())})
     vocab = group_agg(
-        docs.map_batches(_term_rows, batch_format="pyarrow",
+        docs.map_batches(_token_rows, batch_format="pyarrow",
                          batch_size=None),
         ["term"], {"tf": (None, "count_all")}).materialize()
 
@@ -3236,30 +3251,14 @@ def unigram_logprob(sf_dir: str, broadcast_limit_bytes: int = 2 << 30):
         v_ref = ray.put((terms_pa, cf_np))
 
         def score(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
+            g = _term_tf(b)
+            if g.num_rows == 0:
                 return EMPTY
-            toks = b["text"]
-            if isinstance(toks, pa.ChunkedArray):
-                toks = toks.combine_chunks()
-            toks = pc.split_pattern(_norm_text(toks), pattern=" ")
-            n_per = pc.list_value_length(toks).to_numpy(
-                zero_copy_only=False)
-            t = pa.table({
-                "doc_id": pa.array(np.repeat(
-                    b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                    pa.int64()),
-                "term": pc.list_flatten(toks)})
-            t = t.filter(pc.not_equal(t["term"], ""))
-            if t.num_rows == 0:
-                return EMPTY
-            g = t.group_by(["doc_id", "term"]).aggregate(
-                [([], "count_all")])
             terms_s, cf_s = ray.get(v_ref)      # zero-copy plasma view
             idx = pc.index_in(g["term"].combine_chunks(),
                               value_set=terms_s) \
                 .to_numpy(zero_copy_only=False)
-            tf = pc.cast(g["count_all"], pa.int64()).to_numpy(
-                zero_copy_only=False).astype(np.float64)
+            tf = g["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
             contrib = tf * np.log(cf_s[idx] / T)   # same per-(doc,term)
             #   arithmetic as the partitioned path / SQL oracle
             ids = g["doc_id"].to_numpy(zero_copy_only=False)
@@ -3275,24 +3274,8 @@ def unigram_logprob(sf_dir: str, broadcast_limit_bytes: int = 2 << 30):
     # ------- partitioned fallback (vocab past the broadcast cutoff):
     # the v1 two-exchange shape — term-keyed score, doc-keyed fold
 
-    def explode(b: pa.Table) -> pa.Table:
-        toks = b["text"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        toks = pc.split_pattern(_norm_text(toks), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(
-                np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks)})
-        t = t.filter(pc.not_equal(t["term"], ""))
-        g = t.group_by(["doc_id", "term"]).aggregate([([], "count_all")])
-        return pa.table({"doc_id": g["doc_id"], "term": g["term"],
-                         "tf": pc.cast(g["count_all"], pa.int64())})
-
     rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        explode, batch_format="pyarrow").materialize()
+        _term_tf, batch_format="pyarrow").materialize()
 
     # total tokens T: tiny streamed sum over the exploded rows
     T = float(column_agg(rows, "tf", "sum", pa.int64()) or 0)
@@ -3336,18 +3319,8 @@ def type_token_ratio(sf_dir: str):
     one Arrow explode + per-batch grouped count-distinct (a doc's tokens
     never leave its batch, so no shuffle at all)."""
     def f(b: pa.Table) -> pa.Table:
-        toks = b["text"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        toks = pc.split_pattern(_norm_text(toks), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(
-                np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks)})
-        g = t.group_by("doc_id").aggregate(
-            [("term", "count_distinct"), ([], "count_all")])
+        g = _token_rows(b, ["doc_id"], keep_empty=True).group_by("doc_id") \
+            .aggregate([("term", "count_distinct"), ([], "count_all")])
         return pa.table({
             "doc_id": g["doc_id"],
             "n_tokens": pc.cast(g["count_all"], pa.int64()),
@@ -3778,32 +3751,32 @@ def dedup_filter(sf_dir: str, threshold: float = 0.8):
 # ------------------------------------------------- within/cross-doc n-grams
 
 
-def _ragged_ngrams(toks: pa.Array, n: int):
-    """Vectorized word n-grams over a list<string> column: returns
-    (doc_index_per_gram, gram_strings).  Pure offset arithmetic — one
-    np.repeat builds the ragged arange, n pc.take's + one
-    binary_join_element_wise build the gram strings; no per-doc Python."""
+def _ragged_ngrams(toks: pa.Array, n: int, join: bool = True):
+    """Vectorized word n-grams over a list<string> column (:func:`_split`):
+    returns (doc index per gram, grams, grams per doc, 0-based start
+    position of each gram in its doc).  ``grams`` is the ' '-joined
+    strings, or with ``join=False`` the list of the n token arrays.  Pure
+    offset arithmetic — one np.repeat builds the ragged arange and n
+    pc.take's gather the tokens; no per-doc Python."""
     flat = pc.list_flatten(toks)
     L = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
     g = np.maximum(L - (n - 1), 0)
     total = int(g.sum())
-    if total == 0:
-        return (np.zeros(0, dtype=np.int64),
-                pa.array([], pa.string()), g)
     off = np.r_[np.int64(0), np.cumsum(L)][:-1]
     doc_of = np.repeat(np.arange(len(L), dtype=np.int64), g)
     gexc = np.r_[np.int64(0), np.cumsum(g)][:-1]
-    within = np.arange(total, dtype=np.int64) - np.repeat(gexc, g)
-    j = off[doc_of] + within
+    pos = np.arange(total, dtype=np.int64) - np.repeat(gexc, g)
+    j = off[doc_of] + pos
     parts = [pc.take(flat, pa.array(j + i, pa.int64())) for i in range(n)]
-    grams = pc.binary_join_element_wise(*parts, " ")
-    return doc_of, grams, g
+    if not join:
+        return doc_of, parts, g, pos
+    return doc_of, pc.binary_join_element_wise(*parts, " "), g, pos
 
 
 def _repetition_ppm(toks: pa.Array, n: int = 3):
     """Per-doc Gopher repetition fractions (dup_ppm, top_ppm) over a
     list<string> token column — pure per-batch Arrow groupby + bincount."""
-    doc_of, grams, g = _ragged_ngrams(toks, n)
+    doc_of, grams, g, _ = _ragged_ngrams(toks, n)
     ndocs = len(toks)
     dup = np.zeros(ndocs, dtype=np.int64)
     top = np.zeros(ndocs, dtype=np.int64)
@@ -3853,10 +3826,7 @@ def prepare_corpus(sf_dir: str, threshold: float = 0.8,
         b = b.filter(pa.array(~drop))
         if b.num_rows == 0:
             return empty
-        toks = b["text"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        toks = pc.split_pattern(_norm_text(toks), pattern=" ")
+        toks = _split(b["text"], keep_empty=True)
         dup, _top = _repetition_ppm(toks, 3)
         ok = pa.array(dup <= max_dup_ppm)
         return _chunk_batch(b["doc_id"].filter(ok), toks.filter(ok),
@@ -3879,8 +3849,7 @@ def repetition_score(sf_dir: str, n: int = 3):
     zero shuffle, streams at any corpus size."""
 
     def score(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        dup, top = _repetition_ppm(toks, n)
+        dup, top = _repetition_ppm(_split(b["text"], keep_empty=True), n)
         return pa.table({"doc_id": b["doc_id"],
                          "dup_ppm": pa.array(dup, pa.int64()),
                          "top_ppm": pa.array(top, pa.int64())})
@@ -4573,26 +4542,6 @@ def q3_top_orders(sf_dir: str, segment: str = "BUILDING",
 # -------------------------------------------------------- retrieval scoring
 
 
-def _masked_row_counts(mask_i64: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Per-list-row sums of a flat 0/1 array — cumsum-diff, safe for empty
-    rows (``np.add.reduceat`` mis-handles repeated offsets)."""
-    c = np.zeros(len(mask_i64) + 1, dtype=np.int64)
-    np.cumsum(mask_i64, out=c[1:])
-    return c[off[1:]] - c[off[:-1]]
-
-
-def _tok_flat(texts) -> tuple:
-    """(offsets, flat_string_array) of the normalized whitespace tokens."""
-    toks = pc.split_pattern(_norm_text(texts), pattern=" ")
-    lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-    off = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    flat = pc.list_flatten(toks)
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    return off, flat
-
-
 def bm25_score(sf_dir: str,
                terms: tuple = ("scan", "window", "customer", "hash"),
                k1: float = 1.2, b: float = 0.75):
@@ -4618,16 +4567,17 @@ def bm25_score(sf_dir: str,
 
     nt = len(terms)
 
+    def counts(bt: pa.Table) -> tuple:
+        """(length, [tf of each query term]) of each doc of the batch."""
+        rows, flat = _tokens(bt["text"])
+        n = bt.num_rows
+        return np.bincount(rows, minlength=n), [
+            np.bincount(rows[pc.equal(flat, t).to_numpy(
+                zero_copy_only=False)], minlength=n) for t in terms]
+
     def stats(bt: pa.Table) -> pa.Table:
-        off, flat = _tok_flat(bt["text"])
-        ne = pc.cast(pc.not_equal(flat, ""), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        dl = _masked_row_counts(ne, off)
-        dfs = []
-        for t in terms:
-            eq = pc.cast(pc.equal(flat, t), pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            dfs.append(int((_masked_row_counts(eq, off) > 0).sum()))
+        dl, tfs = counts(bt)
+        dfs = [int((tf > 0).sum()) for tf in tfs]
         return pa.table({
             "term": pa.array(list(terms), pa.string()),
             "df": pa.array(dfs, pa.int64()),
@@ -4651,17 +4601,12 @@ def bm25_score(sf_dir: str,
                        / (df_by_term[t] + 0.5) + 1.0) for t in terms}
 
     def score(bt: pa.Table) -> pa.Table:
-        off, flat = _tok_flat(bt["text"])
-        ne = pc.cast(pc.not_equal(flat, ""), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        dl = _masked_row_counts(ne, off).astype(np.float64)
+        dl, tfs = counts(bt)
         denom_base = k1 * (1.0 - b + b * dl / avgdl)
         s = np.zeros(len(dl), dtype=np.float64)
         hit = np.zeros(len(dl), dtype=bool)
-        for t in terms:
-            eq = pc.cast(pc.equal(flat, t), pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            tf = _masked_row_counts(eq, off).astype(np.float64)
+        for t, tf in zip(terms, tfs):
+            tf = tf.astype(np.float64)
             s += idf[t] * tf * (k1 + 1.0) / (tf + denom_base)
             hit |= tf > 0
         return pa.table({
@@ -4758,16 +4703,11 @@ def oov_rate(sf_dir: str, vocab_k: int = 32):
 
     def score(b: pa.Table) -> pa.Table:
         vocab = ray.get(vocab_ref)
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(toks)
-        doc_idx = np.repeat(np.arange(len(n_per)), n_per)
-        valid = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+        doc_idx, flat = _tokens(b["text"])
         in_vocab = pc.is_in(flat, value_set=vocab) \
             .to_numpy(zero_copy_only=False)
-        n_docs = len(n_per)
-        n_tok = np.bincount(doc_idx[valid], minlength=n_docs)
-        oov = np.bincount(doc_idx[valid & ~in_vocab], minlength=n_docs)
+        n_tok = np.bincount(doc_idx, minlength=b.num_rows)
+        oov = np.bincount(doc_idx[~in_vocab], minlength=b.num_rows)
         keep = n_tok > 0
         return pa.table({
             "doc_id": b["doc_id"].filter(pa.array(keep)),
@@ -4920,50 +4860,27 @@ def event_dedup(sf_dir: str, window_seconds: int = 10):
 def _token_window_lists(texts: pa.Array, window: int):
     """Fixed ``window``-token segments of each text, fully vectorized.
 
-    Returns ``(lens, n_seg, seg_strings)`` where ``lens[i]`` is the token
-    count of doc i (Python ``str.split()`` semantics: the empty text has
-    ZERO tokens), ``n_seg[i] = ceil(lens[i]/window)`` and ``seg_strings``
-    is one flat string array of every doc's segments in (doc-major,
-    segment-minor) order.  The trick: per-doc token values are already
-    consecutive in the flattened split array, and segments never overlap,
-    so the segment list offsets are a pure numpy construction over the
-    flat values — no per-row Python."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    toks = pc.split_pattern(texts, pattern=" ")
-    raw_lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False) \
+    Returns ``(lens, n_seg, seg_doc, seg_id, seg_strings)`` where
+    ``lens[i]`` is the token count of doc i (Python ``str.split()``
+    semantics: the empty text has ZERO tokens), ``n_seg[i] =
+    ceil(lens[i]/window)``, ``seg_doc``/``seg_id`` are each segment's doc
+    and index in it, and ``seg_strings`` is one flat string array of
+    every doc's segments in (doc-major, segment-minor) order.  The raw
+    text is split, without ``_norm_text``."""
+    toks = _split(texts, norm=False)
+    lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False) \
         .astype(np.int64)
-    empty = pc.equal(texts, "").to_numpy(zero_copy_only=False)
-    lens = np.where(empty, 0, raw_lens)       # '' splits to [''] — drop it
     n_seg = -(-lens // window)                # ceil
-    flat = toks.flatten()                     # honors slices; doc-major
-    # positions in ``flat`` follow the RAW per-doc lengths (an empty doc
-    # still contributes its one '' token there); only the window count
-    # uses the adjusted lengths
-    doc_tok_start = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(raw_lens, out=doc_tok_start[1:])
-    total_seg = int(n_seg.sum())
-    seg_start0 = np.zeros(len(n_seg) + 1, dtype=np.int64)
-    np.cumsum(n_seg, out=seg_start0[1:])
-    g = np.arange(total_seg, dtype=np.int64)
     seg_doc = np.repeat(np.arange(len(lens), dtype=np.int64), n_seg)
-    seg_id = g - seg_start0[seg_doc]
-    starts = doc_tok_start[seg_doc] + seg_id * window
-    ends = np.minimum(starts + window, doc_tok_start[seg_doc + 1])
-    # ListArray offsets must be monotone and cover values exactly once:
-    # non-overlapping consecutive windows => ends[i] == starts[i+1] within
-    # a doc and == next doc's first start across docs, EXCEPT where the
-    # empty-text filter dropped the [''] token; re-slice values instead.
-    offsets = np.empty(total_seg + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(ends - starts, out=offsets[1:])
-    vals = flat.take(pa.array(
-        np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        if total_seg else np.array([], dtype=np.int64), type=pa.int64()))
-    seglist = pa.ListArray.from_arrays(pa.array(offsets, pa.int32())
-                                       if offsets[-1] < 2**31 - 1
-                                       else pa.array(offsets, pa.int64()),
-                                       vals)
+    seg_id = np.arange(len(seg_doc), dtype=np.int64) \
+        - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+    # the windows of a doc tile its tokens, so the segments are the
+    # consecutive slices of the flat tokens: only the offsets are new
+    offsets = np.zeros(len(seg_doc) + 1, dtype=np.int32)
+    np.cumsum(np.minimum(window, lens[seg_doc] - seg_id * window),
+              out=offsets[1:])
+    seglist = pa.ListArray.from_arrays(pa.array(offsets),
+                                       pc.list_flatten(toks))
     seg_strings = pc.binary_join(seglist, " ")
     return lens, n_seg, seg_doc, seg_id, seg_strings
 
@@ -5306,47 +5223,18 @@ def bigram_logprob(sf_dir: str):
     Output: (doc_id, n_bigrams, avg_logprob[round 6])."""
 
     def doc_bigrams(batch: pa.Table) -> pa.Table:
-        empty_t = pa.table({"doc_id": pa.array([], pa.int64()),
-                            "bg": pa.array([], pa.string()),
-                            "occ": pa.array([], pa.int64()),
-                            "lh": pa.array([], pa.uint64())})
-        texts = _norm_text(batch["text"])
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        di, bg, _, _ = _ragged_ngrams(_split(batch["text"]), 2)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        toks = pc.split_pattern(texts, pattern=" ")
-        raw_lens = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        empty = pc.equal(texts, "").to_numpy(zero_copy_only=False)
-        lens = np.where(empty, 0, raw_lens)
-        flat = toks.flatten()
-        start = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(raw_lens, out=start[1:])
-        n_bi = np.maximum(lens - 1, 0)
-        total = int(n_bi.sum())
-        if total == 0:
-            return empty_t
-        di = np.repeat(np.arange(len(ids), dtype=np.int64), n_bi)
-        bi0 = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(n_bi, out=bi0[1:])
-        pos = np.arange(total, dtype=np.int64) - bi0[di] + start[di]
-        bg = pc.binary_join_element_wise(
-            flat.take(pa.array(pos, pa.int64())),
-            flat.take(pa.array(pos + 1, pa.int64())), " ")
-        g = pa.table({"doc_id": pa.array(ids[di], pa.int64()),
-                      "bg": bg}).group_by(["doc_id", "bg"]) \
-            .aggregate([([], "count_all")])
-        gbg = g["bg"]
-        if isinstance(gbg, pa.ChunkedArray):
-            gbg = gbg.combine_chunks()
-        lw = pc.list_element(pc.split_pattern(gbg, " ", max_splits=1), 0)
+        g = _agg_table(pa.table({"doc_id": pa.array(ids[di], pa.int64()),
+                                 "bg": bg}), ["doc_id", "bg"],
+                       {"occ": (None, "count_all")})
+        lw = pc.list_element(pc.split_pattern(
+            g["bg"].combine_chunks(), " ", max_splits=1), 0)
         dl = pc.unique(lw)
         code = pc.index_in(lw, value_set=dl).to_numpy(zero_copy_only=False)
         dh = pd.util.hash_array(dl.to_numpy(zero_copy_only=False),
                                 categorize=False)
-        return pa.table({"doc_id": g["doc_id"], "bg": gbg,
-                         "occ": pc.cast(g["count_all"], pa.int64()),
-                         "lh": pa.array(dh[code], pa.uint64())})
+        return g.append_column("lh", pa.array(dh[code], pa.uint64()))
 
     def per_left(t: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -5703,27 +5591,10 @@ def token_entropy(sf_dir: str):
     Output: (doc_id, n_tokens, entropy[round 6])."""
 
     def f(b: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "n_tokens": pa.array([], pa.int64()),
-                          "entropy": pa.array([], pa.float64())})
-        if b.num_rows == 0:
-            return empty
-        texts = b["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        toks = pc.split_pattern(_norm_text(texts), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(
-                np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks)})
-        g = t.group_by(["doc_id", "term"]).aggregate([([], "count_all")])
-        if g.num_rows == 0:
-            return empty
+        # keep_empty: every doc has a token, so a block has a (doc, term)
+        g = _term_tf(b, keep_empty=True)
         dids = g["doc_id"].to_numpy(zero_copy_only=False)
-        cnts = g["count_all"].to_numpy(zero_copy_only=False).astype(
-            np.float64)
+        cnts = g["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
         order = np.argsort(dids, kind="stable")
         dids, cnts = dids[order], cnts[order]
         starts = np.flatnonzero(np.r_[True, dids[1:] != dids[:-1]])
@@ -5828,8 +5699,6 @@ def user_path(sf_dir: str, k: int = 10, *, num_blocks: int = 8):
         return np.flatnonzero(change), n
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return _paths_vec(b)
         bounds, _ = _user_bounds(b)
         lo, hi = bounds[1], bounds[-2]
         if lo >= hi:
@@ -5837,8 +5706,6 @@ def user_path(sf_dir: str, k: int = 10, *, num_blocks: int = 8):
         return _paths_vec(b.slice(lo, hi - lo))
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
         bounds, n = _user_bounds(b)
         keep = np.zeros(n, dtype=bool)
         keep[:bounds[1]] = True
@@ -5881,36 +5748,9 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
     Output: (rank, lw, rw, n, pmi)."""
 
     def batch_bigrams(b: pa.Table) -> pa.Table:
-        empty = pa.table({"lw": pa.array([], pa.string()),
-                          "rw": pa.array([], pa.string()),
-                          "occ": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        texts = _norm_text(b["text"])
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        toks = pc.split_pattern(texts, pattern=" ")
-        raw_lens = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        lens = np.where(
-            pc.equal(texts, "").to_numpy(zero_copy_only=False), 0, raw_lens)
-        flat = toks.flatten()
-        start = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(raw_lens, out=start[1:])
-        n_bi = np.maximum(lens - 1, 0)
-        total = int(n_bi.sum())
-        if total == 0:
-            return empty
-        di = np.repeat(np.arange(len(lens), dtype=np.int64), n_bi)
-        bi0 = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(n_bi, out=bi0[1:])
-        pos = np.arange(total, dtype=np.int64) - bi0[di] + start[di]
-        g = pa.table({
-            "lw": flat.take(pa.array(pos, pa.int64())),
-            "rw": flat.take(pa.array(pos + 1, pa.int64())),
-        }).group_by(["lw", "rw"]).aggregate([([], "count_all")])
-        return pa.table({"lw": g["lw"], "rw": g["rw"],
-                         "occ": pc.cast(g["count_all"], pa.int64())})
+        _, (lw, rw), _, _ = _ragged_ngrams(_split(b["text"]), 2, join=False)
+        return _agg_table(pa.table({"lw": lw, "rw": rw}), ["lw", "rw"],
+                          {"occ": (None, "count_all")})
 
     def per_left(t: pa.Table) -> pa.Table:
         """Exact per-(lw, rw) counts for this lw-partition, TWO row kinds
@@ -6038,31 +5878,13 @@ def dsir_select(sf_dir: str, k: int = 500):
                      "source", "min", pa.string())
 
     def explode(b: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "term": pa.array([], pa.string()),
-                          "occ": pa.array([], pa.int64()),
-                          "occ_tgt": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        texts = b["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        toks = pc.split_pattern(_norm_text(texts), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        is_tgt = pc.equal(b["source"], tgt).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "doc_id": pa.array(
-                np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per),
-                pa.int64()),
-            "term": pc.list_flatten(toks),
-            "w_tgt": pa.array(
-                np.repeat(is_tgt.astype(np.int64), n_per), pa.int64())})
-        g = t.group_by(["doc_id", "term"]).aggregate(
-            [([], "count_all"), ("w_tgt", "sum")])
-        return pa.table({
-            "doc_id": g["doc_id"], "term": g["term"],
-            "occ": pc.cast(g["count_all"], pa.int64()),
-            "occ_tgt": pc.cast(g["w_tgt_sum"], pa.int64())})
+        # a doc's is-target flag is a key: it is constant per doc_id
+        g = _term_tf(b.append_column("tgt", pc.cast(
+            pc.equal(b["source"], tgt), pa.int64())), ["doc_id", "tgt"],
+            keep_empty=True)
+        return pa.table({"doc_id": g["doc_id"], "term": g["term"],
+                         "occ": g["tf"],
+                         "occ_tgt": pc.multiply(g["tf"], g["tgt"])})
 
     def per_term(t: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -6157,9 +5979,6 @@ def retention_cohorts(sf_dir: str):
     Output: (cohort_day 'YYYY-MM-DD', day_offset, n_users), sorted."""
 
     def days(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "day": pa.array([], pa.date32())})
         t = pa.table({"user_id": b["user_id"],
                       "day": b["ts"].cast(pa.date32())})
         g = t.group_by(["user_id", "day"]).aggregate([])
@@ -6226,8 +6045,6 @@ def _sorted_user_sweep(sf_dir: str, columns, sweep_fn, *, num_blocks=8):
         return np.flatnonzero(change), n
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return sweep_fn(b)
         bounds, _ = _user_bounds(b)
         lo, hi = bounds[1], bounds[-2]
         if lo >= hi:
@@ -6235,8 +6052,6 @@ def _sorted_user_sweep(sf_dir: str, columns, sweep_fn, *, num_blocks=8):
         return sweep_fn(b.slice(lo, hi - lo))
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
         bounds, n = _user_bounds(b)
         keep = np.zeros(n, dtype=bool)
         keep[:bounds[1]] = True
@@ -6333,19 +6148,7 @@ def first_last_touch(sf_dir: str):
     rows ever crosses the exchange, so the op is a pure combiner shape
     like :func:`time_decay_score`.  Output:
     (user_id, first_touch, last_touch, n_events)."""
-    EMPTY = pa.table({
-        "user_id": pa.array([], pa.int64()),
-        "f_ts": pa.array([], pa.int64()),
-        "f_eid": pa.array([], pa.int64()),
-        "first_touch": pa.array([], pa.string()),
-        "l_ts": pa.array([], pa.int64()),
-        "l_eid": pa.array([], pa.int64()),
-        "last_touch": pa.array([], pa.string()),
-        "n": pa.array([], pa.int64())})
-
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return EMPTY
         u = b["user_id"].to_numpy(zero_copy_only=False)
         tsi = b["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
@@ -6532,7 +6335,7 @@ def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
 
     Output: (query_id, vec_id, rank) like :func:`ann_topk` (rows-only
     gate + recall contract)."""
-    qt = _emb(sf_dir).take_batch(n_queries, batch_format="pyarrow")
+    qt = _emb_head(sf_dir, n_queries)
     Q = _emb_matrix(qt)
     Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
     q_ref = ray.put(Qn)
@@ -6900,7 +6703,8 @@ def knn_graph(sf_dir: str, k: int = 5, num_blocks: int = 8):
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"],
                                override_num_blocks=num_blocks)
-    refs = block_refs(ds)
+    # a tile of a zero-row block has no embedding width to reshape by
+    refs = block_refs(ds, nonempty=True)
     tiles = [[_knn_tile.remote(q, c, k) for c in refs] for q in refs]
     return ray.data.from_arrow_refs(
         [_knn_merge.remote(k, *row) for row in tiles])
@@ -6969,31 +6773,20 @@ def top_terms_per_lang(sf_dir: str, top_n: int = 5):
                       "n": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int64())})
 
-    def partial(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "lang": pc.take(b["lang"], pa.array(
-                np.repeat(np.arange(len(n_per)), n_per), pa.int64())),
-            "term": pc.list_flatten(toks)})
-        t = t.filter(pc.not_equal(t["term"], ""))
-        g = t.group_by(["lang", "term"]).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "term": g["term"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
     def fold(t: pa.Table) -> pa.Table:
         if "lang" not in t.column_names or t.num_rows == 0:
             return EMPTY
-        g = t.group_by(["lang", "term"]).aggregate([("n", "sum")])
+        g = t.group_by(["lang", "term"]).aggregate([("tf", "sum")])
         return _first_n_per_group(
             pa.table({"lang": g["lang"], "term": g["term"],
-                      "n": pc.cast(g["n_sum"], pa.int64())}),
+                      "n": pc.cast(g["tf_sum"], pa.int64())}),
             ["lang"], [("n", "descending"), ("term", "ascending")], top_n,
             rn_col="rank")
 
     return _hash_reduce(
         _docs(sf_dir, ["lang", "text"]).map_batches(
-            partial, batch_format="pyarrow", batch_size=None),
+            lambda b: _term_tf(b, ["lang"]), batch_format="pyarrow",
+            batch_size=None),
         ["lang"], fold)
 
 
@@ -7002,7 +6795,7 @@ def _brute_topk_ranks(sf_dir: str, n_queries: int, k: int,
     """Shared blockwise brute-force top-k (:func:`ann_topk`) for either
     cosine (normalized matmul) or raw inner product; returns the merged
     (query_id, vec_id, rank) table.  Ties break by vec_id."""
-    qt = _emb(sf_dir).take_batch(n_queries, batch_format="pyarrow")
+    qt = _emb_head(sf_dir, n_queries)
     Q = _emb_matrix(qt)
     if metric == "cosine":
         Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
@@ -7150,7 +6943,7 @@ def vocab_coverage(sf_dir: str, tops=(100, 1000, 10000)):
     |vocab| ints, never token instances.  Coverage = exact int64 sums and
     one division.  Output: (top_n, covered, total, coverage)."""
     red = group_agg(_docs(sf_dir, ["text"]).map_batches(
-        _term_rows, batch_format="pyarrow", batch_size=None),
+        _token_rows, batch_format="pyarrow", batch_size=None),
         ["term"], {"n": (None, "count_all")})
     all_t = collect(red, pa.schema([("term", pa.string()), ("n", pa.int64())]))
     if all_t.num_rows == 0:
@@ -7555,12 +7348,10 @@ def _bpe_word_counts(sf_dir: str, limit_bytes: int):
     V_EMPTY = pa.table({"word": pa.array([], pa.string()),
                         "n": pa.array([], pa.int64())})
 
-    def words(b: pa.Table) -> pa.Table:
-        return _term_rows(b).rename_columns(["word"])
-
     wc = group_agg(
-        _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            words, batch_format="pyarrow", batch_size=None),
+        _docs(sf_dir, ["text"]).map_batches(
+            lambda b: _token_rows(b).rename_columns(["word"]),
+            batch_format="pyarrow", batch_size=None),
         ["word"], {"n": (None, "count_all")}).materialize()
     if wc.size_bytes() > limit_bytes:
         raise ValueError(
@@ -7689,29 +7480,20 @@ def bpe_encode(sf_dir: str, n_merges: int = 30,
     v_ref = ray.put((pa.array(kept_words, pa.string()), pieces))
 
     def encode(b: pa.Table) -> pa.Table:
-        toks = b["text"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        toks = pc.split_pattern(_norm_text(toks), pattern=" ")
-        n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(toks)
-        mask = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+        di, flat = _tokens(b["text"])
         vocab_pa, pieces_np = ray.get(v_ref)   # zero-copy plasma view
         idx = pc.index_in(flat, value_set=vocab_pa)
         idxn = idx.to_numpy(zero_copy_only=False).astype(np.float64)
-        known = ~np.isnan(idxn) & mask
+        known = ~np.isnan(idxn)
         per_tok = np.zeros(len(idxn), dtype=np.int64)
         per_tok[known] = pieces_np[idxn[known].astype(np.int64)]
         # OOV fallback: character count (an unmerged word is all singles)
-        oov = ~known & mask
-        if oov.any():
-            per_tok[oov] = pc.utf8_length(flat).to_numpy(
-                zero_copy_only=False)[oov]
-        di = np.repeat(np.arange(len(ids), dtype=np.int64), n_per)
+        if not known.all():
+            per_tok[~known] = pc.utf8_length(flat).to_numpy(
+                zero_copy_only=False)[~known]
         n_pieces = np.bincount(di, weights=per_tok,
-                               minlength=len(ids)).astype(np.int64)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                               minlength=b.num_rows).astype(np.int64)
+        return pa.table({"doc_id": b["doc_id"],
                          "n_pieces": pa.array(n_pieces, pa.int64())})
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
@@ -7798,7 +7580,7 @@ def semdedup(sf_dir: str, k: int | None = None, threshold: float = 0.92,
     threshold>1 identity are pinned in tests/test_round5c_ops.py."""
     if k is None:
         k = max(8, _parquet_rows(f"{sf_dir}/embeddings.parquet") // 20_000)
-    head = _emb(sf_dir).take_batch(train_sample, batch_format="pyarrow")
+    head = _emb_head(sf_dir, train_sample)
     sample = _emb_matrix(head)
     sample = sample / np.maximum(
         np.linalg.norm(sample, axis=1, keepdims=True), 1e-30)
@@ -7868,18 +7650,14 @@ def _hashed_bow(texts: pa.Array, dim: int,
     the problem well (probed: l1 counts plateau at 0.77 accuracy where
     presence reaches 1.0).  Pure Arrow/numpy: one split, one flatten, one
     scatter — no per-doc Python."""
-    toks = pc.split_pattern(_norm_text(texts), pattern=" ")
-    n_per = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-    flat = pc.list_flatten(toks)
+    di, flat = _tokens(texts)
     flat_np = np.asarray(flat.to_pylist(), dtype=object)
-    nz = flat_np != ""
-    di = np.repeat(np.arange(len(n_per), dtype=np.int64), n_per)
-    feat = (pd.util.hash_array(flat_np[nz], categorize=False)
+    feat = (pd.util.hash_array(flat_np, categorize=False)
             % np.uint64(dim)).astype(np.int64)
-    X = np.zeros((len(n_per), dim), dtype=np.float64)
-    X[di[nz], feat] = 1.0
-    y = np.zeros(len(n_per), dtype=np.float64)
-    np.add.at(y, di[nz][flat_np[nz] == label_term], 1.0)
+    X = np.zeros((len(texts), dim), dtype=np.float64)
+    X[di, feat] = 1.0
+    y = np.zeros(len(texts), dtype=np.float64)
+    np.add.at(y, di[flat_np == label_term], 1.0)
     return X, (y > 0).astype(np.float64)
 
 
@@ -7997,23 +7775,20 @@ def _doc_grams(b: pa.Table, n: int) -> pa.Table:
     """The batch's word n-grams, once per (doc, gram): a gram's row count
     is then its document frequency — shared by dup_ngrams and
     substring_dedup."""
-    toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-    doc_of, grams, _ = _ragged_ngrams(toks, n)
+    toks = _split(b["text"], keep_empty=True)
+    doc_of, grams, _, _ = _ragged_ngrams(toks, n)
     return pa.table({"d": pa.array(doc_of, pa.int64()), "gram": grams}) \
         .group_by(["d", "gram"]).aggregate([])
 
 
 def _gram_positions(b: pa.Table, n: int):
-    """(toks, L, doc_of, grams, pos): every word-n-gram occurrence of the
-    batch with its 0-based start position inside its doc.  Pure offset
-    arithmetic (the _ragged_ngrams ragged-arange trick, re-run for pos)."""
-    toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-    L = pc.list_value_length(toks).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    doc_of, grams, g = _ragged_ngrams(toks, n)
-    gexc = np.r_[np.int64(0), np.cumsum(g)][:-1]
-    pos = np.arange(len(doc_of), dtype=np.int64) - np.repeat(gexc, g)
-    return L, doc_of, grams, pos
+    """(L, doc_of, grams, pos): each doc's token count, and every word
+    n-gram occurrence of the batch with its 0-based start position inside
+    its doc (:func:`_ragged_ngrams`)."""
+    toks = _split(b["text"], keep_empty=True)
+    doc_of, grams, _, pos = _ragged_ngrams(toks, n)
+    return (pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+            .astype(np.int64), doc_of, grams, pos)
 
 
 def substring_dedup(sf_dir: str, n: int = 5,
@@ -8120,8 +7895,8 @@ def substring_dedup(sf_dir: str, n: int = 5,
     ntok = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: pa.table({
             "doc_id": b["doc_id"],
-            "n_tok": pc.cast(pc.list_value_length(pc.split_pattern(
-                _norm_text(b["text"]), pattern=" ")), pa.int64())}),
+            "n_tok": pc.cast(pc.list_value_length(
+                _split(b["text"], keep_empty=True)), pa.int64())}),
         batch_format="pyarrow", batch_size=None)
     joined = hash_join(ntok, covd, on="doc_id", how="left outer")
 
@@ -8350,8 +8125,6 @@ def snapshot_dedup(sf_dir: str, m_bits: int | None = None, n_hash: int = 4,
         # driver-RSS gate caught exactly that: 64 blocks x 8 MB = +517 MB
         # at 1M docs); sparse partials stream through at key-proportional
         # size and the driver holds ONE bitmap.
-        if t.num_rows == 0:
-            return pa.table({"idx": pa.array([], pa.uint64())})
         h1, h2 = _bloom_hashes(t["fp"].to_pylist())
         mask = np.uint64(m_bits - 1)
         idx = np.unique(np.concatenate(
@@ -8371,8 +8144,6 @@ def snapshot_dedup(sf_dir: str, m_bits: int | None = None, n_hash: int = 4,
     bloom_ref = ray.put(merged)
 
     def probe(t: pa.Table, want_positive: bool) -> pa.Table:
-        if t.num_rows == 0:
-            return t
         h1, h2 = _bloom_hashes(t["fp"].to_pylist())
         hit = _bloom_test(ray.get(bloom_ref), h1, h2, n_hash)
         return t.filter(pa.array(hit if want_positive else ~hit))
@@ -8732,10 +8503,8 @@ def anchor_text(sf_dir: str, branching: int = 3):
 
     def emit(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
-        anchor = pc.binary_join(pc.list_slice(toks, 0, 2), " ")
-        if isinstance(anchor, pa.ChunkedArray):
-            anchor = anchor.combine_chunks()
+        anchor = pc.binary_join(pc.list_slice(
+            _split(b["text"], keep_empty=True), 0, 2), " ")
         idxs, dsts = [], []
         for j in range(1, branching + 1):
             d = branching * ids + j
@@ -9142,7 +8911,7 @@ def prefix_dup(sf_dir: str, k: int = 8):
     singletons drop; prefix strings travel once per distinct prefix per
     block, never per doc."""
     def prefix(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(_norm_text(b["text"]), pattern=" ")
+        toks = _split(b["text"], keep_empty=True)
         return pa.table({"pref": pc.binary_join(pc.list_slice(toks, 0, k),
                                                 " "),
                          "doc_id": b["doc_id"]})

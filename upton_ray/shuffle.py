@@ -75,12 +75,20 @@ def key_hash(t: pa.Table, key_cols) -> np.ndarray:
     return h
 
 
-def block_refs(ds) -> list:
+def block_refs(ds, nonempty: bool = False) -> list:
     """Object refs of a Dataset's Arrow blocks, for callers that hand them
     to remote tasks.  Materializes first: on a plan that has not run,
     ``to_arrow_refs`` runs it, then starts it a second time for the schema
-    and cancels that run mid-task — which can trip a Ray CHECK abort."""
-    return ds.materialize().to_arrow_refs()
+    and cancels that run mid-task — which can trip a Ray CHECK abort.
+    With ``nonempty``, blocks that the block metadata gives no rows are
+    left out (nothing is fetched to tell)."""
+    mds = ds.materialize()
+    refs = mds.to_arrow_refs()
+    if not nonempty:
+        return refs
+    rows = [m.num_rows for bundle in mds.iter_internal_ref_bundles()
+            for _, m in bundle.blocks]
+    return [r for r, n in zip(refs, rows) if n != 0]
 
 
 def collect(ds, fallback_schema: pa.Schema) -> pa.Table:
@@ -106,9 +114,7 @@ def column_agg(ds, col: str, how: str, type_: pa.DataType):
     fold = getattr(pc, how)
 
     def part(b: pa.Table) -> pa.Table:
-        # a zero-column block is an empty exchange partition
-        v = fold(b[col]).as_py() if col in b.column_names else None
-        return pa.table({col: pa.array([v], type_)})
+        return pa.table({col: pa.array([fold(b[col]).as_py()], type_)})
 
     rows = collect(ds.map_batches(part, batch_format="pyarrow",
                                   batch_size=None), pa.schema([(col, type_)]))
@@ -266,16 +272,11 @@ def group_agg(ds, keys, aggs: dict, num_partitions: int | None = 8,
     bad = [f for _c, f in aggs.values() if f not in _MERGE]
     if bad:
         raise ValueError(f"group_agg merges {sorted(_MERGE)}, not {bad}")
-    need = set(keys) | {c for c, _f in aggs.values() if c is not None}
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 and not need <= set(b.column_names):
-            return pa.table({})         # a stale empty block
-        return _agg_table(b, keys, aggs)
-
     merge = {n: (n, _MERGE[f]) for n, (_c, f) in aggs.items()}
+    # map_batches never runs the partial on an empty or stale block
     return ray.data.from_arrow_refs(_exchange(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        ds.map_batches(lambda b: _agg_table(b, keys, aggs),
+                       batch_format="pyarrow", batch_size=None),
         keys, _group_agg_part, (keys, merge, post), num_partitions, 1024))
 
 
