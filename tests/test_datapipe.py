@@ -1282,6 +1282,73 @@ def test_ragged_ngrams_match_python(n):
         [w for _, w, _ in want]
 
 
+# 2-token, repeated-gram and non-ASCII docs next to the kernel texts
+_SHINGLE_TEXTS = _KERNEL_TEXTS + ["two  Words", "a b a b a b",
+                                  "Über über ÜBER über", "\n\t"]
+
+
+def _ref_shingles(text: str, k: int, keep_empty: bool) -> set:
+    norm = re.sub(r"\s+", " ", text).lower().strip()
+    if not keep_empty:
+        return set(datapipe.shingles(norm, k))
+    # the oracles' rule over string_split: [''] is a 1-token doc
+    w = norm.split(" ")
+    if len(w) >= k:
+        return {" ".join(w[i:i + k]) for i in range(len(w) - k + 1)}
+    return {" ".join(w)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("keep_empty", [False, True])
+def test_shingle_kernel_matches_shingles(keep_empty, k):
+    """``_shingle_rows`` is ``set(shingles(norm_text))`` per doc without
+    ``keep_empty`` and the oracles' ``len(w) >= 1`` rule with it, as
+    distinct rows, over a chunked input with an extra key column."""
+    n = len(_SHINGLE_TEXTS)
+    cut = 4
+    b = pa.table({
+        "doc_id": pa.chunked_array([list(range(cut)), list(range(cut, n))]),
+        "lang": pa.chunked_array([["en"] * cut, ["de"] * (n - cut)]),
+        "text": pa.chunked_array([_SHINGLE_TEXTS[:cut],
+                                  _SHINGLE_TEXTS[cut:]])})
+    got = datapipe._shingle_rows(b, ["doc_id", "lang"], k, keep_empty)
+    assert got.column_names == ["doc_id", "lang", "gram"]
+    rows = [tuple(r.values()) for r in got.to_pylist()]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(i, "en" if i < cut else "de", g)
+                         for i, t in enumerate(_SHINGLE_TEXTS)
+                         for g in _ref_shingles(t, k, keep_empty)}
+    assert datapipe._shingle_rows(b.slice(0, 0), ["doc_id"], k,
+                                  keep_empty).num_rows == 0
+
+
+def test_shingle_kernel_keep_empty_is_the_oracle_rule():
+    """Under ``keep_empty`` the 3-shingles are what the ngram_jaccard /
+    minhash_dedup / source_overlap oracles build in DuckDB."""
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    docs = pa.table({"doc_id": pa.array(range(len(_SHINGLE_TEXTS)),
+                                        pa.int64()),
+                     "text": pa.array(_SHINGLE_TEXTS)})
+    con = duckdb.connect()
+    con.register("documents", docs)
+    want = con.sql(f"""
+        WITH t AS (SELECT doc_id, string_split({entry._NORM}, ' ') AS w
+                   FROM documents)
+        SELECT doc_id, unnest(list_distinct(CASE
+                 WHEN len(w) >= 3 THEN list_transform(
+                   generate_series(1, len(w) - 2),
+                   i -> w[i] || ' ' || w[i+1] || ' ' || w[i+2])
+                 WHEN len(w) >= 1 THEN [array_to_string(w, ' ')]
+                 ELSE [] END)) AS gram
+        FROM t""").fetchall()
+    got = datapipe._shingle_rows(docs, ["doc_id"], keep_empty=True)
+    assert sorted(zip(got["doc_id"].to_pylist(), got["gram"].to_pylist())) \
+        == sorted(want)
+
+
 def test_knn_graph_with_empty_blocks_matches_numpy(ray_session, dup_dir):
     """6 vectors read as 8 blocks: two blocks have no rows, and no tile
     may see one (a zero-row block has no width to reshape by)."""

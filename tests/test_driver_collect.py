@@ -58,6 +58,43 @@ def test_no_take_all_in_package():
     assert _attr_users("take_batch") == set()
 
 
+def _calls(tree, skip: str):
+    """The Call nodes of ``tree`` outside the function named ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_shingles_only_from_the_kernel():
+    """Shingle sets come only from ``datapipe._shingle_rows`` and tokens
+    only from ``datapipe._split``: nothing in ``upton_ray/`` calls
+    ``shingles`` (the scalar reference the tests compare with) outside its
+    own definition, and ``datapipe.py`` makes no whitespace ``.split()``
+    of a Python string."""
+    shingle_users, splits = set(), []
+    for name in sorted(os.listdir(PKG)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PKG, name)) as f:
+            tree = ast.parse(f.read())
+        for call in _calls(tree, "shingles"):
+            fn = call.func
+            callee = fn.attr if isinstance(fn, ast.Attribute) \
+                else getattr(fn, "id", None)
+            if callee == "shingles":
+                shingle_users.add(name)
+            if (name == "datapipe.py" and callee == "split"
+                    and not call.args and not call.keywords):
+                splits.append(call.lineno)
+    assert shingle_users == set()
+    assert splits == []
+
+
 def test_collect_drops_empty_blocks_and_types_empty_result(ray_session):
     import ray
 

@@ -89,6 +89,20 @@ def test_substring_dedup_paths_agree_and_match_oracle(ray_session, tmp_path):
     assert bc.astype("int64").equals(exp.astype("int64"))
 
 
+def test_substring_dedup_distributed_with_no_gram(ray_session, tmp_path):
+    """No doc has n tokens, so the duplicated-gram set is an empty
+    Dataset with no schema: the distributed path still gives the
+    broadcast path's rows (every n_dup_tok 0)."""
+    _write_docs(tmp_path, ["", "alpha", "beta", "  ", "gamma"] * 4 + ["x"])
+    bc = _collect(datapipe.substring_dedup(str(tmp_path))) \
+        .sort_values("doc_id").reset_index(drop=True)
+    dist = _collect(datapipe.substring_dedup(str(tmp_path),
+                                             force_distributed=True)) \
+        .sort_values("doc_id").reset_index(drop=True)[bc.columns]
+    assert len(bc) == 21 and (bc["n_dup_tok"] == 0).all()
+    assert bc.equals(dist)
+
+
 def test_substring_dedup_overlap_not_double_counted(ray_session, tmp_path):
     # two docs sharing an 8-token run: 4 dup grams whose intervals overlap;
     # union must be 8 tokens, not 4 * 5 = 20

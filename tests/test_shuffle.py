@@ -439,6 +439,24 @@ def test_hash_join_semi_anti(ray_session):
     assert anti["x"].to_pylist() == ["a", "e"]
 
 
+def test_hash_join_with_a_schemaless_empty_side(ray_session):
+    """A group_agg over no rows has no schema (zero-column blocks): it
+    joins as its key columns.  Semi and anti joins against it keep the
+    left rows' columns; a join of two such sides has no row."""
+    left = pa.table({"k": pa.array([1, 2], pa.int64()),
+                     "x": pa.array(["a", "b"])})
+    lds = ray.data.from_arrow(left)
+    none = group_agg(ray.data.from_arrow(pa.table(
+        {"k": pa.array([], pa.int64())})), ["k"], {"n": (None, "count_all")})
+    assert none.materialize().schema() is None
+    semi = collect(hash_join(lds, none, "k", how="left semi"), left.schema)
+    assert semi.num_rows == 0
+    anti = collect(hash_join(lds, none, "k", how="left anti"), left.schema)
+    assert anti.column_names == ["k", "x"]
+    assert anti.sort_by("k").to_pylist() == left.to_pylist()
+    assert collect(hash_join(none, none, "k"), left.schema).num_rows == 0
+
+
 def test_grouped_top_n_matches_duckdb(ray_session):
     import duckdb
 

@@ -47,10 +47,15 @@ Operators:
   (upton_ray/mediadec.py) — round 5 closed the "fake decoders" flag.
 
 Text: every op tokenizes through one helper, :func:`_split` (the
-single-space split of the :func:`_norm_text` text), and builds word
-n-grams with :func:`_ragged_ngrams`.  An empty text has two contracts,
-chosen per op with ``keep_empty``: Python ``str.split()`` (no token) or
-DuckDB ``string_split`` with no filter (the one token '').
+single-space split of the :func:`_norm_text` text), builds word n-grams
+with :func:`_ragged_ngrams` and shingle sets with :func:`_shingle_rows`
+(:func:`shingles` is the scalar reference only).  An empty text has two
+contracts, chosen per op with ``keep_empty`` as its oracle has it: Python
+``str.split()`` (no token, no shingle: ``contamination_check``,
+``ngram_containment``, ``decontaminate_large``) or DuckDB
+``string_split`` with no filter (the one token '' and the one shingle '':
+``ngram_jaccard``, ``minhash_dedup``, ``source_overlap``, ``simhash``,
+``tfidf_top_term``, ``term_frequencies``).
 """
 
 from __future__ import annotations
@@ -169,6 +174,25 @@ def _term_tf(b: pa.Table, keys=("doc_id",),
     value in this block."""
     return _agg_table(_token_rows(b, keys, keep_empty), [*keys, "term"],
                       {"tf": (None, "count_all")})
+
+
+def _shingle_rows(b: pa.Table, keys=(), k: int = 3,
+                  keep_empty: bool = False) -> pa.Table:
+    """The one shingle kernel: the distinct ``(keys..., gram)`` rows of
+    the word ``k``-shingles of ``b["text"]`` (:func:`shingles`' set per
+    text).  A text of >= k tokens gives its k-grams (:func:`_ragged_ngrams`),
+    one of 1 ... k-1 tokens its whole ' '-joined token list.  With
+    ``keep_empty`` (:func:`_split`) a blank text is the one shingle '', as
+    in the oracles' ``WHEN len(w) >= 1 THEN [array_to_string(w, ' ')]``;
+    without it a blank text has no shingle."""
+    toks = _split(b["text"], keep_empty)
+    rows, grams, _, _ = _ragged_ngrams(toks, k)
+    lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+    short = np.flatnonzero((lens > 0) & (lens < k))
+    rows = pa.array(np.concatenate([rows, short]))
+    grams = pa.concat_arrays([grams, pc.binary_join(toks.take(short), " ")])
+    return _agg_table(pa.table([pc.take(b[c], rows) for c in keys] + [grams],
+                               names=[*keys, "gram"]), [*keys, "gram"], {})
 
 
 def _md5_hex(strings) -> list[str]:
@@ -338,12 +362,8 @@ def lang_id(sf_dir: str):
 
 # ------------------------------------------------------------------ simhash
 
-_HASH_KEY2 = "upton_ray_simh_2"
 
-
-def _token_hashes(tokens: list[str]) -> np.ndarray:
-    if not tokens:
-        return np.zeros(0, dtype=np.uint64)
+def _token_hashes(tokens) -> np.ndarray:
     return pd.util.hash_array(np.asarray(tokens, dtype=object), categorize=False)
 
 
@@ -373,11 +393,12 @@ def simhash(sf_dir: str):
     Hamming distance — bucketing by 16-bit chunks gives the LSH variant."""
 
     def f(batch: pa.Table) -> pa.Table:
-        texts = _norm_text(batch["text"]).to_pylist()
+        # string_split's contract: a blank doc hashes its one token ''
+        toks = _split(batch["text"], keep_empty=True).to_pylist()
         return pa.table({
             "doc_id": batch["doc_id"],
-            "simhash_hex": pa.array([format(simhash64(t.split()), "016x")
-                                     for t in texts], pa.string()),
+            "simhash_hex": pa.array([format(simhash64(t), "016x")
+                                     for t in toks], pa.string()),
         })
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
@@ -398,6 +419,8 @@ def _perm_params(n_perm: int = N_PERM, seed: int = 42):
 
 
 def shingles(text: str, k: int = 3) -> list[str]:
+    """The scalar reference of :func:`_shingle_rows` without
+    ``keep_empty``, for tests to compare with; no operator calls it."""
     toks = text.split()
     if len(toks) < k:
         return [" ".join(toks)] if toks else []
@@ -444,22 +467,16 @@ def ngram_jaccard(sf_dir: str, threshold: float = 0.5) -> pa.Table:
         group = group.take(order)
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         n = len(ids)
-        texts = _norm_text(group["text"]).to_pylist()
-        sets = [set(shingles(t)) for t in texts]
-        sizes = np.array([len(s) for s in sets], dtype=np.int64)
-        vocab: dict = {}
-        doc_idx, sh_idx = [], []
-        for r, s in enumerate(sets):
-            for x in s:
-                doc_idx.append(r)
-                sh_idx.append(vocab.setdefault(x, len(vocab)))
+        sh = _shingle_rows(group, ["doc_id"], keep_empty=True)
+        d = np.searchsorted(ids, sh["doc_id"].to_numpy(zero_copy_only=False))
+        s = pc.dictionary_encode(sh["gram"].combine_chunks()).indices \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        sizes = np.bincount(d, minlength=n)
         empty_t = pa.table({"doc_a": pa.array([], pa.int64()),
                             "doc_b": pa.array([], pa.int64()),
                             "jacc": pa.array([], pa.float64())})
-        if not doc_idx:
+        if not len(d):
             return empty_t
-        d = np.asarray(doc_idx, dtype=np.int64)
-        s = np.asarray(sh_idx, dtype=np.int64)
         o = np.lexsort((d, s))          # postings: docs grouped per shingle
         d = d[o]
         bounds = np.flatnonzero(np.r_[True, np.diff(s[o]) != 0, True])
@@ -890,20 +907,26 @@ def _pair_verify_cosine_broadcast(pairs, payload_ds, a_col: str,
 
 def _shingle_sets(docs):
     """(doc_id, sh:list<uint64>) Dataset of each doc's DISTINCT hashed
-    3-shingles — the verify payload.  64-bit shingle hashing makes the
-    exact-Jaccard arithmetic integer-only; a cross-shingle collision
-    (~2^-64 per shingle pair) is the only way this differs from the
-    string-set Jaccard the oracle computes."""
+    3-shingles (:func:`_shingle_rows`; a blank doc's is the shingle '',
+    as in the oracle), ascending — the verify payload.  64-bit shingle
+    hashing makes the exact-Jaccard arithmetic integer-only; a
+    cross-shingle collision (~2^-64 per shingle pair) is the only way this
+    differs from the string-set Jaccard the oracle computes."""
     def f(batch: pa.Table) -> pa.Table:
-        texts = _norm_text(batch["text"]).to_pylist()
-        arrs = [np.unique(_token_hashes(shingles(t))) for t in texts]
-        lens = np.array([len(x) for x in arrs], dtype=np.int64)
-        off = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        values = (np.concatenate(arrs) if len(arrs)
-                  else np.zeros(0, np.uint64))
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        t = _shingle_rows(batch, ["doc_id"], keep_empty=True)
+        rows = pc.index_in(t["doc_id"], value_set=pa.array(ids)) \
+            .to_numpy(zero_copy_only=False)
+        h = _token_hashes(t["gram"].to_numpy(zero_copy_only=False))
+        o = np.lexsort((h, rows))       # per doc, its hashes ascending
+        rows, h = rows[o], h[o]
+        # np.unique per doc: a 64-bit collision keeps one hash
+        keep = np.r_[True, (rows[1:] != rows[:-1]) | (h[1:] != h[:-1])]
+        rows, h = rows[keep], h[keep]
+        off = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(ids)), out=off[1:])
         sh = pa.LargeListArray.from_arrays(
-            pa.array(off, pa.int64()), pa.array(values, pa.uint64()))
+            pa.array(off, pa.int64()), pa.array(h, pa.uint64()))
         return pa.table({"doc_id": batch["doc_id"], "sh": sh})
 
     return docs.map_batches(f, batch_format="pyarrow")
@@ -1314,43 +1337,9 @@ def sessionize(sf_dir: str, gap_minutes: int = 30, *, num_blocks: int = 8):
             "sum_value": pc.round(g["value_sum"], ndigits=6),
         })
 
-    # num_blocks is the block-boundary torture hook: tests drive it high so
-    # one user's run straddles >= 3 post-sort blocks (residual path proof)
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts", "user_id", "value"],
-                               override_num_blocks=num_blocks)
-    srt = ds.sort(["user_id", "ts", "event_id"]).materialize()
-
-    def _user_bounds(b: pa.Table):
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        n = len(u)
-        change = np.zeros(n + 1, dtype=bool)
-        change[0] = change[n] = True
-        change[1:n] |= u[1:] != u[:-1]
-        return np.flatnonzero(change), n
-
-    def interior(b: pa.Table) -> pa.Table:
-        bounds, n = _user_bounds(b)
-        lo, hi = bounds[1], bounds[-2]           # strip edge user segments
-        if lo >= hi:
-            return _sessions_vec(b.slice(0, 0))
-        return _sessions_vec(b.slice(lo, hi - lo))
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        bounds, n = _user_bounds(b)
-        keep = np.zeros(n, dtype=bool)
-        keep[:bounds[1]] = True
-        keep[bounds[-2]:] = True
-        return b.filter(pa.array(keep))
-
-    def residual(group: pa.Table) -> pa.Table:
-        return _sessions_vec(group.sort_by(
-            [("ts", "ascending"), ("event_id", "ascending")]))
-
-    return srt.map_batches(interior, batch_format="pyarrow",
-                           batch_size=None).union(
-        srt.map_batches(edge_rows, batch_format="pyarrow", batch_size=None)
-           .groupby("user_id").map_groups(residual, batch_format="pyarrow"))
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id", "value"],
+                      num_blocks), _sessions_vec)
 
 
 # ------------------------------------------------------------- host top-k
@@ -2002,13 +1991,14 @@ def events_sliding(sf_dir: str):
         post=finish)
 
 
-def _top_terms(sf_dir: str, k: int) -> pa.Table:
+def _top_terms(sf_dir: str, k: int, keep_empty: bool = False) -> pa.Table:
     """The k most frequent (term, n) of the corpus, n descending then term
-    ascending."""
+    ascending; ``keep_empty`` is :func:`_split`'s."""
     order = [("n", "descending"), ("term", "ascending")]
     agg = group_agg(_docs(sf_dir, ["text"])
                     .map_batches(_token_rows, batch_format="pyarrow",
-                                 batch_size=None),
+                                 batch_size=None,
+                                 fn_kwargs={"keep_empty": keep_empty}),
                     ["term"], {"n": (None, "count_all")},
                     post=lambda t: t.sort_by(order).slice(0, k))
     return collect(agg, pa.schema([("term", pa.string()),
@@ -2026,8 +2016,9 @@ def term_frequencies(sf_dir: str, k: int = 20) -> pa.Table:
     Exactness: the exchange hash-partitions terms, so each term's GLOBAL
     count lives wholly in one partition; the global top-k is therefore a
     subset of the union of per-partition top-k's (per-partition k >= global
-    k) — the property tests/test_datapipe.py pins."""
-    top = _top_terms(sf_dir, k)
+    k) — the property tests/test_datapipe.py pins.  A blank doc counts
+    its one term '' (the oracle's ``string_split``)."""
+    top = _top_terms(sf_dir, k, keep_empty=True)
     return pa.table({
         "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int64)),
         "term": top["term"], "n": top["n"]})
@@ -2215,12 +2206,6 @@ def asof_join_events(sf_dir: str, *, num_blocks: int = 8) -> pa.Table:
     matching the SQL oracle's QUALIFY dedup.  Users straddling a block edge
     go through the residual groupby, like the other sorted-sweep operators.
     Inner join: purchases with no prior click are dropped."""
-    # num_blocks: block-boundary torture hook (see sessionize)
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts", "user_id",
-                                        "event_type"],
-                               override_num_blocks=num_blocks)
-
     def keep_and_kind(b: pa.Table) -> pa.Table:
         et = b["event_type"]
         mask = pc.or_(pc.equal(et, "click"), pc.equal(et, "purchase"))
@@ -2266,38 +2251,11 @@ def asof_join_events(sf_dir: str, *, num_blocks: int = 8) -> pa.Table:
             "matched_ts": pa.array(ts[m], pa.timestamp("us")),
         })
 
-    srt = (ds.map_batches(keep_and_kind, batch_format="pyarrow")
-           .sort(["user_id", "ts", "kind", "event_id"])).materialize()
-
-    def _user_bounds(b: pa.Table):
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        n = len(u)
-        change = np.zeros(n + 1, dtype=bool)
-        change[0] = change[n] = True
-        change[1:n] |= u[1:] != u[:-1]
-        return np.flatnonzero(change), n
-
-    def interior(b: pa.Table) -> pa.Table:
-        bounds, n = _user_bounds(b)
-        lo, hi = bounds[1], bounds[-2]
-        return sweep(b.slice(lo, hi - lo) if lo < hi else b.slice(0, 0))
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        bounds, n = _user_bounds(b)
-        keep = np.zeros(n, dtype=bool)
-        keep[:bounds[1]] = True
-        keep[bounds[-2]:] = True
-        return b.filter(pa.array(keep))
-
-    def residual(group: pa.Table) -> pa.Table:
-        return sweep(group.sort_by(
-            [("ts", "ascending"), ("kind", "ascending"),
-             ("event_id", "ascending")]))
-
-    out = srt.map_batches(interior, batch_format="pyarrow",
-                          batch_size=None).union(
-        srt.map_batches(edge_rows, batch_format="pyarrow", batch_size=None)
-           .groupby("user_id").map_groups(residual, batch_format="pyarrow"))
+    ds = _event_blocks(sf_dir, ["event_id", "ts", "user_id", "event_type"],
+                       num_blocks)
+    out = _sorted_user_sweep(
+        ds.map_batches(keep_and_kind, batch_format="pyarrow"), sweep,
+        order=("ts", "kind", "event_id"))
     return collect(out, empty.schema).sort_by([("event_id", "ascending")])
 
 
@@ -2618,10 +2576,14 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
     V_EMPTY = pa.table({"term": pa.array([], pa.string()),
                         "df": pa.array([], pa.int64())})
 
+    def doc_tf(b: pa.Table) -> pa.Table:
+        # the oracle's string_split: a blank doc's one term is ''
+        return _term_tf(b, keep_empty=True)
+
     # one row per (doc, term): a term's row count is its df
     dfv = group_agg(
         _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            _term_tf, batch_format="pyarrow", batch_size=None),
+            doc_tf, batch_format="pyarrow", batch_size=None),
         ["term"], {"df": (None, "count_all")}).materialize()
 
     if dfv.size_bytes() <= broadcast_limit_bytes:
@@ -2633,7 +2595,7 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
         v_ref = ray.put((vt["term"].combine_chunks(), idf_np))
 
         def score_pick(b: pa.Table) -> pa.Table:
-            g = _term_tf(b)
+            g = doc_tf(b)
             if g.num_rows == 0:
                 return W_EMPTY
             terms_s, idf_s = ray.get(v_ref)    # zero-copy plasma view
@@ -2660,7 +2622,7 @@ def tfidf_top_term(sf_dir: str, idf_scale: int = 1000,
     # ------- partitioned fallback (vocab past the broadcast cutoff)
 
     rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _term_tf, batch_format="pyarrow")
+        doc_tf, batch_format="pyarrow")
 
     def part_score(t: pa.Table) -> pa.Table:
         """A term's rows land whole in one hash partition, so its df is a
@@ -2885,6 +2847,35 @@ def seeded_shuffle(sf_dir: str, seed: int = 42):
                       .sort(["skey", "doc_id"]), attach)
 
 
+def _bench_grams(docs, n: int, modulus: int):
+    """Object ref of the distinct n-shingles (:func:`_shingle_rows`, a
+    blank doc has none) of the benchmark docs, ``doc_id % modulus == 0``:
+    one Arrow string array to broadcast."""
+    def grams(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        return _shingle_rows(b.filter(pa.array(ids % modulus == 0)), k=n)
+
+    g = collect(docs.map_batches(grams, batch_format="pyarrow"),
+                pa.schema([("gram", pa.string())]))["gram"]
+    return ray.put(pc.unique(g.combine_chunks()))
+
+
+def _bench_counts(b: pa.Table, bench_ref, n: int, modulus: int):
+    """For the non-benchmark docs of ``b``: their ``doc_id`` column, and
+    per doc its count of distinct n-shingles and of those in the
+    :func:`_bench_grams` set."""
+    t = b.filter(pa.array(
+        b["doc_id"].to_numpy(zero_copy_only=False) % modulus != 0))
+    sh = _shingle_rows(t, ["doc_id"], k=n)
+    rows = pc.index_in(sh["doc_id"],
+                       value_set=t["doc_id"].combine_chunks()) \
+        .to_numpy(zero_copy_only=False)
+    hit = pc.is_in(sh["gram"], value_set=ray.get(bench_ref)) \
+        .to_numpy(zero_copy_only=False)
+    return (t["doc_id"], np.bincount(rows, minlength=t.num_rows),
+            np.bincount(rows[hit], minlength=t.num_rows))
+
+
 def contamination_check(sf_dir: str, n: int = 3, modulus: int = 211):
     """Benchmark decontamination — the train/eval overlap scan every serious
     training corpus needs: docs with ``doc_id % modulus == 0`` stand in for the
@@ -2898,29 +2889,12 @@ def contamination_check(sf_dir: str, n: int = 3, modulus: int = 211):
     nation_revenue. A corpus-vs-corpus overlap (both sides huge) would
     instead shuffle on the shingle key like minhash's bucket stage."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def bench_grams(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        t = b.filter(pa.array(ids % modulus == 0))
-        grams: set = set()
-        for txt in _norm_text(t["text"]).to_pylist():
-            grams.update(shingles(txt, n))
-        return pa.table({"gram": pa.array(sorted(grams), pa.string())})
-
-    bench = frozenset(collect(
-        docs.map_batches(bench_grams, batch_format="pyarrow"),
-        pa.schema([("gram", pa.string())]))["gram"].to_pylist())
-    bench_ref = ray.put(bench)
+    bench_ref = _bench_grams(docs, n, modulus)
 
     def overlap(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        t = b.filter(pa.array(ids % modulus != 0))
-        bset = ray.get(bench_ref)
-        hits = np.array([len(set(shingles(txt, n)) & bset)
-                         for txt in _norm_text(t["text"]).to_pylist()],
-                        dtype=np.int64)
+        doc_id, _, hits = _bench_counts(b, bench_ref, n, modulus)
         return pa.table({
-            "doc_id": t["doc_id"],
+            "doc_id": doc_id,
             "n_overlap": pa.array(hits, pa.int64()),
             "contaminated": pa.array(hits > 0),
         })
@@ -4782,16 +4756,9 @@ def decontaminate_large(sf_dir: str, n: int = 3):
     a doc-keyed co-partition folds them.  No set ever materializes whole;
     both exchanges move one row per (doc, distinct gram)."""
     def explode(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        grams, gids, train = [], [], []
-        for did, txt in zip(ids, _norm_text(b["text"]).to_pylist()):
-            sh = set(shingles(txt, n))
-            grams.extend(sh)
-            gids.extend([did] * len(sh))
-            train.extend([did % 2 == 0] * len(sh))
-        return pa.table({"gram": pa.array(grams, pa.string()),
-                         "doc_id": pa.array(gids, pa.int64()),
-                         "train": pa.array(train, pa.bool_())})
+        t = _shingle_rows(b, ["doc_id"], k=n)
+        return t.append_column("train", pa.array(
+            t["doc_id"].to_numpy(zero_copy_only=False) % 2 == 0))
 
     def part_gram(t: pa.Table) -> pa.Table:
         if "gram" not in t.column_names or t.num_rows == 0:
@@ -5650,8 +5617,8 @@ def time_decay_score(sf_dir: str, tau_days: float = 7.0):
 def user_path(sf_dir: str, k: int = 10, *, num_blocks: int = 8):
     """First-``k`` event-type path per user, '>'-joined in (ts, event_id)
     order — the session-journey string behind funnel mining and behavioral
-    clustering.  Shape: the same ONE global sort + vectorized per-block
-    sweep + tiny edge-user residual as :func:`sessionize` (a web-scale
+    clustering.  Shape: the ONE global sort + vectorized per-block
+    sweep + tiny edge-user residual of :func:`_sorted_user_sweep` (a web-scale
     log has ~10^9 users; a per-user ``map_groups`` call is a Python call
     per group).  The path build is fully vectorized: per-segment ranks
     from a flatnonzero/cumsum sweep, one Arrow filter, one
@@ -5683,43 +5650,9 @@ def user_path(sf_dir: str, k: int = 10, *, num_blocks: int = 8):
             "path": pc.binary_join(la, ">"),
             "n_path": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    # num_blocks is the block-boundary torture hook (see sessionize)
-    srt = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-        override_num_blocks=num_blocks) \
-        .sort(["user_id", "ts", "event_id"]).materialize()
-
-    def _user_bounds(b: pa.Table):
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        n = len(u)
-        change = np.zeros(n + 1, dtype=bool)
-        change[0] = change[n] = True
-        change[1:n] |= u[1:] != u[:-1]
-        return np.flatnonzero(change), n
-
-    def interior(b: pa.Table) -> pa.Table:
-        bounds, _ = _user_bounds(b)
-        lo, hi = bounds[1], bounds[-2]
-        if lo >= hi:
-            return _paths_vec(b.slice(0, 0))
-        return _paths_vec(b.slice(lo, hi - lo))
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        bounds, n = _user_bounds(b)
-        keep = np.zeros(n, dtype=bool)
-        keep[:bounds[1]] = True
-        keep[bounds[-2]:] = True
-        return b.filter(pa.array(keep))
-
-    def residual(group: pa.Table) -> pa.Table:
-        return _paths_vec(group.sort_by(
-            [("ts", "ascending"), ("event_id", "ascending")]))
-
-    return srt.map_batches(interior, batch_format="pyarrow",
-                           batch_size=None).union(
-        srt.map_batches(edge_rows, batch_format="pyarrow", batch_size=None)
-           .groupby("user_id").map_groups(residual, batch_format="pyarrow"))
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id", "event_type"],
+                      num_blocks), _paths_vec)
 
 
 def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
@@ -6024,17 +5957,23 @@ def retention_cohorts(sf_dir: str):
 # ------------------------------------------- running windows / attribution
 
 
-def _sorted_user_sweep(sf_dir: str, columns, sweep_fn, *, num_blocks=8):
-    """Shared scaffold for per-user ordered window ops: ONE global sort by
-    (user_id, ts, event_id), a vectorized per-block sweep over the interior
+def _event_blocks(sf_dir: str, columns, num_blocks: int):
+    # num_blocks is the block-boundary torture hook of the sorted-sweep
+    # ops: tests drive it high so one user's run straddles >= 3 post-sort
+    # blocks (residual path proof)
+    return ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=columns,
+                                 override_num_blocks=num_blocks)
+
+
+def _sorted_user_sweep(ds, sweep_fn, order=("ts", "event_id")):
+    """The one per-user sort sweep: ONE global sort of ``ds`` by
+    (user_id, *order), a vectorized per-block sweep over the interior
     (users fully contained in the block), and a tiny groupby residual for
-    the users straddling block boundaries — the :func:`sessionize` /
-    :func:`user_path` shape.  ``sweep_fn(table)`` must accept a table
-    already sorted by (ts, event_id) within each user run."""
-    srt = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=columns,
-        override_num_blocks=num_blocks) \
-        .sort(["user_id", "ts", "event_id"]).materialize()
+    the users straddling block boundaries (no per-user Python call: a
+    web-scale event log has ~10^9 users and ``map_groups`` costs a call
+    per group).  ``sweep_fn(table)`` must accept a table already sorted
+    by ``order`` within each user run."""
+    srt = ds.sort(["user_id", *order]).materialize()
 
     def _user_bounds(b: pa.Table):
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -6046,10 +5985,8 @@ def _sorted_user_sweep(sf_dir: str, columns, sweep_fn, *, num_blocks=8):
 
     def interior(b: pa.Table) -> pa.Table:
         bounds, _ = _user_bounds(b)
-        lo, hi = bounds[1], bounds[-2]
-        if lo >= hi:
-            return sweep_fn(b.slice(0, 0))
-        return sweep_fn(b.slice(lo, hi - lo))
+        lo, hi = bounds[1], bounds[-2]           # strip edge user segments
+        return sweep_fn(b.slice(lo, hi - lo) if lo < hi else b.slice(0, 0))
 
     def edge_rows(b: pa.Table) -> pa.Table:
         bounds, n = _user_bounds(b)
@@ -6059,8 +5996,7 @@ def _sorted_user_sweep(sf_dir: str, columns, sweep_fn, *, num_blocks=8):
         return b.filter(pa.array(keep))
 
     def residual(group: pa.Table) -> pa.Table:
-        return sweep_fn(group.sort_by(
-            [("ts", "ascending"), ("event_id", "ascending")]))
+        return sweep_fn(group.sort_by([(c, "ascending") for c in order]))
 
     return srt.map_batches(interior, batch_format="pyarrow",
                            batch_size=None).union(
@@ -6103,8 +6039,9 @@ def running_total(sf_dir: str, *, num_blocks: int = 8):
         return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
                          "run_cents": pa.array(run, pa.int64())})
 
-    return _sorted_user_sweep(sf_dir, ["event_id", "ts", "user_id", "value"],
-                              sweep, num_blocks=num_blocks)
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id", "value"],
+                      num_blocks), sweep)
 
 
 def event_lag(sf_dir: str, *, num_blocks: int = 8):
@@ -6133,8 +6070,9 @@ def event_lag(sf_dir: str, *, num_blocks: int = 8):
             "gap_us": pa.Array.from_pandas(gap, mask=start_mask,
                                            type=pa.int64())})
 
-    return _sorted_user_sweep(sf_dir, ["event_id", "ts", "user_id"],
-                              sweep, num_blocks=num_blocks)
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id"],
+                      num_blocks), sweep)
 
 
 def first_last_touch(sf_dir: str):
@@ -6307,8 +6245,9 @@ def rolling_avg(sf_dir: str, window: int = 4, *, num_blocks: int = 8):
         return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
                          "avg_cents": pa.array(avg, pa.float64())})
 
-    return _sorted_user_sweep(sf_dir, ["event_id", "ts", "user_id", "value"],
-                              sweep, num_blocks=num_blocks)
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id", "value"],
+                      num_blocks), sweep)
 
 
 def ann_lsh(sf_dir: str, n_queries: int = 4, k: int = 10,
@@ -6486,8 +6425,9 @@ def inter_event_stats(sf_dir: str, *, num_blocks: int = 8):
             "max_gap_us": pa.array(mx, pa.int64()),
             "mean_gap_us": pa.array(sm / n_gaps[keep], pa.float64())})
 
-    return _sorted_user_sweep(sf_dir, ["event_id", "ts", "user_id"],
-                              sweep, num_blocks=num_blocks)
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id"],
+                      num_blocks), sweep)
 
 
 def readability_score(sf_dir: str):
@@ -6723,32 +6663,14 @@ def ngram_containment(sf_dir: str, n: int = 3, modulus: int = 211):
     division (both engines divide identical operands); gram-less docs emit
     NULL.  Output: (doc_id, n_grams, n_overlap, containment)."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def bench_grams(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        t = b.filter(pa.array(ids % modulus == 0))
-        grams: set = set()
-        for txt in _norm_text(t["text"]).to_pylist():
-            grams.update(shingles(txt, n))
-        return pa.table({"gram": pa.array(sorted(grams), pa.string())})
-
-    bench = frozenset(collect(
-        docs.map_batches(bench_grams, batch_format="pyarrow"),
-        pa.schema([("gram", pa.string())]))["gram"].to_pylist())
-    bench_ref = ray.put(bench)
+    bench_ref = _bench_grams(docs, n, modulus)
 
     def containment(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        t = b.filter(pa.array(ids % modulus != 0))
-        bset = ray.get(bench_ref)
-        sets = [set(shingles(txt, n))
-                for txt in _norm_text(t["text"]).to_pylist()]
-        n_g = np.array([len(s) for s in sets], dtype=np.int64)
-        n_o = np.array([len(s & bset) for s in sets], dtype=np.int64)
+        doc_id, n_g, n_o = _bench_counts(b, bench_ref, n, modulus)
         with np.errstate(invalid="ignore"):
             cont = n_o / np.maximum(n_g, 1)
         return pa.table({
-            "doc_id": t["doc_id"],
+            "doc_id": doc_id,
             "n_grams": pa.array(n_g, pa.int64()),
             "n_overlap": pa.array(n_o, pa.int64()),
             "containment": pa.Array.from_pandas(cont, mask=(n_g == 0),
@@ -6895,8 +6817,9 @@ def trailing_window_sum(sf_dir: str, window_s: int = 3600, *,
         return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
                          "win_cents": pa.array(out, pa.int64())})
 
-    return _sorted_user_sweep(sf_dir, ["event_id", "ts", "user_id", "value"],
-                              sweep, num_blocks=num_blocks)
+    return _sorted_user_sweep(
+        _event_blocks(sf_dir, ["event_id", "ts", "user_id", "value"],
+                      num_blocks), sweep)
 
 
 def host_share(sf_dir: str):
@@ -8311,8 +8234,9 @@ def group_split(sf_dir: str, n_splits: int = 10):
 
 def source_overlap(sf_dir: str):
     """Pairwise corpus-overlap diagnostic: for every ordered source pair
-    (a, b), how many of a's DISTINCT 3-token shingles (the :func:`shingles`
-    unit minhash/decontamination already use) also appear in b, and the
+    (a, b), how many of a's DISTINCT 3-token shingles (the
+    :func:`_shingle_rows` unit minhash/decontamination already use; a
+    blank doc is the shingle '') also appear in b, and the
     containment |SH(a) n SH(b)| / |SH(a)| — the overlap matrix a
     mixing/dedup plan reads before deciding which sources to cross-dedup
     (high containment of a in b means a is mostly re-hosted b content;
@@ -8330,16 +8254,7 @@ def source_overlap(sf_dir: str):
     never formed: a shingle shared by k sources contributes k(k-1) pair
     increments via its mask, all inside one partition."""
     def distinct_part(b: pa.Table) -> pa.Table:
-        texts = _norm_text(b["text"]).to_pylist()
-        srcs = b["source"].to_pylist()
-        sh, so = [], []
-        for txt, s in zip(texts, srcs):
-            for g in shingles(txt):
-                sh.append(g)
-                so.append(s)
-        t = pa.table({"fp": pa.array(sh, pa.string()),
-                      "source": pa.array(so, pa.string())})
-        return t.group_by(["fp", "source"]).aggregate([])
+        return _shingle_rows(b, ["source"], keep_empty=True)
 
     def pair_counts(t: pa.Table) -> pa.Table:
         empty = pa.table({"src_a": pa.array([], pa.string()),
@@ -8348,13 +8263,13 @@ def source_overlap(sf_dir: str):
         if t.num_rows == 0:
             return empty
         # partition-local dedupe again (block partials overlap), then mask
-        t = t.group_by(["fp", "source"]).aggregate([])
+        t = t.group_by(["gram", "source"]).aggregate([])
         src = pc.dictionary_encode(t["source"].combine_chunks())
         names = src.dictionary.to_pylist()
         if len(names) > 64:     # bitmask width guard (sources are few)
             raise ValueError("source_overlap: >64 sources; widen the mask")
         sidx = src.indices.to_numpy(zero_copy_only=False)
-        fpe = pc.dictionary_encode(t["fp"].combine_chunks())
+        fpe = pc.dictionary_encode(t["gram"].combine_chunks())
         fidx = fpe.indices.to_numpy(zero_copy_only=False)
         masks = np.zeros(len(fpe.dictionary), np.uint64)
         np.bitwise_or.at(masks, fidx,
@@ -8376,7 +8291,7 @@ def source_overlap(sf_dir: str):
 
     parts = _docs(sf_dir, ["doc_id", "text", "source"]).map_batches(
         distinct_part, batch_format="pyarrow", batch_size=None)
-    partials = _hash_reduce(parts, ["fp"], pair_counts)
+    partials = _hash_reduce(parts, ["gram"], pair_counts)
     agg = collect(group_agg(partials, ["src_a", "src_b"], {"n": ("n", "sum")}),
                   pa.schema([("src_a", pa.string()), ("src_b", pa.string()),
                              ("n", pa.int64())]))

@@ -405,6 +405,14 @@ def hash_join(left, right, on, how: str = "inner",
     # not run, schema() runs a limit-1 prefix of it first
     left, right = left.materialize(), right.materialize()
     ls, rs = left.schema(), right.schema()
+    # a side with no row may have no schema (every block lost its columns,
+    # as group_agg over no rows leaves them): it joins as its key columns,
+    # typed by the other side, and adds no column of its own.  With no
+    # schema on either side there is no row to join.
+    if ls is None and rs is None:
+        return left
+    ls = ls or pa.schema([(k, rs.types[rs.names.index(k)]) for k in keys])
+    rs = rs or pa.schema([(k, ls.types[ls.names.index(k)]) for k in keys])
     lcols, rcols = ls.names, rs.names
     rmap = {c: (c if (c in keys or c not in lcols) else c + suffix)
             for c in rcols}
