@@ -6,7 +6,9 @@ whitespace-only document, so the sf gate never sees one.
   ``"   "`` and ``"\\n\\t"``), for the shingle ops, ``simhash``, the tf-idf
   and term-count ops;
 - a 66-document corpus, 3 of them blank, small enough that the term ''
-  reaches ``term_frequencies``' top 20, and every ``tfidf_top_term`` path.
+  reaches ``term_frequencies``' top 20, and every ``tfidf_top_term`` path;
+- the sf0.001 corpus with one null text, for the n-gram and shingle ops:
+  a null text is a document with no token.
 """
 
 import os
@@ -32,20 +34,30 @@ def _oracle(sf_dir: str, name: str):
     return con.sql(entry.oracle_sql()[name]).df()
 
 
-@pytest.fixture(scope="module")
-def blank_sf(tmp_path_factory):
-    d = tmp_path_factory.mktemp("blank_sf")
+def _sf_with_texts(d, texts: dict) -> str:
+    """sf0.001 in ``d`` with the texts of the doc ids in ``texts``
+    replaced."""
     for f in os.listdir(SF):
         if f.endswith(".parquet") and f != "documents.parquet":
             os.symlink(f"{SF}/{f}", d / f)
     t = pq.read_table(f"{SF}/documents.parquet")
     ids = t["doc_id"].to_pylist()
-    assert {t["source"][ids.index(i)].as_py() for i in BLANK} == {"src1"}
-    text = [BLANK.get(i, x) for i, x in zip(ids, t["text"].to_pylist())]
+    assert {t["source"][ids.index(i)].as_py() for i in texts} == {"src1"}
+    text = [texts.get(i, x) for i, x in zip(ids, t["text"].to_pylist())]
     pq.write_table(t.set_column(t.column_names.index("text"), "text",
                                 pa.array(text, pa.string())),
                    d / "documents.parquet")
     return str(d)
+
+
+@pytest.fixture(scope="module")
+def blank_sf(tmp_path_factory):
+    return _sf_with_texts(tmp_path_factory.mktemp("blank_sf"), BLANK)
+
+
+@pytest.fixture(scope="module")
+def null_sf(tmp_path_factory):
+    return _sf_with_texts(tmp_path_factory.mktemp("null_sf"), {21: None})
 
 
 @pytest.mark.parametrize("name", [
@@ -55,6 +67,22 @@ def blank_sf(tmp_path_factory):
 def test_blank_docs_match_oracle(ray_session, blank_sf, name):
     got = to_pandas(entry.queries()[name](blank_sf))
     assert compare(got, _oracle(blank_sf, name)) == "OK"
+
+
+@pytest.mark.parametrize("name", [
+    "dup_ngrams", "substring_dedup", "repetition_score", "ngram_jaccard",
+    "source_overlap", "minhash_dedup", "contamination_check",
+    "decontaminate_large", "ngram_containment"])
+def test_null_text_match_oracle(ray_session, null_sf, name):
+    got = to_pandas(entry.queries()[name](null_sf))
+    assert compare(got, _oracle(null_sf, name)) == "OK"
+
+
+def test_null_text_distributed_substring_dedup(ray_session, null_sf):
+    from upton_ray import datapipe
+
+    got = to_pandas(datapipe.substring_dedup(null_sf, force_distributed=True))
+    assert compare(got, _oracle(null_sf, "substring_dedup")) == "OK"
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,10 @@
   largest table one of them collects is queries x k rows, whatever the
   block count;
 - ``incremental_profile`` refuses its node-local default cache on a
-  multi-node cluster.
+  multi-node cluster;
+- the crawl modules start no actor class of their own: ``engine.py``,
+  ``fetch.py``, ``frontier.py`` and ``sitemap.py`` define no
+  ``@ray.remote`` class (the crawl's only actors are its seen shards).
 """
 
 import ast
@@ -56,6 +59,23 @@ def test_to_arrow_refs_only_in_shuffle():
 def test_no_take_all_in_package():
     assert _attr_users("take_all") == set()
     assert _attr_users("take_batch") == set()
+
+
+def _is_ray_remote(dec) -> bool:
+    fn = dec.func if isinstance(dec, ast.Call) else dec
+    return isinstance(fn, ast.Attribute) and fn.attr == "remote" \
+        and getattr(fn.value, "id", None) == "ray"
+
+
+def test_crawl_modules_define_no_actor_class():
+    actors = []
+    for name in ("engine.py", "fetch.py", "frontier.py", "sitemap.py"):
+        with open(os.path.join(PKG, name)) as f:
+            tree = ast.parse(f.read())
+        actors += [f"{name}:{n.name}" for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)
+                   and any(map(_is_ray_remote, n.decorator_list))]
+    assert actors == []
 
 
 def _calls(tree, skip: str):

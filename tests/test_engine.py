@@ -269,3 +269,126 @@ def test_attach_instance_index_fails_closed_on_unknown_page():
     for seeds, pages in (([0, 0], [1, 3]), ([2], [1]), ([0], [0])):
         with pytest.raises(ValueError):
             _attach_instance_index(links(seeds, pages), keys, offs)
+
+
+def _scan_hot_hosts(urls, threshold: int) -> list:
+    """Hot hosts by a driver-side scan of a whole frontier."""
+    from collections import Counter
+
+    import numpy as np
+
+    from upton_ray.urlops import hosts_of
+
+    n = Counter(hosts_of(np.array(urls, dtype=object)).tolist())
+    return sorted(h for h, c in n.items() if c > threshold)
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+@pytest.mark.parametrize("name", ["basic", "paginated", "paginated_error",
+                                  "dedup_stash", "sitemap"])
+def test_stats_equal_trace_frontier(name, limit, ray_session, fixture_web,
+                                    monkeypatch):
+    """Every crawl returns what round 0 knows, from the round-0 rollup
+    (both ``instance_index`` paths) or the URL list: a non-trace crawl's
+    stats equal the trace-mode crawl's, and both equal a scan of the
+    trace-mode frontier (rows, index pages or sitemap files, hot hosts)."""
+    import copy
+
+    import pyarrow as pa
+
+    from upton_ray import engine
+    from upton_ray.shuffle import collect
+    from upton_ray.sitemap import expand_levels
+
+    if limit is not None:
+        monkeypatch.setattr(engine, "INDEX_OFFSET_COLLECT_LIMIT", limit)
+    cfg = copy.deepcopy(CFGS[name])
+    cfg.hot_host_threshold = 1
+    traced = Crawler(copy.deepcopy(cfg), fixture_web).crawl(trace=True)
+    c = Crawler(copy.deepcopy(cfg), fixture_web)
+    stats = c.crawl().stats
+    c.shutdown()
+
+    urls = (list(cfg.url_array) if cfg.url_array is not None
+            else traced.index_urls)
+    want = {"frontier_rows": len(urls), "hot_hosts": _scan_hot_hosts(urls, 1)}
+    if cfg.sitemap_url:
+        want["sitemap_files"] = expand_levels(
+            fixture_web, cfg.sitemap_url, cfg.sitemap_max_depth)[1]
+    elif cfg.url_array is None:
+        c = Crawler(copy.deepcopy(cfg), fixture_web)
+        f = collect(c.get_index()[0], pa.schema([]))
+        c.shutdown()
+        want["index_pages"] = len(set(zip(f["seed_id"].to_pylist(),
+                                          f["page_no"].to_pylist())))
+    assert want["hot_hosts"], "the threshold makes a host hot"
+    assert stats.pop("round0_s") >= 0 and traced.stats.pop("round0_s") >= 0
+    assert stats == traced.stats == want
+
+
+def _paced_hot_crawl(debug: bool):
+    from upton_ray.config import CrawlConfig
+
+    urls = [f"http://big.test/a/{i}" for i in range(30)] \
+        + [f"http://h{j}.test/p/{i}" for j in range(3) for i in range(4)]
+    web = {u: [{"kind": "html body h1.article-title", "text": u,
+                "media_ref": "", "offset": 0}] for u in urls}
+    cfg = CrawlConfig(
+        url_array=urls, extractor="css:h1.article-title",
+        sleep_time_between_requests=0.001, real_sleep=True, max_sleep=0.002,
+        debug=debug, hot_host_threshold=10, hot_host_salts=4,
+        num_seen_shards=2, fetch_concurrency=2, fetch_batch_size=16)
+    return Crawler(cfg, web), len(urls)
+
+
+def test_paced_hot_host_crawl_starts_no_actor(ray_session, monkeypatch):
+    """A paced hot-host crawl with a seen set leases from its first seen
+    shard: after the Crawler is built, the crawl starts no actor of the
+    engine's (Ray Data may start its own), and shutdown kills each shard
+    once."""
+    import ray
+    import ray.actor
+
+    c, n = _paced_hot_crawl(debug=True)
+    started, killed = [], []
+    remote, kill = ray.actor.ActorClass._remote, ray.kill
+
+    def counting_remote(self, *a, **kw):
+        cls = self.__ray_metadata__.modified_class
+        if cls.__module__.startswith("upton_ray"):
+            started.append(cls.__name__)
+        return remote(self, *a, **kw)
+
+    def counting_kill(actor, **kw):
+        killed.append(actor._actor_id.hex())
+        return kill(actor, **kw)
+
+    monkeypatch.setattr(ray.actor.ActorClass, "_remote", counting_remote)
+    monkeypatch.setattr(ray, "kill", counting_kill)
+    assert c.crawl().records_table().num_rows == n
+    assert started == [], "the crawl started an actor"
+    assert c.pacer is c.seen.shards[0]
+    _, granted, _ = ray.get(c.pacer.state.remote())
+    assert granted == {"big.test": 30}
+    shards = [s._actor_id.hex() for s in c.seen.shards]
+    c.shutdown()
+    assert sorted(killed) == sorted(shards), "each shard killed once"
+
+
+def test_paced_hot_host_crawl_without_seen_set(ray_session, monkeypatch):
+    """Without a seen set the crawl starts one shard to lease from, where
+    the hot hosts are known, and shutdown kills it once."""
+    import ray
+
+    c, n = _paced_hot_crawl(debug=False)
+    assert c.seen is None and c.pacer is None
+    assert c.crawl().records_table().num_rows == n
+    _, granted, _ = ray.get(c.pacer.state.remote())
+    assert granted == {"big.test": 30}
+    killed, kill = [], ray.kill
+    monkeypatch.setattr(ray, "kill", lambda a, **kw: (
+        killed.append(a._actor_id.hex()), kill(a, **kw)))
+    pacer = c.pacer._actor_id.hex()
+    c.shutdown()
+    c.shutdown()
+    assert killed == [pacer]

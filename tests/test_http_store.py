@@ -514,3 +514,44 @@ def test_multi_host_live_politeness(ray_session):
         assert wall >= span
     finally:
         srv.shutdown()
+
+
+def test_partial_lookups_take_only_their_pins():
+    """A lookup takes only the prefetched pins of the URLs it asks for:
+    after paced prefetches, two partial lookups (the walker looks bodies
+    up inside its politeness waits) still make one GET per URL."""
+    from upton_ray.fetch import HttpWebStore
+
+    log: list = []
+
+    class H(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_GET(self):
+            log.append(self.path)
+            body = json.dumps([{"kind": "p", "text": self.path,
+                                "media_ref": "", "offset": 0}]).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *a):
+            pass
+
+    srv = _serve(H)
+    try:
+        urls = [f"http://127.0.0.1:{srv.server_port}/p{i}.html"
+                for i in range(6)]
+        store = HttpWebStore(cache_pages=2)   # LRU smaller than the pins
+        for u in urls:
+            store.prefetch(u)
+        first = store.lookup_table(urls[:2]).to_pylist()
+        rest = store.lookup_table(urls[2:]).to_pylist()
+        assert [r[0]["text"] for r in first + rest] == \
+            [f"/p{i}.html" for i in range(6)]
+        assert log == [f"/p{i}.html" for i in range(6)], "one GET per URL"
+        assert store.n_requests == len(urls)
+    finally:
+        srv.shutdown()

@@ -290,3 +290,41 @@ def test_connected_components_crash_resume(ray_session, tmp_path):
     with _pytest.raises(ValueError, match="partitions"):
         datapipe.connected_components(sf, num_partitions=8,
                                       label_checkpoint=ckpt)
+
+
+def test_resume_routes_from_lineage_hot_hosts(crawled, tmp_path,
+                                              monkeypatch):
+    """A ``_SUCCESS``-deleted resume of the paced crawl routes with the hot
+    hosts its round0 lineage unit recorded: round 0 does not run again,
+    nothing scans the frontier, and the records are the golden ones."""
+    import json
+
+    from upton_ray import engine
+
+    crawl = crawled[1]
+    stash = str(tmp_path / "stash")
+    shutil.copytree(crawl.stash, stash)
+    ckpt = os.path.join(stash, "fetched_round1")
+    os.remove(os.path.join(ckpt, _groups(ckpt)[0], "_SUCCESS"))
+    round0 = json.load(open(os.path.join(stash, "lineage.json")))["round0"]
+    assert round0["hot_hosts"], "the paced crawl has a hot host"
+
+    routed = []
+    walker = engine.make_group_walker
+
+    def spy(*a, **kw):
+        routed.append(kw["hot_hosts"])
+        return walker(*a, **kw)
+
+    def no_round0(self, links):
+        raise AssertionError("the resume ran round 0 again")
+
+    monkeypatch.setattr(engine, "make_group_walker", spy)
+    monkeypatch.setattr(engine.Crawler, "_assign_instance_index", no_round0)
+    c = crawl.crawler(stash)
+    res = c.crawl()
+    assert _key_rows(res.records_table()) == _key_rows(crawl.golden)
+    assert routed == [frozenset(round0["hot_hosts"])]
+    assert res.stats["hot_hosts"] == round0["hot_hosts"]
+    assert c.pacer is c.seen.shards[0]
+    c.shutdown()

@@ -138,8 +138,9 @@ def test_sniff_sitemap_no_prefix_window():
 
 def test_expand_levels_collects_no_page_url(ray_session, monkeypatch):
     """Driver contract: only child-sitemap rows are pulled to the driver;
-    the is_index filter runs in a map_batches stage, so no page URL ever
-    reaches it (every table the driver fetches is recorded)."""
+    each probe task returns its loc rows and its child rows apart, so no
+    page URL ever reaches it (every table the driver fetches is
+    recorded)."""
     import ray
 
     B = "http://dc.test/"
@@ -170,3 +171,35 @@ def test_expand_levels_collects_no_page_url(ray_session, monkeypatch):
     assert not pages & set(seen_urls)
     got = sorted(r["url"] for r in collect(links, pa.schema([])).to_pylist())
     assert got == sorted(pages)
+
+
+def test_expand_levels_order_over_many_chunks(ray_session):
+    """A level of 1100 files runs as several probe tasks (at most 512 files
+    each): the links keep the (rank, pos) contract of a sequential reader,
+    the next level's files are ranked in (parent rank, pos) order across
+    the chunks, and a cycle from the last chunk back to the root is
+    skipped."""
+    B = "http://many.test/"
+    n = 1100
+    kids = [f"f{i}.xml" for i in range(n)]
+    web = {B + "root.xml": _sm(CHILD_KIND, *kids)}
+    grand = []
+    for i in range(n):
+        spans = _sm(LOC_KIND, f"p{i}a", B + f"p{i}b")
+        if i % 250 == 0:
+            spans += _sm(CHILD_KIND, f"g{i}.xml")
+            grand.append(i)
+            web[B + f"g{i}.xml"] = _sm(LOC_KIND, f"q{i}")
+        web[B + f"f{i}.xml"] = spans
+    web[B + f"f{n - 1}.xml"] += _sm(CHILD_KIND, B + "root.xml")
+    links, n_files = expand_levels(web, B + "root.xml", max_depth=3,
+                                   concurrency=2)
+    assert n_files == 1 + n + len(grand)
+    want = [(i + 1, 0, B + f"p{i}a") for i in range(n)] \
+        + [(i + 1, 1, B + f"p{i}b") for i in range(n)] \
+        + [(n + 1 + k, 0, B + f"q{i}") for k, i in enumerate(grand)]
+    got = collect(links, pa.schema([])).sort_by(
+        [("seed_id", "ascending"), ("dom_pos", "ascending")])
+    assert set(got["page_no"].to_pylist()) == {0}
+    assert list(zip(got["seed_id"].to_pylist(), got["dom_pos"].to_pylist(),
+                    got["url"].to_pylist())) == sorted(want)

@@ -73,6 +73,7 @@ import ray.data
 # --------------------------------------------------------------- primitives
 
 NORM_RE = r"\s+"
+_NULL_INT = pa.scalar(None, pa.int64())
 
 
 def _table(sf_dir: str, name: str, columns, **kw):
@@ -131,12 +132,16 @@ def _split(texts, keep_empty: bool = False, norm: bool = True):
     An empty text has two contracts.  ``keep_empty=False`` is Python's
     ``str.split()``: an empty text has no token.  ``keep_empty=True`` is
     DuckDB's ``string_split`` with no filter: an empty text is the one
-    token ''.  Normalized text only has a '' token when it is empty."""
+    token ''.  Normalized text only has a '' token when it is empty.  A
+    null text has no token in both (``string_split(NULL)`` is NULL, which
+    the oracles' ``CASE`` maps to no gram)."""
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     if norm:
         texts = _norm_text(texts)
     toks = pc.split_pattern(texts, pattern=" ")
+    if toks.null_count:
+        toks = pc.fill_null(toks, pa.scalar([], toks.type))
     if keep_empty:
         return toks
     empty = pc.fill_null(pc.equal(texts, ""), False) \
@@ -7772,7 +7777,9 @@ def substring_dedup(sf_dir: str, n: int = 5,
 
             def cover(b: pa.Table) -> pa.Table:
                 L, doc_of, grams, pos = _gram_positions(b, n)
-                out_tok = pa.array(L, pa.int64())
+                # a null text has no token, and n_tok NULL in the oracle
+                out_tok = pc.if_else(pc.is_valid(b["text"]),
+                                     pa.array(L, pa.int64()), _NULL_INT)
                 if not len(doc_of):
                     return pa.table({"doc_id": b["doc_id"],
                                      "n_tok": out_tok,
@@ -7818,8 +7825,9 @@ def substring_dedup(sf_dir: str, n: int = 5,
     ntok = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: pa.table({
             "doc_id": b["doc_id"],
-            "n_tok": pc.cast(pc.list_value_length(
-                _split(b["text"], keep_empty=True)), pa.int64())}),
+            "n_tok": pc.if_else(pc.is_valid(b["text"]), pc.cast(
+                pc.list_value_length(_split(b["text"], keep_empty=True)),
+                pa.int64()), _NULL_INT)}),
         batch_format="pyarrow", batch_size=None)
     joined = hash_join(ntok, covd, on="doc_id", how="left outer")
 

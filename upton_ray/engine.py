@@ -26,13 +26,13 @@ for, again.
 
 Scale notes (10^10-URL design point, tested single-node):
 * the only driver-side materializations — each a :func:`shuffle.collect`,
-  which runs its plan once — are (a) the per-(seed, index-page)
-  link-count table used for the instance_index prefix-sum (one row per INDEX
-  PAGE, ~1/links_per_page of the frontier) up to
-  ``INDEX_OFFSET_COLLECT_LIMIT`` index pages — above it the links are
-  ranked in sort order by ``shuffle.block_scan``, which reads two ints per
-  block — (b) with a checkpoint, one counters row per fetch group, and (c)
-  trace-mode conformance collections (tests only);
+  which runs its plan once — are (a) round 0's rollup of link counts per
+  (seed, index page, host), ~1/links_per_page of the frontier, for the page
+  offsets, frontier size and hot hosts up to ``INDEX_OFFSET_COLLECT_LIMIT``
+  rows — above it only the hot hosts, and ``shuffle.block_scan`` reads two
+  ints per block — and a sitemap level's child-file rows, (b) with a
+  checkpoint, one counters row per fetch group, and (c) trace-mode
+  conformance collections (tests only);
 * walkers and probes run as plain Ray tasks over a per-process cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
   stage's walker once, so no crawl starts an actor pool; the
@@ -45,8 +45,10 @@ Scale notes (10^10-URL design point, tested single-node):
 (round 0 completes before round 1 fetches) is deliberate: Upton's
 ``instance_index`` is a global prefix-sum over per-index-page link counts,
 and the groupby that routes fetches is itself an all-to-all.  Under real
-politeness pacing this costs ~15% vs the skew floor (BASELINE.md "polite"
-row).  Removing it would mean assigning indices post-hoc from the records
+politeness pacing a cold ``sitemap_polite`` crawl (perfbench, 1-core host,
+``num_cpus=2``) reaches ~0.82 of its skew floor, the hottest host's pages
+× delay: round 0, the group walk's start and the record stages cost the
+rest.  Removing it would mean assigning indices post-hoc from the records
 themselves; that belongs inside ``crawl()`` and must keep its checkpoint,
 seeding and hot-host splitting.
 """
@@ -56,6 +58,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,14 +76,18 @@ from upton_ray.extract import ExtractRecords, extract_links_batch
 from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
                              make_store, per_process)
 from upton_ray.frontier import salt_hosts
-from upton_ray.seen import SeenSet
-from upton_ray.shuffle import block_scan, collect, group_agg
+from upton_ray.seen import SeenSet, SeenShard
+from upton_ray.shuffle import _agg_table, block_scan, collect, group_agg
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
-# Index-page count above which ``Crawler._assign_instance_index`` ranks the
+# Rollup row count above which ``Crawler._assign_instance_index`` ranks the
 # sorted links instead of collecting the per-page link counts to the driver.
 INDEX_OFFSET_COLLECT_LIMIT = 2_000_000
+
+# the round-0 rollup: links per (seed_id, page_no, host)
+ROLLUP = pa.schema([("seed_id", pa.int32()), ("page_no", pa.int32()),
+                    ("host", pa.string()), ("size", pa.int64())])
 
 
 def _bucket_count(web_ref) -> int | None:
@@ -191,6 +198,24 @@ def _attach_instance_index(links: pa.Table, keys: np.ndarray,
                                pa.array(offs[pos] + d, pa.int64()))
 
 
+def _page_host_counts(links: pa.Table) -> pa.Table:
+    """The :data:`ROLLUP` rows of one block of links."""
+    hosts = hosts_of(links["url"].to_numpy(zero_copy_only=False))
+    return _agg_table(links.select(["seed_id", "page_no"]).append_column(
+        "host", pa.array(hosts, pa.string())), ROLLUP.names[:3],
+        {"size": (None, "count_all")})
+
+
+def _hot_hosts(t: pa.Table, threshold: Optional[int]) -> list:
+    """Sorted hosts of ``t`` (``host``, ``size``) whose sizes sum to more
+    than ``threshold``; none when hot-host splitting is off."""
+    if not threshold:
+        return []
+    g = t.group_by("host").aggregate([("size", "sum")])
+    return sorted(g.filter(pc.greater(g["size_sum"], threshold))["host"]
+                  .to_pylist())
+
+
 def _rank_links(links: pa.Table, base: int, _total: int) -> pa.Table:
     """``instance_index`` = the link's rank in (seed_id, page_no, dom_pos)
     order, for one block of the sorted links (see ``block_scan``)."""
@@ -218,7 +243,10 @@ class Crawler:
         if repeated:
             raise ValueError(f"seed ids must be unique, repeated: {repeated}")
         self.seeds = seeds
-        self.pacer = None            # shared hot-host token bucket (if engaged)
+        self.pacer = None    # the seen shard hot hosts lease from, if any
+        # round 0's facts: frontier_rows, index_pages (with a link) or
+        # sitemap_files, hot_hosts; crawl() adds round0_s
+        self.stats: dict = {}
         # checkpointed crawls: counter rows of the fetch groups this run walked
         self.metrics: Optional[pa.Table] = None
         if cfg.stash_folder and not cfg.seen_exact:
@@ -238,11 +266,10 @@ class Crawler:
     def shutdown(self) -> None:
         """Release the seen-set shard actors (call after consuming results)."""
         if self.seen is not None:
-            self.seen.kill()
-            self.seen = None
-        if self.pacer is not None:
+            self.seen.kill()          # the pacer, if any, is one of them
+        elif self.pacer is not None:
             ray.kill(self.pacer, no_restart=True)
-            self.pacer = None
+        self.seen = self.pacer = None
 
     # ------------------------------------------------------------ checkpoint
 
@@ -326,91 +353,112 @@ class Crawler:
             }
         links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
         links = links.materialize()   # round-0 output is ~1/links_per_page of the crawl
-
-        return self._save_frontier(self._assign_instance_index(links),
-                                   ckpt), trace_info
+        frontier, facts = self._assign_instance_index(links)
+        return self._save_frontier(frontier, ckpt, **facts), trace_info
 
     def _frontier_done(self, ckpt: Optional[str]) -> bool:
-        return bool(ckpt) and "round0" in self._lineage() \
-            and os.path.exists(ckpt)
+        """True when an earlier run checkpointed the frontier; the round0
+        lineage unit's facts (hot hosts included) become :attr:`stats`."""
+        done = self._lineage().get("round0", {}) if ckpt else {}
+        if "hot_hosts" not in done or not os.path.exists(ckpt):
+            return False
+        self.stats.update(done)
+        return True
 
-    def _save_frontier(self, frontier, ckpt: Optional[str]):
-        """Round-0 checkpoint: the frontier is written and read back, then
-        the round0 lineage unit and the seen set are saved."""
+    def _save_frontier(self, frontier, ckpt: Optional[str], **facts):
+        """Round 0's end: ``facts`` go to :attr:`stats`; a checkpoint writes
+        and reads back the frontier, then saves the round0 lineage unit
+        (with ``facts``) and the seen set."""
+        self.stats.update(facts)
         if not ckpt:
             return frontier
         if os.path.exists(ckpt):
             shutil.rmtree(ckpt)   # stale partial output from a crashed run
         frontier.write_parquet(ckpt)
-        self._mark_done("round0")
+        self._mark_done("round0", **facts)
         self._dump_seen()
         return ray.data.read_parquet(ckpt)
 
     def _assign_instance_index(self, links):
         """Deterministic ``instance_index`` = exclusive prefix-sum of
         per-(seed, page) link counts + ``dom_pos`` — Upton's sequential
-        numbering, computed distributed.
+        numbering, computed distributed.  Returns (frontier, facts):
+        frontier_rows, index_pages and hot_hosts.
 
-        Counts reduce through ``group_agg`` (one row per INDEX PAGE,
-        1/links-per-page of the frontier).  Up to
-        ``INDEX_OFFSET_COLLECT_LIMIT`` rows, the rollup is collected and
-        broadcast as sorted int64 page keys + offsets that links look up by
-        ``np.searchsorted`` (cheapest at sandbox scale).  Above it — a
-        10^10-URL crawl has ~10^8+ index pages, too many for the driver —
-        the links are sorted by (seed_id, page_no, dom_pos) and ranked with
-        ``block_scan``: ``dom_pos`` is dense from 0 within each page, so a
-        link's rank in that order IS its page offset + ``dom_pos``.  Both
-        paths produce identical indices (pinned by test)."""
-        counts_ds = group_agg(links, ["seed_id", "page_no"],
-                              {"size": (None, "count_all")})
-        if counts_ds.count() > INDEX_OFFSET_COLLECT_LIMIT:
+        One task per block of ``links`` makes its :data:`ROLLUP` rows.  Up
+        to ``INDEX_OFFSET_COLLECT_LIMIT`` rows the rollup is collected (the
+        driver merges a page that spans blocks) and every fact comes from
+        it; the offsets are broadcast as sorted int64 page keys that links
+        look up by ``np.searchsorted``.  Above it — a 10^10-URL crawl has
+        ~10^8+ index pages — the links are sorted by (seed_id, page_no,
+        dom_pos) and ranked with ``block_scan``: ``dom_pos`` is dense from 0
+        within each page, so a link's rank in that order IS its page offset
+        + ``dom_pos``; the facts come from ``group_agg`` over the rollup,
+        the threshold filter in its reduce tasks.  Both paths give
+        identical indices and facts (pinned by test)."""
+        threshold = self.cfg.hot_host_threshold
+        rollup = links.map_batches(_page_host_counts, batch_format="pyarrow",
+                                   batch_size=None).materialize()
+        if rollup.count() > INDEX_OFFSET_COLLECT_LIMIT:
+            cut = threshold or np.iinfo(np.int64).max     # off: none is hot
+            hot = group_agg(
+                rollup, ["host"], {"size": ("size", "sum")},
+                post=lambda t: t.filter(pc.greater(t["size"], cut)))
             return block_scan(links.sort(["seed_id", "page_no", "dom_pos"]),
-                              _rank_links)
+                              _rank_links), {
+                "frontier_rows": links.count(), "index_pages": group_agg(
+                    rollup, ["seed_id", "page_no"], {}).count(),
+                "hot_hosts": _hot_hosts(collect(hot, ROLLUP), threshold)}
 
-        t = collect(counts_ds, pa.schema([
-            ("seed_id", pa.int32()), ("page_no", pa.int32()),
-            ("size", pa.int64())]))
-        sz = t["size"].to_numpy(zero_copy_only=False)
-        keys = _page_keys(t)
+        t = collect(rollup, ROLLUP)
+        per_page = t.group_by(["seed_id", "page_no"]).aggregate(
+            [("size", "sum")])
+        sz = per_page["size_sum"].to_numpy(zero_copy_only=False)
+        keys = _page_keys(per_page)
         o = np.argsort(keys, kind="stable")
         keys = keys[o]
         offs = np.r_[0, np.cumsum(sz[o])][:-1]
         return links.map_batches(_attach_instance_index,
                                  fn_args=(keys, offs),
-                                 batch_format="pyarrow")
+                                 batch_format="pyarrow"), {
+            "frontier_rows": int(sz.sum()), "index_pages": len(keys),
+            "hot_hosts": _hot_hosts(t, threshold)}
 
     def _frontier_from_sitemaps(self):
         """Sitemap-seeded frontier (cfg.sitemap_url): expand the sitemap /
         sitemap-index tree level-by-level (upton_ray.sitemap.expand_levels,
-        each level a distributed probe task over the store), then the
-        same instance_index prefix-sum as index-page links.  Checkpoints
-        under the round0 lineage marker exactly like get_index, so a
-        crashed run resumes without re-expanding."""
+        each level a few probe tasks over the store), then the same
+        instance_index prefix-sum as index-page links.  Checkpoints under
+        the round0 lineage marker exactly like get_index, so a crashed run
+        resumes without re-expanding."""
         cfg = self.cfg
         ckpt = self._ckpt("frontier.parquet")
         if self._frontier_done(ckpt):
             return ray.data.read_parquet(ckpt)
         from upton_ray.sitemap import expand_levels
 
-        links, _n_files = expand_levels(
+        links, n_files = expand_levels(
             self.web_ref, cfg.sitemap_url, max_depth=cfg.sitemap_max_depth,
             concurrency=cfg.fetch_concurrency)
-        frontier = self._assign_instance_index(links).materialize()
+        frontier, facts = self._assign_instance_index(links)
+        del facts["index_pages"]        # sitemap files with a <loc>
         # sitemap frontiers arrive in one block per probe task — far fewer
         # than the fetch stage wants; re-grain to ~2 blocks per CPU so the
         # fetch tasks fill the cluster (same rule as directory corpus reads)
-        if frontier.count() > 10_000:
-            try:
-                cpus = int(ray.cluster_resources().get("CPU", 0)) or 8
-            except Exception:
-                cpus = 8
+        if facts["frontier_rows"] > 10_000:
+            cpus = int(ray.cluster_resources().get("CPU", 0)) or 8
             frontier = frontier.repartition(max(2, 2 * cpus))
-        return self._save_frontier(frontier, ckpt)
+        return self._save_frontier(frontier, ckpt, sitemap_files=n_files,
+                                   **facts)
 
     # --------------------------------------------------------------- round 1
 
     def _frontier_from_url_array(self):
         urls = list(self.cfg.url_array)
+        hosts = pa.array(hosts_of(np.array(urls, dtype=object)), pa.string())
+        self.stats.update(frontier_rows=len(urls), hot_hosts=_hot_hosts(
+            pa.table({"host": hosts, "size": np.ones(len(urls), np.int64)}),
+            self.cfg.hot_host_threshold))
         t = pa.table({
             "url": pa.array(urls, pa.string()),
             "instance_index": pa.array(np.arange(len(urls), dtype=np.int64)),
@@ -431,8 +479,9 @@ class Crawler:
         frontier-routing shuffle, SURVEY.md §7.3: it moves only (url, ints)
         rows, the cheap side).  Every other crawl uses
         ``cfg.fetch_concurrency`` host shards, so a host's politeness heap
-        lives in one task; a paced crawl splits its hot hosts into salted
-        sub-queues that share the HostPacer's token bucket.
+        lives in one task; a paced crawl splits round 0's hot hosts
+        (:attr:`stats`) into salted sub-queues that lease from one seen
+        shard (:meth:`upton_ray.seen.SeenShard.lease`).
 
         With a checkpoint, each group writes ``fetched_round1/bucket=<g>/``
         plus ``_SUCCESS`` and returns its counters row; the rows become
@@ -443,7 +492,6 @@ class Crawler:
         paced = cfg.real_sleep and cfg.sleep_time_between_requests > 0
         n_buckets = None if paced else _bucket_count(self.web_ref)
         n_groups = n_buckets or cfg.fetch_concurrency
-        self.pacer = None
         ckpt = self._ckpt("fetched_round1")
         if not ckpt:
             return self._walk_groups(frontier, n_groups, n_buckets, paced,
@@ -468,18 +516,11 @@ class Crawler:
         """The group walk of :meth:`fetch_instances`, minus the groups in
         ``done``."""
         cfg = self.cfg
-        hot_hosts: frozenset = frozenset()
-        if paced and cfg.hot_host_threshold:
-            # pin the frontier first: the counting pass must not re-run
-            # the (stateful) round-0 walkers when the fetch pass executes.
-            # Frontier rows are just (url, ints); at the 10^10 design
-            # point replace this with the round-0 per-host link counts.
-            frontier = frontier.materialize()
-            hot_hosts = self._find_hot_hosts(frontier, cfg.hot_host_threshold)
-            if hot_hosts:
-                from upton_ray.frontier import make_host_pacer
-
-                self.pacer = make_host_pacer()
+        hot_hosts = frozenset(self.stats.get("hot_hosts", ()) if paced
+                              else ())
+        if hot_hosts and self.pacer is None:
+            self.pacer = (self.seen.shards[0] if self.seen is not None
+                          else SeenShard.remote())
         salts = max(1, cfg.hot_host_salts)
         done_ids = np.array(sorted(done), dtype=np.int64)
 
@@ -597,26 +638,6 @@ class Crawler:
                            for i in range(0, n_seeds, step)]
         return ray.data.from_arrow(seed_blocks), step, conc
 
-    @staticmethod
-    def _find_hot_hosts(frontier, threshold: int) -> frozenset:
-        """Per-host frontier counts on ``group_agg``, with the threshold
-        filter inside its reduce tasks, so only the hosts that are actually
-        hot (few, by definition) ever reach the driver — a web-scale
-        frontier has ~10^8 distinct hosts, far too many to collect."""
-        def host_col(b: pa.Table) -> pa.Table:
-            hs = hosts_of(b["url"].to_numpy(zero_copy_only=False))
-            return pa.table({"host": pa.array(hs, pa.string())})
-
-        def over(t: pa.Table) -> pa.Table:
-            return t.filter(pc.greater(t["size"], threshold)).select(["host"])
-
-        hot = group_agg(
-            frontier.map_batches(host_col, batch_format="pyarrow",
-                                 batch_size=None),
-            ["host"], {"size": (None, "count_all")}, post=over)
-        t = collect(hot, pa.schema([("host", pa.string())]))
-        return frozenset(t["host"].to_pylist())
-
     def extract_records(self, fetched):
         # instance (not class): runs in the task pool — extraction is stateless,
         # the instance just pre-splits the extractor spec once
@@ -692,6 +713,7 @@ class Crawler:
         index_urls = None
         if cfg.respect_robots and cfg.fetch_robots:
             self._load_robots_from_web()
+        t0 = time.perf_counter()
         if cfg.url_array is not None:
             frontier = self._frontier_from_url_array()
             trace_info = None
@@ -700,6 +722,7 @@ class Crawler:
             trace_info = None
         else:
             frontier, trace_info = self.get_index(trace=trace)
+        self.stats["round0_s"] = time.perf_counter() - t0
 
         if trace:
             frontier_schema = pa.schema([
@@ -720,7 +743,8 @@ class Crawler:
         records = records.sort(["instance_index", "pagination_index", "row_no"])
 
         if not trace:
-            return CrawlResult(records=records, metrics=self.metrics)
+            return CrawlResult(records=records, metrics=self.metrics,
+                               stats=dict(self.stats))
 
         rt = collect(records, RECORDS_OUT)
         rt = rt.sort_by([("instance_index", "ascending"),
@@ -738,7 +762,8 @@ class Crawler:
         metrics = fetch_counters(fetched_t, -1)
         self._dump_seen()
         return CrawlResult(records=rt, index_urls=index_urls, sleeps=sleeps,
-                           fetched_urls=fetched_urls, metrics=metrics)
+                           fetched_urls=fetched_urls, metrics=metrics,
+                           stats=dict(self.stats))
 
     def _index_fetch_urls(self, pages_t: pa.Table) -> list[str]:
         """Reconstruct the index-page URLs that hit the network (trace only)."""

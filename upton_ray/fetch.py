@@ -28,8 +28,9 @@ for every later batch, with no actor pool to start per crawl.
 
 from __future__ import annotations
 
+import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -39,9 +40,11 @@ import ray
 from upton_ray import schema, synth
 from upton_ray.config import CrawlConfig
 from upton_ray.frontier import HostScheduler, RobotsCache
-from upton_ray.urlops import host_of, next_index_page_url, resolve_url
+from upton_ray.urlops import (host_of, hosts_of, next_index_page_url,
+                              resolve_url)
 
 EMPTY_SPANS: list = []
+LOOKUP_CHUNK = 16     # bodies looked up at once inside a politeness wait
 
 
 # ----------------------------------------------------------------- web stores
@@ -382,7 +385,8 @@ class HttpWebStore:
         the paced instant instead of in the batched burst).  The result
         is PINNED until the next :meth:`lookup_table` assembles it —
         exempt from LRU eviction, because a fetch batch may exceed
-        ``cache_pages`` and would otherwise evict its own prefetches."""
+        ``cache_pages`` and would otherwise evict its own prefetches.  A
+        lookup takes only the pins of the URLs it asks for."""
         spans = (self._fetch(url) if url in self._cache
                  else self._get(url))
         self._pinned[url] = spans
@@ -400,8 +404,9 @@ class HttpWebStore:
         # re-fetch them one by one (measured: an RTT-bound 8-host batch
         # ran at 0.85x sequential before this fix).  Politeness-paced
         # :meth:`prefetch` results arrive the same way (pinned).
-        got: dict[str, list | None] = dict(self._pinned)
-        self._pinned.clear()
+        got: dict[str, list | None] = {
+            u: self._pinned.pop(u) for u in dict.fromkeys(urls)
+            if u in self._pinned}
         missing = list(dict.fromkeys(
             u for u in urls if u not in got and u not in self._cache))
         if len(missing) > 1 and (self.max_workers is None
@@ -703,7 +708,7 @@ class InstanceWalker:
         self.st = _FetchState(cfg, web_source, seen_handle)
         self.cfg = cfg
         # skew handling: hot hosts are split into salted sub-queues on several
-        # workers, so they share ONE global token bucket (HostPacer actor)
+        # workers, so they lease from ONE global bucket (a SeenShard actor)
         # instead of this worker's local heap
         self.pacer = pacer
         self.hot_hosts = hot_hosts
@@ -717,13 +722,8 @@ class InstanceWalker:
         this worker's wall-clock."""
         if self.pacer is None or not self.hot_hosts:
             return
-        import time as _time
-        from collections import Counter
-
-        from upton_ray.urlops import hosts_of as _hosts_of
-
         sched = self.st.sched
-        hosts = _hosts_of(np.asarray(urls, dtype=object))
+        hosts = hosts_of(np.asarray(urls, dtype=object))
         cnt = Counter(h for j, h in enumerate(hosts)
                       if from_resource[j] and h in self.hot_hosts)
         if not cnt:
@@ -731,7 +731,7 @@ class InstanceWalker:
         items = list(cnt.items())
         waits = ray.get([self.pacer.lease.remote(h, c, sched.host_delay(h))
                          for h, c in items])
-        mono = _time.monotonic()
+        mono = time.monotonic()
         for (h, _c), wait in zip(items, waits):
             sched.next_allowed[h] = max(sched.next_allowed[h], mono + wait)
 
@@ -788,19 +788,36 @@ class InstanceWalker:
 
         statuses = np.full(n, 0, dtype=np.int32)
         slept = np.zeros(n, dtype=bool)
+        # body lookups as (positions in furls, spans); a paced crawl
+        # releases a row for lookup once cached or fetched at its slot
+        parts: list = []
+        released = list(range(len(furls)))
         if st.sched.delay and cfg.real_sleep:
             self._lease_batch(furls, from_res)
+            released = np.flatnonzero(~from_res).tolist()
+            chunk_s = 0.0                 # the last lookup chunk's time
             # earliest-deadline-first over this worker's heap (hot hosts
             # start at their leased window; others at their local state)
             prefetch = getattr(st.store, "prefetch", None)
             for j in st.sched.order_batch(furls):
                 if from_res[j]:
                     u = furls[j]
+                    h = host_of(u)
+                    # look bodies up inside the politeness wait while the
+                    # slot is further away than one chunk's lookup
+                    while released and (st.sched.next_allowed[h]
+                                        - time.monotonic() > chunk_s):
+                        t, chunk = time.monotonic(), released[:LOOKUP_CHUNK]
+                        del released[:LOOKUP_CHUNK]
+                        parts.append((chunk, st.store.lookup_table(
+                            furls[chunk])))
+                        chunk_s = time.monotonic() - t
                     statuses[fetchable[j]] = st.statuses.get(u, 200)
-                    st.sched.wait_turn(host_of(u))
+                    st.sched.wait_turn(h)
                     slept[fetchable[j]] = True
                     if prefetch is not None and statuses[fetchable[j]] == 200:
                         prefetch(u)       # wire-paced GET (network stores)
+                    released.append(j)
         else:
             fr_rows = fetchable[from_res]
             slept[fr_rows] = True
@@ -819,15 +836,18 @@ class InstanceWalker:
                 bad_hits = st.seen.bad_mask(st.seen_key(urls[hit_rows]))
                 statuses[hit_rows[bad_hits]] = -1   # cached empty body
 
-        # vectorized body lookup for every fetchable row
-        spans = st.store.lookup_table(furls) if len(furls) else schema.spans_array([])
+        # vectorized body lookup for every fetchable row not looked up yet
+        if released:
+            parts.append((released, st.store.lookup_table(furls[released])))
 
         # assemble aligned spans for the whole batch via sentinel-take:
-        # row i of `pool` = spans of fetchable[i]; last row = empty spans
-        pool = pa.concat_arrays([spans.combine_chunks() if isinstance(spans, pa.ChunkedArray) else spans,
-                                 schema.spans_array([EMPTY_SPANS])])
+        # row i of `pool` = spans of furls[pos[i]]; last row = empty spans
+        pool = pa.concat_arrays(
+            [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
+             for _, p in parts] + [schema.spans_array([EMPTY_SPANS])])
+        pos = np.array([i for idx, _ in parts for i in idx], dtype=np.int64)
         take_idx = np.full(n, len(pool) - 1, dtype=np.int64)
-        take_idx[fetchable] = np.arange(len(furls))
+        take_idx[fetchable[pos]] = np.arange(len(pos))
         # error statuses (and cached-empty hits) -> empty page (M8), row kept
         bad = (statuses != 200) & (statuses != 0)
         take_idx[bad] = len(pool) - 1

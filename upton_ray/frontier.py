@@ -6,8 +6,9 @@ The engine generalizes it (north_star): each fetch worker holds a min-heap of
 ``(next_allowed_time, host)`` and schedules the batch's URLs so that no host
 is hit more often than its crawl-delay, while different hosts interleave
 freely.  Cluster-wide per-host correctness comes from routing a host's URLs to
-one fetch group (host-hash sharding; ``Crawler.fetch_instances``); hot hosts
-can be salted into sub-queues that share a token bucket.
+one fetch group (host-hash sharding; ``Crawler.fetch_instances``).  A hot
+host (round 0's ``Crawler.stats``) is salted into sub-queues that lease its
+windows from one seen shard (:meth:`upton_ray.seen.SeenShard.lease`).
 """
 
 from __future__ import annotations
@@ -92,62 +93,6 @@ class HostScheduler:
         return wait
 
 
-def make_host_pacer():
-    """Create the shared token-bucket actor for hot hosts (deferred ray import
-    so this module stays importable without a session)."""
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class HostPacer:
-        """Cluster-wide politeness bucket for SPLIT (salted) hot hosts.
-
-        A hot host's sub-queues land on different workers, so worker-local
-        deadline heaps would each pace independently — k sub-queues would
-        fetch k× the polite rate. Every worker instead LEASES a window for
-        its batch's fetches of that host here (one RPC per host per batch,
-        amortized): the virtual clock advances ``n * delay`` per lease, so
-        the host's global fetch rate stays 1/delay no matter how many
-        sub-queues exist (north_rule: salted sub-queues share the bucket).
-        """
-
-        def __init__(self):
-            self.next_allowed: dict[str, float] = {}
-            self.first_start: dict[str, float] = {}
-            self.granted: dict[str, int] = {}
-            self.leases: dict[str, int] = {}
-
-        def lease(self, host: str, n: int, delay: float,
-                  now: float = 0.0) -> float:
-            """Grant a window of n fetches and return the WAIT (seconds, a
-            clock-domain-free duration) until it opens.  All window
-            arithmetic runs on the PACER'S OWN clock — worker clocks on a
-            multi-node cluster can skew, and windows computed in mixed
-            domains could overlap; ``now`` is accepted for compatibility but
-            ignored.  Windows never overlap, so the host's global rate stays
-            <= 1/delay across all workers."""
-            import time
-
-            t = time.time()           # one clock domain: this actor's
-            start = max(self.next_allowed.get(host, t), t)
-            self.first_start.setdefault(host, start)
-            self.next_allowed[host] = start + n * delay
-            self.granted[host] = self.granted.get(host, 0) + n
-            self.leases[host] = self.leases.get(host, 0) + 1
-            return start - t
-
-        def state(self):
-            return (dict(self.next_allowed), dict(self.granted),
-                    dict(self.leases))
-
-        def spans(self):
-            """Per-host (first_start, next_allowed): the busy window — its
-            length always equals granted x delay."""
-            return {h: (self.first_start[h], self.next_allowed[h])
-                    for h in self.first_start}
-
-    return HostPacer.remote()
-
-
 def salt_hosts(hosts: np.ndarray, hot_hosts, num_salts: int,
                row_ids) -> np.ndarray:
     """Skew handling: the routing key per row — the host itself, or
@@ -156,8 +101,8 @@ def salt_hosts(hosts: np.ndarray, hot_hosts, num_salts: int,
     ``instance_index``: a row's salt depends on the row alone, never on the
     batch it arrives in, so a re-read frontier routes every URL to the same
     fetch group.  Salted sub-queues of one host still share that host's
-    token bucket: pacing goes through the HostPacer actor keyed by the TRUE
-    host, never the salted key."""
+    token bucket: pacing leases from :meth:`upton_ray.seen.SeenShard.lease`
+    keyed by the TRUE host, never the salted key."""
     if not hot_hosts:
         return hosts
     h = pa.array(hosts, pa.string())

@@ -169,8 +169,9 @@ class SeenShard:
     Exact mode holds a ``set[str]`` of URLs and nothing else; approximate
     mode holds a :class:`Cuckoo` filter sized by ``capacity`` and nothing
     else — the filter IS the membership surface, so a false positive (rate
-    set by ``capacity``) skips a fetch of a genuinely-new URL. Every method
-    branches on the mode once."""
+    set by ``capacity``) skips a fetch of a genuinely-new URL. Every
+    membership method branches on the mode once.  A shard is also the
+    crawl's politeness bucket for split hot hosts (:meth:`lease`)."""
 
     def __init__(self, capacity: int = 1_000_000, approximate: bool = False):
         self.approximate = approximate
@@ -178,6 +179,37 @@ class SeenShard:
         self.exact: set[str] | None = None if approximate else set()
         self.n_seen = 0              # approximate mode's size (a filter has no len)
         self.bad: set[str] = set()   # URLs whose stashed body is empty (error pages)
+        # per hot host: window end, first window start, fetches, leases
+        self.next_allowed: dict[str, float] = {}
+        self.first_start: dict[str, float] = {}
+        self.granted: dict[str, int] = {}
+        self.leases: dict[str, int] = {}
+
+    def lease(self, host: str, n: int, delay: float) -> float:
+        """Grant a window of ``n`` fetches of a hot host; return the WAIT
+        (seconds) until it opens.  A hot host's salted sub-queues lease
+        here from several workers; windows never overlap, so its global
+        rate stays <= 1/delay.  Only this actor's clock is read: worker
+        clocks on a multi-node cluster can skew."""
+        import time
+
+        t = time.time()
+        start = max(self.next_allowed.get(host, t), t)
+        self.first_start.setdefault(host, start)
+        self.next_allowed[host] = start + n * delay
+        self.granted[host] = self.granted.get(host, 0) + n
+        self.leases[host] = self.leases.get(host, 0) + 1
+        return start - t
+
+    def state(self):
+        return (dict(self.next_allowed), dict(self.granted),
+                dict(self.leases))
+
+    def spans(self):
+        """Per-host (first_start, next_allowed): the busy window, of
+        length granted x delay."""
+        return {h: (self.first_start[h], self.next_allowed[h])
+                for h in self.first_start}
 
     def invalidate(self, urls: list[str]) -> int:
         """Re-crawl invalidation: forget these URLs (and their error-page

@@ -22,12 +22,12 @@ so the conformance golden can pin it):
   per index), while the extracted page URLs stay a distributed Dataset and
   feed the same instance_index prefix-sum as index-page links.
 
-Scale shape: each level is one ``map_batches`` over the level's file URLs
-(plain Ray tasks; each worker process opens the store once), emitting one
-row per ``<loc>``; a second ``map_batches`` keeps the CHILD_KIND rows, and
-only those are collected (files, never page URLs).  At 10^10-URL scale the
-per-level loc Datasets union into the frontier without the driver ever
-seeing a page URL.
+Scale shape: each level is plain Ray tasks, one per chunk of at most 512
+of the level's file URLs (each worker process opens the store once).  A
+task returns two objects: its ``<loc>`` rows, already in the link schema,
+and its child-file rows.  The driver fetches only the child rows (files,
+never page URLs); the loc objects of every level become the links Dataset
+(``from_arrow_refs``) without the driver ever seeing a page URL.
 """
 
 from __future__ import annotations
@@ -36,12 +36,14 @@ import re
 
 import numpy as np
 import pyarrow as pa
-
-from upton_ray.shuffle import collect
+import ray
+import ray.data
 
 LOC_KIND = "urlset/url/loc"
 CHILD_KIND = "sitemapindex/sitemap/loc"
 
+LINKS = pa.schema([("seed_id", pa.int32()), ("page_no", pa.int32()),
+                   ("dom_pos", pa.int32()), ("url", pa.string())])
 _CHILD_ROWS = pa.schema([("rank", pa.int64()), ("pos", pa.int32()),
                          ("url", pa.string())])
 
@@ -91,14 +93,11 @@ def sitemap_xml_to_spans(xml: str) -> list[dict] | None:
 
 
 def make_sitemap_probe(web_ref):
-    """Task function for ``map_batches`` over one level's sitemap-file URLs:
-    each worker process opens the store once and probes every later batch
-    with it (:func:`upton_ray.fetch.per_process`).
-
-    Input columns: rank:int64 (discovery order of the file), url:string.
-    Output: rank, pos:int32 (position within the file), url:string (the
-    resolved <loc>), is_index:bool (True = child sitemap file).
-    """
+    """Probe of a chunk of one level's sitemap files (rank:int64, the
+    file's discovery order; url:string); each worker process opens the
+    store once (:func:`upton_ray.fetch.per_process`).  Returns the resolved
+    ``<loc>`` rows as :data:`LINKS` (seed_id = rank, dom_pos = position
+    among the file's locs) and the child rows as :data:`_CHILD_ROWS`."""
     from upton_ray.fetch import make_store, per_process
     from upton_ray.urlops import resolve_url
 
@@ -106,8 +105,8 @@ def make_sitemap_probe(web_ref):
         def __init__(self):
             self.store = make_store(web_ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ranks, poss, urls, kinds = [], [], [], []
+        def __call__(self, batch: pa.Table) -> tuple[pa.Table, pa.Table]:
+            out = {LOC_KIND: ([], [], []), CHILD_KIND: ([], [], [])}
             for rank, sm_url in zip(batch["rank"].to_pylist(),
                                     batch["url"].to_pylist()):
                 spans = self.store.lookup_one(sm_url) or []
@@ -128,16 +127,15 @@ def make_sitemap_probe(web_ref):
                         resolved = resolve_url(loc, sm_url)
                     except Exception:
                         continue
+                    ranks, poss, urls = out[k]
                     ranks.append(rank)
                     poss.append(pos[k])
                     urls.append(resolved)
-                    kinds.append(k == CHILD_KIND)
                     pos[k] += 1
-            return pa.table({
-                "rank": pa.array(ranks, pa.int64()),
-                "pos": pa.array(poss, pa.int32()),
-                "url": pa.array(urls, pa.string()),
-                "is_index": pa.array(kinds, pa.bool_())})
+            ranks, poss, urls = out[LOC_KIND]
+            return (pa.table([ranks, np.zeros(len(ranks), np.int32), poss,
+                              urls], schema=LINKS),
+                    pa.table(list(out[CHILD_KIND]), schema=_CHILD_ROWS))
 
     return per_process(SitemapProbe)
 
@@ -147,62 +145,33 @@ def expand_levels(web_ref, seed_url: str, max_depth: int = 3,
     """Expand a sitemap (or sitemap-index tree) into a link Dataset with
     the (seed_id, page_no, dom_pos, url) schema of
     :func:`upton_ray.extract.extract_links_batch`, ready for the engine's
-    instance_index prefix-sum.  Returns (links_ds, n_files)."""
-    import ray.data
-
-    probe = make_sitemap_probe(web_ref)
+    instance_index prefix-sum.  Returns (links_ds, n_files).  A level's
+    files split over ``concurrency`` probe tasks, more if one gets >512."""
+    probe = ray.remote(num_cpus=0.5, num_returns=2)(
+        make_sitemap_probe(web_ref))
     pending: list[tuple[int, str]] = [(0, seed_url)]
     visited = {seed_url}
-    next_rank = 1
-    loc_parts = []
+    loc_refs = []
     n_files = 1
     for _depth in range(max_depth):
         if not pending:
             break
-        ds = ray.data.from_arrow(pa.table({
+        files = pa.table({
             "rank": pa.array([r for r, _ in pending], pa.int64()),
-            "url": pa.array([u for _, u in pending], pa.string())}))
-        if len(pending) > 1024:
-            ds = ds.repartition(max(2, len(pending) // 512))
-        rows = ds.map_batches(
-            probe, batch_format="pyarrow", batch_size=512,
-            concurrency=max(1, min(concurrency,
-                                   len(pending) // 256 + 1)),
-            num_cpus=0.5).materialize()
-
-        def to_links(b: pa.Table) -> pa.Table:
-            keep = b.filter(pa.compute.invert(b["is_index"]))
-            return pa.table({
-                "seed_id": pa.compute.cast(keep["rank"], pa.int32()),
-                "page_no": pa.array(
-                    np.zeros(keep.num_rows, np.int32), pa.int32()),
-                "dom_pos": keep["pos"],
-                "url": keep["url"]})
-
-        def children(b: pa.Table) -> pa.Table:
-            return b.filter(b["is_index"]).select(["rank", "pos", "url"])
-
-        loc_parts.append(rows.map_batches(to_links, batch_format="pyarrow"))
+            "url": pa.array([u for _, u in pending], pa.string())})
+        size = min(512, -(-len(pending) // max(1, concurrency)))
+        refs = [probe.remote(files.slice(i, size))
+                for i in range(0, len(pending), size)]
+        loc_refs += [locs for locs, _ in refs]
         # child FILES come to the driver (protocol-bounded), page URLs never
-        kids = collect(rows.map_batches(children, batch_format="pyarrow"),
-                       _CHILD_ROWS).sort_by([("rank", "ascending"),
-                                             ("pos", "ascending")])
+        kids = pa.concat_tables(ray.get([k for _, k in refs])).sort_by(
+            [("rank", "ascending"), ("pos", "ascending")])
         pending = []
         for u in kids["url"].to_pylist():
-            if u in visited:
-                continue
-            visited.add(u)
-            pending.append((next_rank, u))
-            next_rank += 1
-            n_files += 1
-    if not loc_parts:          # max_depth <= 0: empty frontier, not a crash
-        links = ray.data.from_arrow(pa.table({
-            "seed_id": pa.array([], pa.int32()),
-            "page_no": pa.array([], pa.int32()),
-            "dom_pos": pa.array([], pa.int32()),
-            "url": pa.array([], pa.string())}))
-        return links, n_files
-    links = loc_parts[0]
-    for extra in loc_parts[1:]:
-        links = links.union(extra)
-    return links, n_files
+            if u not in visited:
+                visited.add(u)
+                n_files += 1
+                pending.append((n_files - 1, u))
+    if not loc_refs:          # max_depth <= 0: empty frontier, not a crash
+        return ray.data.from_arrow(LINKS.empty_table()), n_files
+    return ray.data.from_arrow_refs(loc_refs), n_files
