@@ -205,10 +205,11 @@ def test_distributed_instance_index_equals_collected(ray_session, tmp_path,
     live_blocks = []
     assign = Crawler._assign_instance_index
 
-    def reblocked(self, links):
-        # the crawl's links arrive in one block: hand the sort several
-        # shuffled ones so the ranks cross block bases
-        return assign(self, links.random_shuffle(seed=3).repartition(4))
+    def reblocked(self, links, rollup=None):
+        # the crawl's links arrive in one block per round-0 task: hand the
+        # sort several shuffled ones so the ranks cross block bases
+        return assign(self, links.random_shuffle(seed=3).repartition(4),
+                      rollup=rollup)
 
     def spy(ds, fn, *args, **kw):
         ds = ds.materialize()

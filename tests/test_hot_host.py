@@ -1,6 +1,6 @@
 """Hot-host splitting: a skewed host is salted across several fetch shards
-while its politeness budget stays globally shared through the HostPacer
-token-bucket actor (north_rule skew handling)."""
+while its politeness budget stays globally shared through leases from the
+crawl's first seen shard (``SeenShard.lease``; north_rule skew handling)."""
 
 import numpy as np
 import ray
@@ -157,10 +157,7 @@ def test_hot_host_requests_span_the_full_budget(ray_session):
         sleep_time_between_requests=delay, real_sleep=True, max_sleep=0.005,
         debug=False,
         hot_host_threshold=n_cold + 1, hot_host_salts=8,
-        num_seen_shards=1, fetch_concurrency=shards,
-        # small record batches: the fused record stage does not bundle the
-        # shards' blocks into one task, so the shards walk concurrently
-        fetch_batch_size=16)
+        num_seen_shards=1, fetch_concurrency=shards)
     c = Crawler(cfg, ("http", {"url_map": url_map, "timeout": 5.0,
                                "max_retries": 1}))
     try:

@@ -516,6 +516,65 @@ def test_multi_host_live_politeness(ray_session):
         srv.shutdown()
 
 
+def test_first_instance_fetch_keeps_delay_after_index(ray_session):
+    """Per-host politeness across the round boundary, on the wire: round 1
+    starts with walkers of its own, so its first GET of a host must still
+    come a full delay after round 0's last GET of that host (the reference
+    sleeps after every fetch)."""
+    import time as _time
+
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler
+    from upton_ray.synth import _article, _page
+
+    host, delay = "http://h0.example/", 0.4
+    web = {host + f"a{a}.html": _article(f"a{a}", f"Headline {a}")
+           for a in range(2)}
+    web[host + "index.html"] = _page(*[
+        ("section#river/section/h1/a", f"Headline {a}", f"a{a}.html")
+        for a in range(2)])
+    hits: list[float] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            hits.append(_time.monotonic())
+            _, hseg, name = self.path.split("/", 2)
+            body = json.dumps(web.get(f"http://{hseg}/" + name, [])).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *a):
+            pass
+
+    srv = _serve(Handler)
+    try:
+        cfg = CrawlConfig(
+            index_selector="section#river section h1 a",
+            extractor="css:h1.article-title",
+            sleep_time_between_requests=delay, real_sleep=True,
+            max_sleep=delay, debug=False)
+        src = ("http", {"url_map": {host: f"http://127.0.0.1:"
+                                          f"{srv.server_port}/h0.example/"},
+                        "timeout": 5.0, "max_retries": 1})
+        # the second crawl runs on warm worker processes, where the round
+        # boundary is shortest
+        for _ in range(2):
+            hits.clear()
+            c = Crawler(cfg, src,
+                        seeds=[(0, host + "index.html", cfg.index_selector)])
+            t = c.crawl().records_table()
+            c.shutdown()
+            assert t.num_rows == 2
+            assert len(hits) == 3, "the index page and two articles"
+            gaps = [b - a for a, b in zip(hits, hits[1:])]
+            assert min(gaps) >= 0.9 * delay, gaps
+    finally:
+        srv.shutdown()
+
+
 def test_partial_lookups_take_only_their_pins():
     """A lookup takes only the prefetched pins of the URLs it asks for:
     after paced prefetches, two partial lookups (the walker looks bodies

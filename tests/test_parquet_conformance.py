@@ -83,3 +83,25 @@ def test_generator_store_matches_parquet_store(ray_session, tmp_path):
                         [tuple(r) for r in t["record"].to_pylist()]))
 
     assert rows(p) == rows(("parquet", corpus, 4))
+
+
+def test_bucket_memo_agrees_with_buckets(parquet_web, fixture_web):
+    """The per-host bucket memo behind ``lookup_one`` and ``page_len``
+    gives every URL the bucket that the vectorized ``_buckets`` gives it,
+    on a first probe and a memoized one, for mixed-case, port and
+    host-less URLs too; and the lookups answer as before."""
+    import numpy as np
+
+    from upton_ray import fetch
+
+    store = fetch.make_store(parquet_web)
+    urls = list(fixture_web) + ["http://Example.COM/a", "http://example.com/b",
+                                "https://example.com:8080/c", "no-scheme",
+                                ""]
+    want = store._buckets(np.array(urls, dtype=object)).tolist()
+    for _ in range(2):
+        assert [store._bucket_of(u) for u in urls] == want
+    for u, spans in fixture_web.items():
+        assert store.page_len(u) == len(spans)
+        assert (store.lookup_one(u) or []) == (spans or [])
+    assert store.page_len("http://absent.test/x") is None

@@ -5,6 +5,7 @@ driver collect running each block's UDF exactly once."""
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -63,9 +64,8 @@ def test_each_crawl_gets_a_fresh_walker(empty_cache, fixture_web):
     config or scheduler state."""
     cfg = CFGS["list"]
     group = pa.table({"instance_index": pa.array([0], pa.int64()),
-                      "url": pa.array(cfg.url_array, pa.string()),
-                      "bucket": pa.array([0], pa.int32())})
-    outs = [fetch.make_group_walker(cfg, fixture_web, None)(group)
+                      "url": pa.array(cfg.url_array, pa.string())})
+    outs = [fetch.make_group_walker(cfg, fixture_web, None)([0], group)
             for _ in range(2)]
     assert outs[0].equals(outs[1])
     walkers = list(empty_cache.values())
@@ -123,3 +123,191 @@ def test_collect_runs_each_block_once(ray_session, tmp_path):
     t = collect(ds, pa.schema([("x", pa.int64())]))
     assert sorted(t["x"].to_pylist()) == list(range(6))
     assert len(os.listdir(d)) == 6
+
+
+# ------------------------------------------------ round 1 as plain tasks
+
+
+def _raylet_children() -> dict:
+    """pid -> process title of every process the session's raylet started
+    (its worker processes: ``ray::IDLE``, ``ray::<task>``, actors)."""
+    import ray
+
+    raylet = ray._private.worker._global_node.all_processes[
+        "raylet"][0].process.pid
+    out = {}
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            with open(f"/proc/{d}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            if ppid == raylet:
+                with open(f"/proc/{d}/cmdline") as f:
+                    out[int(d)] = f.read().split("\0")[0]
+        except (OSError, IndexError, ValueError):
+            pass              # exited while being read
+    return out
+
+
+def test_warm_bucketed_crawl_starts_no_worker(ray_session, tmp_path):
+    """A second crawl of a bucketed corpus, in a warm session, starts no
+    Ray worker process.  Its 16 fetch groups walk in at most one task per
+    CPU slot: a walker blocked in a seen-set ``ray.get`` releases its CPU,
+    so any queued group task would be leased to a new worker process."""
+    import threading
+
+    from upton_ray import sinks, synth
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler
+
+    p = synth.ScaleParams(n_hosts=24, pages_per_host=12, links_per_page=5,
+                          spans_per_page=6, seed=5)
+    corpus = str(tmp_path / "corpus")
+    sinks.write_web(synth.scale_web(p, parallelism=2), corpus,
+                    num_buckets=16)
+    sel = "section#river section h1 a"
+    seeds = [(h, synth.index_url(p, h), sel) for h in range(p.n_hosts)]
+    want = sum(p.n_articles(h) for h in range(p.n_hosts))
+
+    def crawler():
+        c = Crawler(CrawlConfig(
+            index_selector=sel, extractor="css:h1.article-title",
+            paginated=True, pagination_param="p", pagination_max_pages=100,
+            debug=True, index_debug=True, num_seen_shards=2,
+            fetch_concurrency=2), ("parquet", corpus, 16), seeds=seeds)
+        c.seen.size()            # the shard actors are up before counting
+        return c
+
+    c = crawler()                # warm-up: the session's worker pool
+    assert c.crawl().records_table().num_rows == want
+    c.shutdown()
+
+    c = crawler()
+    before = set(_raylet_children())
+    seen: dict = {}
+    stop = threading.Event()
+
+    def sample():
+        while not stop.is_set():
+            for pid, title in _raylet_children().items():
+                seen.setdefault(pid, set()).add(title)
+            stop.wait(0.005)
+
+    th = threading.Thread(target=sample)
+    th.start()
+    try:
+        n = c.crawl().records_table().num_rows
+    finally:
+        stop.set()
+        th.join()
+        c.shutdown()
+    assert n == want
+    started = {pid: t for pid, t in seen.items() if pid not in before}
+    assert not started, f"the crawl started worker processes: {started}"
+
+
+def test_paced_group_walks_overlap(ray_session):
+    """Paced fetch groups walk at the same time: 8 hosts over
+    ``fetch_concurrency=4`` host shards finish well under the serial
+    floor, the sum over groups of each group's own floor (its busiest
+    host's pages x delay)."""
+    import time
+
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler, fetch_group_ids
+
+    delay, pages, n_groups = 0.05, 12, 4
+    urls = [f"http://h{h}.test/p/{i}" for i in range(pages) for h in range(8)]
+    g = fetch_group_ids(np.array(urls, dtype=object),
+                        np.arange(len(urls)), n_groups, frozenset(), 1)
+    # hosts of one group interleave, so a group's floor is one host's
+    serial_floor = len(set(g.tolist())) * pages * delay
+    assert serial_floor >= 3 * pages * delay, "hosts spread over >=3 groups"
+    c = Crawler(CrawlConfig(
+        url_array=urls, extractor="css:h1.article-title",
+        sleep_time_between_requests=delay, real_sleep=True, max_sleep=delay,
+        debug=False, fetch_concurrency=n_groups), _web(urls))
+    frontier = c._frontier_from_url_array().materialize()
+    t0 = time.perf_counter()
+    fetched = c.fetch_instances(frontier).materialize()
+    took = time.perf_counter() - t0
+    assert fetched.count() == len(urls)
+    assert took < 0.6 * serial_floor, \
+        f"groups took {took:.2f} s, serial floor {serial_floor:.2f} s"
+
+
+def _web(urls):
+    return {u: [{"kind": "html body h1.article-title", "text": f"t{i}",
+                 "media_ref": "", "offset": 0}] for i, u in enumerate(urls)}
+
+
+def _url_cfg(urls, **kw):
+    from upton_ray.config import CrawlConfig
+
+    return CrawlConfig(url_array=urls, extractor="css:h1.article-title",
+                       debug=True, num_seen_shards=1, **kw)
+
+
+def test_empty_frontier_fetches_nothing(ray_session, tmp_path):
+    """A crawl with no frontier row, with and without a checkpoint: no
+    record, no counter row, and no group directory."""
+    from upton_ray.engine import Crawler
+
+    c = Crawler(_url_cfg([]), {})
+    assert c.crawl().records_table().num_rows == 0
+    c.shutdown()
+    stash = str(tmp_path / "stash")
+    c = Crawler(_url_cfg([], fetch_concurrency=3, stash_folder=stash), {})
+    assert c.crawl().records_table().num_rows == 0
+    assert c.metrics.num_rows == 0
+    ckpt = os.path.join(stash, "fetched_round1")
+    assert not os.path.exists(ckpt) or not os.listdir(ckpt)
+    c.shutdown()
+
+
+def test_frontier_of_empty_blocks_fetches_nothing(ray_session):
+    """A frontier whose every block has no row walks no group."""
+    import ray
+
+    from upton_ray.engine import FETCHED_OUT, Crawler
+
+    empty = pa.table({"url": pa.array([], pa.string()),
+                      "instance_index": pa.array([], pa.int64())})
+    frontier = ray.data.from_arrow_refs([ray.put(empty), ray.put(empty)])
+    c = Crawler(_url_cfg([], fetch_concurrency=2), {})
+    fetched = c.fetch_instances(frontier)
+    assert fetched.count() == 0
+    assert fetched.schema().names == FETCHED_OUT.names
+    c.shutdown()
+
+
+def test_checkpointed_empty_group_writes_nothing(ray_session, tmp_path):
+    """A checkpointed crawl whose frontier leaves a fetch group without a
+    row writes no ``bucket=<g>/`` directory for it and no counter row;
+    every other group completes, and a resume fetches nothing again."""
+    from upton_ray.engine import Crawler, fetch_group_ids
+
+    n_groups = 4
+    urls = [f"http://h{h}.test/p/{i}" for h in range(2) for i in range(3)]
+    g = set(fetch_group_ids(np.array(urls, dtype=object),
+                            np.arange(len(urls)), n_groups, frozenset(),
+                            1).tolist())
+    assert len(g) < n_groups, "some group has no row"
+    stash = str(tmp_path / "stash")
+    cfg = _url_cfg(urls, fetch_concurrency=n_groups, stash_folder=stash)
+    c = Crawler(cfg, _web(urls))
+    assert c.crawl().records_table().num_rows == len(urls)
+    assert sorted(c.metrics["partition"].to_pylist()) == sorted(g)
+    c.shutdown()
+    ckpt = os.path.join(stash, "fetched_round1")
+    assert sorted(os.listdir(ckpt)) == sorted(f"bucket={b}" for b in g)
+
+    c = Crawler(_url_cfg(urls, fetch_concurrency=n_groups,
+                         stash_folder=stash), _web(urls))
+    res = c.crawl()
+    t = res.records_table()
+    assert t.num_rows == len(urls)
+    assert res.metrics.num_rows == 0, "the resume walks no group again"
+    assert sorted(os.listdir(ckpt)) == sorted(f"bucket={b}" for b in g)
+    c.shutdown()

@@ -1,14 +1,17 @@
 """Crawler: the Ray-Data round loop (SURVEY.md §3.4).
 
-Round 0 (index): seeds Dataset -> IndexWalker tasks (per-seed sequential
-pagination chains, P2) -> vectorized link extraction (M1/M2) -> deterministic
+Round 0 (index): seed blocks -> IndexWalker tasks, at most
+``fetch_concurrency``, each over a contiguous run of blocks (per-seed
+sequential pagination chains, P2; vectorized link extraction, M1/M2) ->
+deterministic
 ``instance_index`` assignment (the order Upton's sequential loop would have
 produced: seed order, then index-page order, then DOM position).
 
-Round 1 (instances): frontier Dataset -> one group walk
-(``groupby().map_groups``; each fetch group is a task running an
-InstanceWalker: stash gate via the sharded seen-set, politeness, robots,
-continuation quirk) -> ExtractRecords (the user scrape block) -> records
+Round 1 (instances): frontier Dataset -> fetch-group tasks (one split task
+per frontier block slices it by fetch group; at most one group task per CPU
+slot walks its groups one after another, each through an InstanceWalker:
+stash gate via the sharded seen-set, politeness, robots, continuation
+quirk) -> ExtractRecords (the user scrape block) -> records
 sorted by (instance_index, pagination_index, row_no) — Upton's exact output
 order (upton.rb:337-345) restored by an explicit sort rather than by
 sequential execution.  A fetch group (called "bucket" in the checkpoint
@@ -25,26 +28,31 @@ semantics (downloader.rb:70-98): a stashed page is never fetched, or slept
 for, again.
 
 Scale notes (10^10-URL design point, tested single-node):
-* the only driver-side materializations — each a :func:`shuffle.collect`,
-  which runs its plan once — are (a) round 0's rollup of link counts per
-  (seed, index page, host), ~1/links_per_page of the frontier, for the page
-  offsets, frontier size and hot hosts up to ``INDEX_OFFSET_COLLECT_LIMIT``
-  rows — above it only the hot hosts, and ``shuffle.block_scan`` reads two
-  ints per block — and a sitemap level's child-file rows, (b) with a
-  checkpoint, one counters row per fetch group, and (c) trace-mode
-  conformance collections (tests only);
-* walkers and probes run as plain Ray tasks over a per-process cache
+* the only rows the driver fetches are (a) round 0's rollup of link counts
+  per (seed, index page, host), ~1/links_per_page of the frontier, which
+  each round-0 task returns beside its links, for the page offsets,
+  frontier size and hot hosts up to ``INDEX_OFFSET_COLLECT_LIMIT`` rows —
+  above it only the hot hosts, and ``shuffle.block_scan`` reads two ints
+  per block — and a sitemap level's child-file rows, (b) with a checkpoint,
+  one counters row per fetch group, and (c) trace-mode conformance
+  collections (tests only);
+* round 0, the ``instance_index`` attach, the sitemap probes and round 1
+  run as plain Ray tasks over a per-process walker cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
-  stage's walker once, so no crawl starts an actor pool; the
-  frontier->fetch stage batches its seen-set RPCs;
-  round 1 routes through one groupby on the fetch group — the one designed
-  shuffle (SURVEY.md §7.3);
-* everything else is streaming ``map_batches`` over Arrow batches.
+  stage's walker once, so no crawl starts an actor pool.  No stage has more
+  tasks in flight than CPU slots: a walker blocked in a seen-set
+  ``ray.get`` releases its CPU, and the raylet would start a new worker
+  process for a queued task;
+* round 1 routes rows to fetch groups inside its split tasks — one argsort
+  per block (:func:`upton_ray.shuffle.split_by`), no Ray Data shuffle; the
+  walker batches its seen-set RPCs;
+* an uncheckpointed crawl's only Ray Data execution is record extraction
+  plus the final sort.
 
 ``Crawler.crawl`` is the only crawl path.  Its one inter-round BARRIER
 (round 0 completes before round 1 fetches) is deliberate: Upton's
 ``instance_index`` is a global prefix-sum over per-index-page link counts,
-and the groupby that routes fetches is itself an all-to-all.  Under real
+and a fetch group gathers its rows from every frontier block.  Under real
 politeness pacing a cold ``sitemap_polite`` crawl (perfbench, 1-core host,
 ``num_cpus=2``) reaches ~0.82 of its skew floor, the hottest host's pages
 × delay: round 0, the group walk's start and the record stages cost the
@@ -73,11 +81,12 @@ import ray.data
 from upton_ray import schema
 from upton_ray.config import CrawlConfig
 from upton_ray.extract import ExtractRecords, extract_links_batch
-from upton_ray.fetch import (IndexWalker, fetch_counters, make_group_walker,
-                             make_store, per_process)
+from upton_ray.fetch import (FETCHED_OUT, IndexWalker, fetch_counters,
+                             make_group_walker, make_store, per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet, SeenShard
-from upton_ray.shuffle import _agg_table, block_scan, collect, group_agg
+from upton_ray.shuffle import (_agg_table, block_refs, block_scan, collect,
+                               group_agg, split_by)
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
@@ -88,6 +97,11 @@ INDEX_OFFSET_COLLECT_LIMIT = 2_000_000
 # the round-0 rollup: links per (seed_id, page_no, host)
 ROLLUP = pa.schema([("seed_id", pa.int32()), ("page_no", pa.int32()),
                     ("host", pa.string()), ("size", pa.int64())])
+
+# CPU share of one paced round-1 group task: a paced walk mostly waits
+PACED_GROUP_CPUS = 0.25
+# rows per frontier block of a URL-list crawl (one split task each)
+URL_BLOCK_ROWS = 65_536
 
 
 def _bucket_count(web_ref) -> int | None:
@@ -113,21 +127,6 @@ RECORDS_OUT = pa.schema([
     ("row_no", pa.int32()), ("instance_url", pa.string()),
     ("record", pa.list_(pa.string())), ("doc_kind", pa.string()),
 ])
-
-FETCHED_OUT = pa.schema([
-    ("instance_index", pa.int64()), ("pagination_index", pa.int32()),
-    ("instance_url", pa.string()), ("spans", schema.SPANS),
-    ("from_resource", pa.bool_()), ("slept", pa.bool_()),
-    ("status", pa.int32()), ("robots_blocked", pa.bool_()),
-])
-
-INDEX_PAGES_OUT = pa.schema([
-    ("seed_id", pa.int32()), ("page_no", pa.int32()), ("base", pa.string()),
-    ("selector", pa.string()), ("spans", schema.SPANS),
-    ("from_resource", pa.bool_()), ("slept", pa.bool_()),
-    ("status", pa.int32()),
-])
-
 
 @dataclass
 class CrawlResult:
@@ -221,6 +220,50 @@ def _rank_links(links: pa.Table, base: int, _total: int) -> pa.Table:
     order, for one block of the sorted links (see ``block_scan``)."""
     return links.append_column("instance_index", pa.array(
         base + np.arange(links.num_rows, dtype=np.int64), pa.int64()))
+
+
+@ray.remote(num_cpus=0.5)
+def _index_task(walk, blocks: list, trace: bool):
+    """One round-0 task: ``walk`` (a :func:`per_process` IndexWalker) runs
+    each seed block's pagination chains, one call per block, so a walker's
+    bucket cache sees one bucket's seeds at a time.  Returns the blocks'
+    links, their :data:`ROLLUP` rows and the rollup row count, plus the
+    index pages in trace mode."""
+    pages = [walk(b) for b in blocks]
+    links = pa.concat_tables([extract_links_batch(p) for p in pages])
+    rollup = _page_host_counts(links)
+    out = (links, rollup, rollup.num_rows)
+    if trace:
+        out += (pa.concat_tables(pages, promote_options="permissive"),)
+    return out
+
+
+@ray.remote(num_returns=2)
+def _rollup_task(links: pa.Table):
+    """The :data:`ROLLUP` rows of one links block and their count."""
+    rollup = _page_host_counts(links)
+    return rollup, rollup.num_rows
+
+
+_attach_task = ray.remote(_attach_instance_index)
+
+
+@ray.remote
+def _split_groups(block: pa.Table, n_groups: int, hot_hosts: frozenset,
+                  salts: int):
+    """One frontier block sliced into its ``n_groups`` fetch groups
+    (:func:`fetch_group_ids`), each slice in block order."""
+    g = fetch_group_ids(block["url"].to_numpy(zero_copy_only=False),
+                        block["instance_index"].to_numpy(zero_copy_only=False),
+                        n_groups, hot_hosts, salts)
+    parts = split_by(block, g, n_groups)
+    return parts if n_groups > 1 else parts[0]
+
+
+@ray.remote
+def _group_task(walk, groups: list, *slices):
+    """One round-1 group task: ``walk`` is :func:`make_group_walker`'s."""
+    return walk(groups, *slices)
 
 
 class Crawler:
@@ -335,25 +378,26 @@ class Crawler:
         if self._frontier_done(ckpt):
             return ray.data.read_parquet(ckpt), None
 
-        seeds_ds, step, conc = self._seed_blocks()
-        pages = seeds_ds.map_batches(
-            per_process(IndexWalker, cfg, self.web_ref, self.seen),
-            batch_size=step,
-            batch_format="pyarrow",
-            concurrency=conc,
-            num_cpus=0.5,
-        )
+        blocks = self._seed_blocks()
+        walk = per_process(IndexWalker, cfg, self.web_ref, self.seen)
+        # one task per contiguous run of blocks, at most fetch_concurrency
+        runs = np.array_split(np.arange(len(blocks)),
+                              min(cfg.fetch_concurrency, len(blocks)))
+        task = _index_task.options(num_returns=4 if trace else 3)
+        outs = [task.remote(walk, [blocks[i] for i in run], trace)
+                for run in runs]
         trace_info = None
         if trace:
-            pages = pages.materialize()
-            pt = collect(pages, INDEX_PAGES_OUT)
+            pt = pa.concat_tables(ray.get([o[3] for o in outs]),
+                                  promote_options="permissive")
             trace_info = {
                 "index_sleeps": int(pc.sum(pt["slept"]).as_py() or 0),
                 "pages": pt,
             }
-        links = pages.map_batches(extract_links_batch, batch_format="pyarrow")
-        links = links.materialize()   # round-0 output is ~1/links_per_page of the crawl
-        frontier, facts = self._assign_instance_index(links)
+        # round-0 output is ~1/links_per_page of the crawl
+        links = ray.data.from_arrow_refs([o[0] for o in outs])
+        frontier, facts = self._assign_instance_index(
+            links, rollup=[(o[1], o[2]) for o in outs])
         return self._save_frontier(frontier, ckpt, **facts), trace_info
 
     def _frontier_done(self, ckpt: Optional[str]) -> bool:
@@ -379,38 +423,43 @@ class Crawler:
         self._dump_seen()
         return ray.data.read_parquet(ckpt)
 
-    def _assign_instance_index(self, links):
+    def _assign_instance_index(self, links, rollup: Optional[list] = None):
         """Deterministic ``instance_index`` = exclusive prefix-sum of
         per-(seed, page) link counts + ``dom_pos`` — Upton's sequential
-        numbering, computed distributed.  Returns (frontier, facts):
-        frontier_rows, index_pages and hot_hosts.
+        numbering, computed distributed.  ``links`` is a materialized
+        Dataset; ``rollup`` holds (:data:`ROLLUP` rows, row count) object
+        refs per task that made links — round 0's tasks — or, when None,
+        one task per block of ``links`` makes them.  Returns (frontier,
+        facts): frontier_rows, index_pages and hot_hosts.
 
-        One task per block of ``links`` makes its :data:`ROLLUP` rows.  Up
-        to ``INDEX_OFFSET_COLLECT_LIMIT`` rows the rollup is collected (the
-        driver merges a page that spans blocks) and every fact comes from
-        it; the offsets are broadcast as sorted int64 page keys that links
-        look up by ``np.searchsorted``.  Above it — a 10^10-URL crawl has
-        ~10^8+ index pages — the links are sorted by (seed_id, page_no,
-        dom_pos) and ranked with ``block_scan``: ``dom_pos`` is dense from 0
-        within each page, so a link's rank in that order IS its page offset
-        + ``dom_pos``; the facts come from ``group_agg`` over the rollup,
-        the threshold filter in its reduce tasks.  Both paths give
-        identical indices and facts (pinned by test)."""
+        Up to ``INDEX_OFFSET_COLLECT_LIMIT`` rows the driver gets the
+        rollup (it merges a page that spans blocks) and every fact comes
+        from it; the offsets are broadcast as sorted int64 page keys that
+        one task per links block looks up by ``np.searchsorted``.  Above it
+        — a 10^10-URL crawl has ~10^8+ index pages — the links are sorted
+        by (seed_id, page_no, dom_pos) and ranked with ``block_scan``:
+        ``dom_pos`` is dense from 0 within each page, so a link's rank in
+        that order IS its page offset + ``dom_pos``; the facts come from
+        ``group_agg`` over the rollup, the threshold filter in its reduce
+        tasks.  Both paths give identical indices and facts (pinned by
+        test)."""
         threshold = self.cfg.hot_host_threshold
-        rollup = links.map_batches(_page_host_counts, batch_format="pyarrow",
-                                   batch_size=None).materialize()
-        if rollup.count() > INDEX_OFFSET_COLLECT_LIMIT:
+        refs = block_refs(links)
+        if rollup is None:
+            rollup = [_rollup_task.remote(r) for r in refs]
+        if sum(ray.get([n for _, n in rollup])) > INDEX_OFFSET_COLLECT_LIMIT:
+            rows = ray.data.from_arrow_refs([r for r, _ in rollup])
             cut = threshold or np.iinfo(np.int64).max     # off: none is hot
             hot = group_agg(
-                rollup, ["host"], {"size": ("size", "sum")},
+                rows, ["host"], {"size": ("size", "sum")},
                 post=lambda t: t.filter(pc.greater(t["size"], cut)))
             return block_scan(links.sort(["seed_id", "page_no", "dom_pos"]),
                               _rank_links), {
                 "frontier_rows": links.count(), "index_pages": group_agg(
-                    rollup, ["seed_id", "page_no"], {}).count(),
+                    rows, ["seed_id", "page_no"], {}).count(),
                 "hot_hosts": _hot_hosts(collect(hot, ROLLUP), threshold)}
 
-        t = collect(rollup, ROLLUP)
+        t = pa.concat_tables(ray.get([r for r, _ in rollup]))
         per_page = t.group_by(["seed_id", "page_no"]).aggregate(
             [("size", "sum")])
         sz = per_page["size_sum"].to_numpy(zero_copy_only=False)
@@ -418,9 +467,9 @@ class Crawler:
         o = np.argsort(keys, kind="stable")
         keys = keys[o]
         offs = np.r_[0, np.cumsum(sz[o])][:-1]
-        return links.map_batches(_attach_instance_index,
-                                 fn_args=(keys, offs),
-                                 batch_format="pyarrow"), {
+        keys_ref, offs_ref = ray.put(keys), ray.put(offs)
+        return ray.data.from_arrow_refs(
+            [_attach_task.remote(r, keys_ref, offs_ref) for r in refs]), {
             "frontier_rows": int(sz.sum()), "index_pages": len(keys),
             "hot_hosts": _hot_hosts(t, threshold)}
 
@@ -442,12 +491,6 @@ class Crawler:
             concurrency=cfg.fetch_concurrency)
         frontier, facts = self._assign_instance_index(links)
         del facts["index_pages"]        # sitemap files with a <loc>
-        # sitemap frontiers arrive in one block per probe task — far fewer
-        # than the fetch stage wants; re-grain to ~2 blocks per CPU so the
-        # fetch tasks fill the cluster (same rule as directory corpus reads)
-        if facts["frontier_rows"] > 10_000:
-            cpus = int(ray.cluster_resources().get("CPU", 0)) or 8
-            frontier = frontier.repartition(max(2, 2 * cpus))
         return self._save_frontier(frontier, ckpt, sitemap_files=n_files,
                                    **facts)
 
@@ -463,14 +506,13 @@ class Crawler:
             "url": pa.array(urls, pa.string()),
             "instance_index": pa.array(np.arange(len(urls), dtype=np.int64)),
         })
-        ds = ray.data.from_arrow(t)
-        if len(urls) > 10_000:
-            ds = ds.repartition(64)
-        return ds
+        return ray.data.from_arrow(
+            [t.slice(i, URL_BLOCK_ROWS)
+             for i in range(0, len(urls), URL_BLOCK_ROWS)] or [t])
 
     def fetch_instances(self, frontier):
         """Round 1 of :meth:`crawl`: frontier Dataset -> fetched instance-page
-        Dataset, as one group walk (``groupby().map_groups``).
+        Dataset, as plain Ray tasks.
 
         A frontier row's fetch group — the "bucket" of the checkpoint layout
         and of the lineage — is :func:`fetch_group_ids` over ``n_groups``.
@@ -483,6 +525,10 @@ class Crawler:
         (:attr:`stats`) into salted sub-queues that lease from one seen
         shard (:meth:`upton_ray.seen.SeenShard.lease`).
 
+        One split task per non-empty frontier block slices it into its
+        groups; then at most one group task per CPU slot walks the groups,
+        each task its share one after another (:meth:`_walk_groups`).
+
         With a checkpoint, each group writes ``fetched_round1/bucket=<g>/``
         plus ``_SUCCESS`` and returns its counters row; the rows become
         ``metrics.parquet`` and :attr:`metrics`.  Groups an earlier run
@@ -494,14 +540,17 @@ class Crawler:
         n_groups = n_buckets or cfg.fetch_concurrency
         ckpt = self._ckpt("fetched_round1")
         if not ckpt:
-            return self._walk_groups(frontier, n_groups, n_buckets, paced,
+            refs = self._walk_groups(frontier, n_groups, n_buckets, paced,
                                      set(), None)
+            return (ray.data.from_arrow_refs(refs) if refs
+                    else ray.data.from_arrow(FETCHED_OUT.empty_table()))
         done = self._done_groups(ckpt, n_groups)
         stats = schema.METRICS.empty_table()
         if len(done) < n_groups:
-            stats = collect(self._walk_groups(frontier, n_groups, n_buckets,
-                                              paced, done, ckpt),
-                            schema.METRICS).sort_by("partition")
+            refs = self._walk_groups(frontier, n_groups, n_buckets, paced,
+                                     done, ckpt)
+            stats = pa.concat_tables([stats] + ray.get(refs)) \
+                .sort_by("partition")
         walked = stats["partition"].to_pylist()
         for g in walked:
             self._mark_done(f"round1/bucket={g}")
@@ -512,43 +561,42 @@ class Crawler:
         return self._read_groups(ckpt, walked, sorted(done))
 
     def _walk_groups(self, frontier, n_groups: int, n_buckets, paced: bool,
-                     done: set, ckpt: Optional[str]):
+                     done: set, ckpt: Optional[str]) -> list:
         """The group walk of :meth:`fetch_instances`, minus the groups in
-        ``done``."""
+        ``done``: one object ref per group task.
+
+        A task takes ``num_cpus`` of a CPU: a whole one, more on a bucketed
+        corpus (each task decodes whole buckets into heap, so ~16 decode at
+        once: measured 26 s -> 5 s on the 1M-page bench at 32 CPUs), and
+        ``PACED_GROUP_CPUS`` on a paced crawl.  No more tasks start than
+        there are such slots: a walker blocked in a seen-set ``ray.get``
+        releases its CPU, and a queued task would then start a new worker
+        process.  Task ``j`` walks every ``T``-th group."""
         cfg = self.cfg
+        blocks = block_refs(frontier, nonempty=True)
+        todo = [g for g in range(n_groups) if g not in done]
+        if not blocks or not todo:
+            return []
         hot_hosts = frozenset(self.stats.get("hot_hosts", ()) if paced
                               else ())
         if hot_hosts and self.pacer is None:
             self.pacer = (self.seen.shards[0] if self.seen is not None
                           else SeenShard.remote())
-        salts = max(1, cfg.hot_host_salts)
-        done_ids = np.array(sorted(done), dtype=np.int64)
-
-        def add_group(batch: pa.Table) -> pa.Table:
-            g = fetch_group_ids(
-                batch["url"].to_numpy(zero_copy_only=False),
-                batch["instance_index"].to_numpy(zero_copy_only=False),
-                n_groups, hot_hosts, salts)
-            return batch.append_column("bucket", pa.array(g, pa.int32())) \
-                .filter(pa.array(~np.isin(g, done_ids)))
-
-        routed = frontier.map_batches(add_group, batch_format="pyarrow")
-        num_cpus = None
-        if n_buckets:
-            # each task decodes a whole corpus bucket into heap: bound the
-            # concurrent decodes at ~16 (measured 26s -> 5s on the 1M-page
-            # bench at 32 cpus), full fan-out on small clusters
-            num_cpus = max(1.0, ray.cluster_resources().get("CPU", 8) / 16.0)
-        else:
-            # map_groups parallelism is bounded by the shuffled BLOCK count,
-            # not the group count: a small-block frontier would serialize
-            # the host-shard walks. The frontier rows are tiny (url + ints),
-            # so a pre-groupby repartition is cheap insurance.
-            routed = routed.repartition(2 * n_groups)
-        return routed.groupby("bucket").map_groups(
-            make_group_walker(cfg, self.web_ref, self.seen, ckpt_dir=ckpt,
-                              pacer=self.pacer, hot_hosts=hot_hosts),
-            batch_format="pyarrow", num_cpus=num_cpus)
+        split = _split_groups.options(num_returns=n_groups)
+        splits = [split.remote(b, n_groups, hot_hosts,
+                               max(1, cfg.hot_host_salts)) for b in blocks]
+        if n_groups == 1:          # num_returns=1 yields a bare ref
+            splits = [[s] for s in splits]
+        cpus = ray.cluster_resources().get("CPU", 8)
+        num_cpus = (max(1.0, cpus / 16.0) if n_buckets
+                    else PACED_GROUP_CPUS if paced else 1.0)
+        n_tasks = min(len(todo), max(1, int(cpus // num_cpus)))
+        walk = make_group_walker(cfg, self.web_ref, self.seen, ckpt_dir=ckpt,
+                                 pacer=self.pacer, hot_hosts=hot_hosts)
+        task = _group_task.options(num_cpus=num_cpus)
+        return [task.remote(walk, groups,
+                            *[s[g] for g in groups for s in splits])
+                for groups in (todo[j::n_tasks] for j in range(n_tasks))]
 
     def _done_groups(self, ckpt: str, n_groups: int) -> set:
         """Fetch groups of ``ckpt`` that an earlier run completed.  A group's
@@ -603,12 +651,13 @@ class Crawler:
             return ray.data.from_arrow(FETCHED_OUT.empty_table())
         return parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
-    def _seed_blocks(self):
-        """Pre-split seed blocks (block = task unit). For a bucketed parquet
-        corpus, group seeds by their host's bucket so each task touches ONE
+    def _seed_blocks(self) -> list:
+        """Seed tables, one per walker call.  For a bucketed parquet corpus,
+        seeds are grouped by their host's bucket, so each block touches ONE
         bucket and the per-walker bucket cache actually hits (without this,
-        every chain re-decodes a full bucket — the dominant cost at scale).
-        Returns (seeds_ds, batch_step, walk_concurrency)."""
+        every chain re-decodes a full bucket — the dominant cost at scale);
+        blocks come in bucket order, so a task's contiguous run of them
+        decodes each of its buckets once."""
         cfg = self.cfg
         seeds_t = pa.table({
             "seed_id": pa.array([s[0] for s in self.seeds], pa.int32()),
@@ -618,25 +667,21 @@ class Crawler:
         n_seeds = len(self.seeds)
         conc = min(cfg.fetch_concurrency, max(1, n_seeds))
         n_buckets = _bucket_count(self.web_ref)
-        if n_buckets:
-            hb = shard_hashes(hosts_of(np.array([s[1] for s in self.seeds],
-                                                dtype=object)), n_buckets)
-            order = np.lexsort((seeds_t["seed_id"].to_numpy(), hb))
-            seeds_t = seeds_t.take(pa.array(order))
-            hb_sorted = hb[order]
-            cuts = [0] + (np.flatnonzero(np.diff(hb_sorted)) + 1).tolist() + [n_seeds]
-            seed_blocks = []
-            max_chains = max(4, n_seeds // max(1, conc * 2))
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                for i in range(a, b, max_chains):
-                    seed_blocks.append(seeds_t.slice(i, min(max_chains, b - i)))
-            step = max_chains
-        else:
+        if not n_buckets:
             n_blocks = min(n_seeds, conc * 4) or 1
             step = (n_seeds + n_blocks - 1) // n_blocks
-            seed_blocks = [seeds_t.slice(i, step)
-                           for i in range(0, n_seeds, step)]
-        return ray.data.from_arrow(seed_blocks), step, conc
+            return [seeds_t.slice(i, step) for i in range(0, n_seeds, step)]
+        hb = shard_hashes(hosts_of(np.array([s[1] for s in self.seeds],
+                                            dtype=object)), n_buckets)
+        order = np.lexsort((seeds_t["seed_id"].to_numpy(), hb))
+        seeds_t = seeds_t.take(pa.array(order))
+        hb_sorted = hb[order]
+        cuts = [0] + (np.flatnonzero(np.diff(hb_sorted)) + 1).tolist() \
+            + [n_seeds]
+        max_chains = max(4, n_seeds // max(1, conc * 2))
+        return [seeds_t.slice(i, min(max_chains, b - i))
+                for a, b in zip(cuts[:-1], cuts[1:])
+                for i in range(a, b, max_chains)]
 
     def extract_records(self, fetched):
         # instance (not class): runs in the task pool — extraction is stateless,

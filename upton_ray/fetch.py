@@ -45,6 +45,15 @@ from upton_ray.urlops import (host_of, hosts_of, next_index_page_url,
 
 EMPTY_SPANS: list = []
 LOOKUP_CHUNK = 16     # bodies looked up at once inside a politeness wait
+HOST_MEMO_SIZE = 65536   # hosts a ParquetWebStore keeps the bucket of
+
+# the rows InstanceWalker emits: one per fetched instance page
+FETCHED_OUT = pa.schema([
+    ("instance_index", pa.int64()), ("pagination_index", pa.int32()),
+    ("instance_url", pa.string()), ("spans", schema.SPANS),
+    ("from_resource", pa.bool_()), ("slept", pa.bool_()),
+    ("status", pa.int32()), ("robots_blocked", pa.bool_()),
+])
 
 
 # ----------------------------------------------------------------- web stores
@@ -106,11 +115,25 @@ class ParquetWebStore:
         # shrink bucket size (more buckets), not this cache
         self._cache: dict[int, tuple[pa.Table, dict]] = {}
         self._cache_max = cache_buckets
+        self._host_bucket: dict[str, int] = {}
 
     def _buckets(self, urls: np.ndarray) -> np.ndarray:
-        from upton_ray.urlops import hosts_of, shard_hashes
+        from upton_ray.urlops import shard_hashes
 
         return shard_hashes(hosts_of(urls), self.num_buckets)
+
+    def _bucket_of(self, url: str) -> int:
+        """:meth:`_buckets` of one URL, memoized per host (up to
+        ``HOST_MEMO_SIZE`` hosts): round 0's chain walks probe one page at
+        a time."""
+        h = host_of(url) if isinstance(url, str) else ""
+        b = self._host_bucket.get(h)
+        if b is None:
+            if len(self._host_bucket) >= HOST_MEMO_SIZE:
+                self._host_bucket.clear()
+            b = self._host_bucket[h] = int(self._buckets(
+                np.array([url], dtype=object))[0])
+        return b
 
     def _bucket_pool(self, b: int) -> tuple[pa.Array, dict, "np.ndarray"]:
         """(spans pool with trailing empty-sentinel row, url->row index) for a
@@ -164,8 +187,7 @@ class ParquetWebStore:
         return taken.take(pa.array(order))
 
     def lookup_one(self, url: str):
-        b = int(self._buckets(np.array([url], dtype=object))[0])
-        pool, pos, _ = self._bucket_pool(b)
+        pool, pos, _ = self._bucket_pool(self._bucket_of(url))
         i = pos.get(url)
         if i is None:
             return None
@@ -173,8 +195,7 @@ class ParquetWebStore:
 
     def page_len(self, url: str):
         """Span count of a page without materializing it (None = not in web)."""
-        b = int(self._buckets(np.array([url], dtype=object))[0])
-        pool, pos, lens = self._bucket_pool(b)
+        pool, pos, lens = self._bucket_pool(self._bucket_of(url))
         i = pos.get(url)
         return None if i is None else int(lens[i])
 
@@ -195,6 +216,7 @@ class LanceWebStore(ParquetWebStore):
         self.num_buckets = num_buckets
         self._cache = {}
         self._cache_max = cache_buckets
+        self._host_bucket = {}
 
 
 class HttpWebStore:
@@ -543,25 +565,28 @@ def fetch_counters(fetched: pa.Table, partition: int) -> pa.Table:
 def make_group_walker(cfg, web_source, seen_handle,
                       ckpt_dir: str | None = None, pacer=None,
                       hot_hosts: frozenset = frozenset()):
-    """A picklable map_groups callable over ONE InstanceWalker per worker
-    process (the :func:`per_process` cache) so bucket caches persist across
-    the groups a worker processes.  Each group is one round-1 fetch group,
-    keyed by its ``bucket`` column (see ``Crawler.fetch_instances``).
+    """The body of one round-1 group task (see ``Crawler.fetch_instances``):
+    ``walk(groups, *slices)`` walks the fetch groups ``groups`` one after
+    another over ONE InstanceWalker per worker process (the
+    :func:`per_process` cache), so bucket caches persist across them.
+    ``slices`` holds every group's frontier slices, group after group, each
+    group's in block order; a group with no row is skipped and writes
+    nothing.
 
-    Without ``ckpt_dir`` a group returns its fetched pages.  With it, each
-    group checkpoints its own pages to ``<ckpt_dir>/bucket=<g>/``, drops a
-    ``_SUCCESS`` marker — the per-partition lineage unit: a crashed run
-    leaves markers only for completed groups, and the next run walks just
-    the rest — and returns only its :func:`fetch_counters` row (the page
-    data stays on disk, so the barrier the engine takes over these rows
-    never holds the crawl's spans in the object store; extraction re-reads
-    the checkpoint files)."""
+    Without ``ckpt_dir`` the task returns its groups' fetched pages.  With
+    it, each group checkpoints its own pages to ``<ckpt_dir>/bucket=<g>/``,
+    drops a ``_SUCCESS`` marker — the per-partition lineage unit: a crashed
+    run leaves markers only for completed groups, and the next run walks
+    just the rest — and contributes only its :func:`fetch_counters` row
+    (the page data stays on disk, so the barrier the engine takes over
+    these rows never holds the crawl's spans in the object store;
+    extraction re-reads the checkpoint files)."""
 
     walker = per_process(InstanceWalker, cfg, web_source, seen_handle,
                          pacer=pacer, hot_hosts=hot_hosts)
 
-    def walk(group: pa.Table) -> pa.Table:
-        out = walker(group.drop_columns(["bucket"]))
+    def walk_group(g: int, group: pa.Table) -> pa.Table:
+        out = walker(group)
         if ckpt_dir is None:
             return out
         import os
@@ -570,8 +595,7 @@ def make_group_walker(cfg, web_source, seen_handle,
 
         from upton_ray.urlops import stash_filenames
 
-        bucket = int(group["bucket"][0].as_py())
-        d = os.path.join(ckpt_dir, f"bucket={bucket}")
+        d = os.path.join(ckpt_dir, f"bucket={g}")
         os.makedirs(d, exist_ok=True)
         # stash_key = the reference's per-page stash filename
         # (downloader.rb:122-139; readable mode via cfg.readable_filenames)
@@ -582,7 +606,19 @@ def make_group_walker(cfg, web_source, seen_handle,
         # fixed filename: a Ray task retry overwrites instead of duplicating
         pq.write_table(out_ck, os.path.join(d, "data-0.parquet"))
         open(os.path.join(d, "_SUCCESS"), "w").close()
-        return fetch_counters(out, bucket)
+        return fetch_counters(out, g)
+
+    def walk(groups: list, *slices: pa.Table) -> pa.Table:
+        per = len(slices) // len(groups)
+        outs = []
+        for k, g in enumerate(groups):
+            parts = [s for s in slices[k * per:(k + 1) * per] if s.num_rows]
+            if parts:
+                outs.append(walk_group(g, pa.concat_tables(parts)))
+        if not outs:
+            return (FETCHED_OUT if ckpt_dir is None
+                    else schema.METRICS).empty_table()
+        return pa.concat_tables(outs, promote_options="permissive")
 
     return walk
 
@@ -676,6 +712,11 @@ class IndexWalker:
                         # the paced instant — the batched lookup below
                         # assembles from the pinned result
                         prefetch(urls[j])
+            # round 1 starts once every round-0 task has returned, with
+            # walkers of its own: wait out this block's last deadlines so
+            # no host's first instance fetch follows its index page sooner
+            # than its delay
+            st.sched.wait_all()
 
         # vectorized body fetch; forced-empty rows look up "" (never present)
         lookup_urls = np.where(np.array(rows["force_empty"], dtype=bool), "", urls)             if n else urls

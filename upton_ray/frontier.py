@@ -92,6 +92,19 @@ class HostScheduler:
         self.total_slept += wait
         return wait
 
+    def wait_all(self) -> None:
+        """Real mode: block (in ``max_sleep`` chunks) until every host's
+        next-allowed time has passed — the reference sleeps after each
+        fetch, so a fetch that starts after this returns, in any walker,
+        keeps every host's delay."""
+        if not (self.real_sleep and self.next_allowed):
+            return
+        end = max(self.next_allowed.values())
+        now = time.monotonic()
+        while now < end:
+            time.sleep(min(end - now, self.max_sleep))
+            now = time.monotonic()
+
 
 def salt_hosts(hosts: np.ndarray, hot_hosts, num_salts: int,
                row_ids) -> np.ndarray:

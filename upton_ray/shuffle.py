@@ -121,21 +121,26 @@ def column_agg(ds, col: str, how: str, type_: pa.DataType):
     return fold(rows[col]).as_py()
 
 
+def split_by(t: pa.Table, part: np.ndarray, P: int) -> tuple:
+    """Slice ``t`` into P tables by ``part`` (one int per row, in
+    ``[0, P)``): one stable argsort, P zero-copy slices, rows in their
+    input order within each slice."""
+    idx = np.argsort(part, kind="stable")
+    srt = t.take(pa.array(idx, pa.int64()))
+    bounds = np.searchsorted(part[idx], np.arange(P + 1))
+    return tuple(srt.slice(bounds[i], bounds[i + 1] - bounds[i])
+                 for i in range(P))
+
+
 @ray.remote
 def _hash_split(t: pa.Table, key_cols, P: int):
-    """Slice one block into P hash partitions (one stable argsort, P
-    zero-copy slices)."""
+    """Slice one block into P hash partitions (:func:`split_by`)."""
     if P == 1:      # num_returns=1: return the bare block, not a 1-tuple
         return t
     if t.num_rows == 0:
         return tuple(t for _ in range(P))
-    part = (key_hash(t, key_cols) % np.uint64(P)).astype(np.int64)
-    idx = np.argsort(part, kind="stable")
-    srt = t.take(pa.array(idx, pa.int64()))
-    ps = part[idx]
-    bounds = np.searchsorted(ps, np.arange(P + 1))
-    return tuple(srt.slice(bounds[i], bounds[i + 1] - bounds[i])
-                 for i in range(P))
+    return split_by(t, (key_hash(t, key_cols) % np.uint64(P)).astype(np.int64),
+                    P)
 
 
 @ray.remote
