@@ -50,7 +50,7 @@ def _fixture_crawl(name: str):
     cfg = scenario_configs()[name]
     crawler = Crawler(cfg, fixture_web())
     try:
-        t = crawler.crawl(trace=False).records_table()
+        t = crawler.crawl().records_table()
         return pa.table({
             "instance_index": t["instance_index"],
             "pagination_index": pa.compute.cast(t["pagination_index"], pa.int64()),
@@ -84,7 +84,7 @@ def _csv_crawl():
                                ("basic_tsv", "basic", "\t")):
         crawler = Crawler(cfgs[name], fixture_web())
         try:
-            res = crawler.crawl(trace=False)
+            res = crawler.crawl()
             fd, path = tempfile.mkstemp(suffix=".csv")
             os.close(fd)
             if delim == ",":

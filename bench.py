@@ -94,7 +94,7 @@ def run_synthetic_crawl() -> dict:
              for h in range(p.n_hosts)]
     crawler = Crawler(cfg, ("parquet", path, WEB_BUCKETS), seeds=seeds)
     t0 = time.time()
-    res = crawler.crawl(trace=False)
+    res = crawler.crawl()
     records = res.records
     n_records = records.count()
     dt = time.time() - t0
@@ -211,7 +211,7 @@ def run_sitemap_crawl() -> float:
         num_seen_shards=4, fetch_concurrency=8, fetch_batch_size=1024)
     crawler = Crawler(cfg, p)
     t0 = time.time()
-    n = crawler.crawl(trace=False).records.count()
+    n = crawler.crawl().records.count()
     dt = time.time() - t0
     crawler.shutdown()
     assert n == n_articles, (n, n_articles)

@@ -28,6 +28,13 @@ def run_cli(argv, capsys):
     return rc, json.loads(out[-1])
 
 
+def _round1_fetched(stash) -> int:
+    import pyarrow.parquet as pq
+
+    m = pq.read_table(os.path.join(stash, "metrics.parquet")).to_pandas()
+    return int(m[m["round"] == 1]["fetched"].sum())
+
+
 def test_cli_crawl_parquet_and_resume(tiny_corpus, tmp_path, capsys):
     corpus, seeds = tiny_corpus
     stash = str(tmp_path / "stash")
@@ -44,11 +51,16 @@ def test_cli_crawl_parquet_and_resume(tiny_corpus, tmp_path, capsys):
     rc, res = run_cli(argv + ["--out", out1], capsys)
     assert rc == 0 and res["records"] > 0
     assert os.path.exists(os.path.join(stash, "lineage.json"))
+    # the printed report is the run's counters
+    assert res["round1"]["fetched"] == _round1_fetched(stash) > 0
+    assert res["round0"]["fetched"] > 0 and res["frontier_rows"] > 0
 
     # resume over the same stash: identical record count, no refetch
     out2 = str(tmp_path / "rec2")
     rc, res2 = run_cli(argv + ["--out", out2], capsys)
     assert rc == 0 and res2["records"] == res["records"]
+    assert res2["round1"]["fetched"] == _round1_fetched(stash) == 0
+    assert res2["frontier_rows"] == res["frontier_rows"]
 
     import pyarrow.parquet as pq
 

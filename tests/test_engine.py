@@ -1,11 +1,13 @@
 """End-to-end conformance: the distributed engine must reproduce the
 sequential oracle's observable trace on every scenario — crawl order
-(index list + record order), extracted values, URL-seen set, sleep counts."""
+(index list + record order), extracted values, URL-seen set, sleep counts —
+on the production crawl: the pages and counters every crawl returns."""
 
 import os
 
 import pytest
 
+from tests.conftest import crawl_seen, crawl_sleeps, index_order
 from upton_ray.engine import Crawler
 from upton_ray.oracle import UptonOracle
 from upton_ray.scenarios import scenario_configs
@@ -25,23 +27,53 @@ def test_scenario_matches_oracle(name, ray_session, fixture_web):
 
     cfg = CFGS[name]
     oracle = UptonOracle(copy.deepcopy(cfg), fixture_web).scrape()
-    res = Crawler(cfg, fixture_web).crawl(trace=True)
+    res = Crawler(cfg, fixture_web).crawl()
 
     assert res.documents() == oracle.documents, f"{name}: documents differ"
     if cfg.url_array is None:
-        assert res.index_urls == oracle.index_urls, f"{name}: index order differs"
-    assert res.fetched_urls == oracle.seen, f"{name}: URL-seen set differs"
-    assert res.sleeps == oracle.sleeps, f"{name}: sleep count differs"
+        assert index_order(cfg, fixture_web) == oracle.index_urls, \
+            f"{name}: index order differs"
+    assert crawl_seen(res) == oracle.seen, f"{name}: URL-seen set differs"
+    assert crawl_sleeps(res) == oracle.sleeps, f"{name}: sleep count differs"
+
+
+@pytest.mark.parametrize("name", CONFORMANCE)
+def test_scenario_counters_match_oracle(name, ray_session, fixture_web):
+    """The report counters equal the golden ones: the crawl's sleeps and
+    network fetches are the oracle's (neither logs a sitemap-file or robots
+    probe read), and each round's rows are its pages' rows."""
+    import copy
+
+    import pyarrow.compute as pc
+
+    from upton_ray.fetch import FETCHED_OUT, INDEX_PAGES
+    from upton_ray.shuffle import collect
+
+    cfg = CFGS[name]
+    oracle = UptonOracle(copy.deepcopy(cfg), fixture_web).scrape()
+    res = Crawler(cfg, fixture_web).crawl()
+    m = res.metrics
+
+    def total(col, rows=m):
+        return int(pc.sum(rows[col]).as_py() or 0)
+
+    assert total("slept") == oracle.sleeps
+    assert total("fetched") == len(oracle.fetch_log)
+    pages = {0: collect(res.index_pages, INDEX_PAGES).num_rows,
+             1: collect(res.pages, FETCHED_OUT).num_rows}
+    for r, n in pages.items():
+        assert total("rows", m.filter(pc.equal(m["round"], r))) == n, \
+            f"{name}: round {r} rows"
+    assert set(m["round"].to_pylist()) <= {0, 1}
 
 
 def test_robots_blocks_without_fetch(ray_session, fixture_web):
     cfg = CFGS["robots"]
-    res = Crawler(cfg, fixture_web).crawl(trace=True)
+    res = Crawler(cfg, fixture_web).crawl()
     # sixfacts blocked -> empty record, never fetched, no sleep for it
     assert res.documents() == [HEADLINES["webinar"], "", HEADLINES["prosecutor"], ""]
-    assert BASE + "sixfacts.html" not in res.fetched_urls
-    m = res.metrics.to_pylist()[0]
-    assert m["robots_blocked"] == 1
+    assert BASE + "sixfacts.html" not in crawl_seen(res)
+    assert sum(res.metrics["robots_blocked"].to_pylist()) == 1
 
 
 def test_csv_sink_matches_oracle_rows(ray_session, fixture_web, tmp_path):
@@ -53,7 +85,7 @@ def test_csv_sink_matches_oracle_rows(ray_session, fixture_web, tmp_path):
         cfg = CFGS[name]
         oracle = UptonOracle(cfg, fixture_web)
         expected = oracle.scrape_to_rows()
-        res = Crawler(cfg, fixture_web).crawl(trace=True)
+        res = Crawler(cfg, fixture_web).crawl()
         f = tmp_path / f"{name}.csv"
         sinks.write_csv(res.records, str(f))
         with open(f, newline="") as fh:
@@ -65,31 +97,41 @@ def test_csv_sink_matches_oracle_rows(ray_session, fixture_web, tmp_path):
 def test_checkpoint_resume_skips_fetches(ray_session, fixture_web, tmp_path):
     import copy
 
+    import pyarrow.parquet as pq
+
     stash = str(tmp_path / "stash")
     cfg = copy.deepcopy(CFGS["basic"])
     cfg.stash_folder = stash
     cfg.index_debug = True
 
-    r1 = Crawler(cfg, fixture_web).crawl(trace=True)
-    assert r1.sleeps == 5
+    r1 = Crawler(cfg, fixture_web).crawl()
+    assert crawl_sleeps(r1) == 5
     assert os.path.exists(os.path.join(stash, "seen.parquet"))
     assert os.path.exists(os.path.join(stash, "lineage.json"))
+    # metrics.parquet holds the crawl's counters: round 0 and round 1
+    m = pq.read_table(os.path.join(stash, "metrics.parquet"))
+    assert m.equals(r1.metrics) and set(m["round"].to_pylist()) == {0, 1}
 
     # resume: a fresh crawler over the same stash refetches NOTHING
     cfg2 = copy.deepcopy(cfg)
-    r2 = Crawler(cfg2, fixture_web).crawl(trace=True)
+    r2 = Crawler(cfg2, fixture_web).crawl()
     assert r2.documents() == r1.documents()
-    assert r2.sleeps == 0, "resume must hit the stash, not the network"
-    assert r2.fetched_urls == set()
+    assert crawl_sleeps(r2) == 0, "resume must hit the stash, not the network"
+    assert crawl_seen(r2) == set()
 
 
 def test_lazy_records_dataset(ray_session, fixture_web):
-    """trace=False returns a lazy Dataset; consuming it yields sorted records."""
+    """crawl() returns a lazy Dataset; consuming it yields sorted records.
+    Its counters hold one round-0 row per index task and one round-1 row
+    per fetch group."""
     cfg = CFGS["basic"]
-    res = Crawler(cfg, fixture_web).crawl(trace=False)
+    res = Crawler(cfg, fixture_web).crawl()
     t = res.records_table()
     assert t.num_rows == 4
     assert t["record"].to_pylist()[0] == [HEADLINES["webinar"]]
+    m = res.metrics
+    assert m.num_rows > 0 and set(m["round"].to_pylist()) == {0, 1}
+    assert sum(m["rows"].to_pylist()) == 1 + 4   # index page + instances
 
 
 def test_seen_set_survives_large_batches(ray_session):
@@ -125,9 +167,9 @@ def test_canonicalize_seen_merges_query_orderings(ray_session):
                           sleep_time_between_requests=0,
                           canonicalize_seen=canon, num_seen_shards=2,
                           fetch_concurrency=2)
-        res = Crawler(cfg, web).crawl(trace=True)
-        m = res.metrics.to_pylist()[0]
-        assert m["fetched"] == expected_fetches, f"canonicalize_seen={canon}"
+        res = Crawler(cfg, web).crawl()
+        assert sum(res.metrics["fetched"].to_pylist()) == expected_fetches, \
+            f"canonicalize_seen={canon}"
         assert res.records_table().num_rows == 2, "rows always kept"
 
 
@@ -157,9 +199,9 @@ def test_custom_index_successor_hook(ray_session):
         num_seen_shards=1, fetch_concurrency=1)
     c = Crawler(cfg, web)
     try:
-        res = c.crawl(trace=True)
+        res = c.crawl()
         assert res.documents() == ["A", "B"]
-        assert "http://s.test/page/2.html" in res.fetched_urls
+        assert "http://s.test/page/2.html" in crawl_seen(res)
     finally:
         c.shutdown()
 
@@ -287,12 +329,12 @@ def _scan_hot_hosts(urls, threshold: int) -> list:
 @pytest.mark.parametrize("limit", [None, 0])
 @pytest.mark.parametrize("name", ["basic", "paginated", "paginated_error",
                                   "dedup_stash", "sitemap"])
-def test_stats_equal_trace_frontier(name, limit, ray_session, fixture_web,
-                                    monkeypatch):
+def test_stats_equal_frontier_scan(name, limit, ray_session, fixture_web,
+                                   monkeypatch):
     """Every crawl returns what round 0 knows, from the round-0 rollup
-    (both ``instance_index`` paths) or the URL list: a non-trace crawl's
-    stats equal the trace-mode crawl's, and both equal a scan of the
-    trace-mode frontier (rows, index pages or sitemap files, hot hosts)."""
+    (both ``instance_index`` paths) or the URL list: a crawl's stats equal
+    a scan of the round-0 frontier (rows, index pages or sitemap files,
+    hot hosts)."""
     import copy
 
     import pyarrow as pa
@@ -305,13 +347,12 @@ def test_stats_equal_trace_frontier(name, limit, ray_session, fixture_web,
         monkeypatch.setattr(engine, "INDEX_OFFSET_COLLECT_LIMIT", limit)
     cfg = copy.deepcopy(CFGS[name])
     cfg.hot_host_threshold = 1
-    traced = Crawler(copy.deepcopy(cfg), fixture_web).crawl(trace=True)
     c = Crawler(copy.deepcopy(cfg), fixture_web)
     stats = c.crawl().stats
     c.shutdown()
 
     urls = (list(cfg.url_array) if cfg.url_array is not None
-            else traced.index_urls)
+            else index_order(cfg, fixture_web))
     want = {"frontier_rows": len(urls), "hot_hosts": _scan_hot_hosts(urls, 1)}
     if cfg.sitemap_url:
         want["sitemap_files"] = expand_levels(
@@ -323,8 +364,8 @@ def test_stats_equal_trace_frontier(name, limit, ray_session, fixture_web,
         want["index_pages"] = len(set(zip(f["seed_id"].to_pylist(),
                                           f["page_no"].to_pylist())))
     assert want["hot_hosts"], "the threshold makes a host hot"
-    assert stats.pop("round0_s") >= 0 and traced.stats.pop("round0_s") >= 0
-    assert stats == traced.stats == want
+    assert stats.pop("round0_s") >= 0
+    assert stats == want
 
 
 def _paced_hot_crawl(debug: bool):

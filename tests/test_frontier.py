@@ -3,6 +3,7 @@
 
 import numpy as np
 
+from tests.conftest import crawl_seen
 from upton_ray.frontier import HostScheduler, RobotsCache, salt_hosts
 
 
@@ -195,10 +196,10 @@ def test_fetch_robots_from_web(ray_session):
         num_seen_shards=1, fetch_concurrency=1)
     c = Crawler(cfg, web)
     try:
-        res = c.crawl(trace=True)
+        res = c.crawl()
         # /secret blocked without fetch -> empty record kept positionally
         assert res.documents() == ["Allowed", ""]
-        assert "http://r.test/secret/b.html" not in res.fetched_urls
+        assert "http://r.test/secret/b.html" not in crawl_seen(res)
         assert cfg.robots_txt["r.test"].startswith("User-agent")
         # pre-supplied bodies are operator overrides: not clobbered
         cfg2 = CrawlConfig(
@@ -211,7 +212,7 @@ def test_fetch_robots_from_web(ray_session):
             num_seen_shards=1, fetch_concurrency=1)
         c2 = Crawler(cfg2, web)
         try:
-            res2 = c2.crawl(trace=True)
+            res2 = c2.crawl()
             assert res2.documents() == ["Allowed", "Blocked"]
         finally:
             c2.shutdown()
@@ -249,9 +250,9 @@ def test_fetch_robots_https_scheme(ray_session):
 
     c = Crawler(cfg(), web)
     try:
-        res = c.crawl(trace=True)
+        res = c.crawl()
         assert res.documents() == ["Allowed", ""]
-        assert "https://s.test/secret/b.html" not in res.fetched_urls
+        assert "https://s.test/secret/b.html" not in crawl_seen(res)
         assert cfg_robots_body(c).startswith("User-agent")
     finally:
         c.shutdown()
@@ -269,7 +270,7 @@ def test_fetch_robots_https_scheme(ray_session):
         num_seen_shards=1, fetch_concurrency=1)
     c2 = Crawler(cfg2, web2)
     try:
-        res2 = c2.crawl(trace=True)
+        res2 = c2.crawl()
         assert res2.documents() == ["Allowed", ""]
     finally:
         c2.shutdown()

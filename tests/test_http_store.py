@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from tests.conftest import crawl_seen, crawl_sleeps, index_order
 from upton_ray.htmlspans import html_to_spans
 from upton_ray.oracle import UptonOracle
 from upton_ray.scenarios import scenario_configs
@@ -65,12 +66,13 @@ def test_scenario_over_http(name, ray_session, fixture_web, http_web):
 
     cfg = CFGS[name]
     oracle = UptonOracle(copy.deepcopy(cfg), fixture_web).scrape()
-    res = Crawler(cfg, http_web).crawl(trace=True)
+    res = Crawler(cfg, http_web).crawl()
     assert res.documents() == oracle.documents, f"{name}: documents differ"
     if cfg.url_array is None:
-        assert res.index_urls == oracle.index_urls, f"{name}: index order differs"
-    assert res.fetched_urls == oracle.seen, f"{name}: URL-seen set differs"
-    assert res.sleeps == oracle.sleeps, f"{name}: sleep count differs"
+        assert index_order(cfg, http_web) == oracle.index_urls, \
+            f"{name}: index order differs"
+    assert crawl_seen(res) == oracle.seen, f"{name}: URL-seen set differs"
+    assert crawl_sleeps(res) == oracle.sleeps, f"{name}: sleep count differs"
 
 
 def test_store_equivalence_and_lru(http_web, fixture_web):
@@ -461,12 +463,13 @@ def test_multi_host_live_politeness(ray_session):
         src = ("http", {"url_map": url_map, "timeout": 5.0,
                         "max_retries": 1})
         t0 = _time.monotonic()
-        res = Crawler(cfg, src, seeds=seeds).crawl(trace=True)
+        res = Crawler(cfg, src, seeds=seeds).crawl()
+        docs = res.documents()
         wall = _time.monotonic() - t0
 
-        assert sorted(res.documents()) == sorted(
+        assert sorted(docs) == sorted(
             f"Headline h{hi}a{a}" for hi in range(3) for a in range(n_art))
-        assert res.sleeps == 3 * (1 + n_art)   # reference accounting: one
+        assert crawl_sleeps(res) == 3 * (1 + n_art)   # reference accounting: one
         # politeness sleep per fetched page (index + each article)
 
         per_host_pages = 1 + n_art                 # index + articles
@@ -484,7 +487,7 @@ def test_multi_host_live_politeness(ray_session):
 
         # hosts overlap ON THE WIRE: judge concurrency from the server-side
         # hit timeline, not the driver wall — the crawl pays ~2 s of fixed
-        # Ray overhead (groupby setup, trace collect) that does not scale
+        # Ray overhead (groupby setup, record collect) that does not scale
         # with pages and once swamped a wall-based bound (first committed
         # form of this test).  Judge it against the OBSERVED per-host spans
         # rather than the nominal paced time: CPU contention stretches every

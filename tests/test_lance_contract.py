@@ -97,9 +97,10 @@ def test_crawl_gate_through_lance_store(fixture_web, tmp_path):
         web = fw()
         cfg = scenario_configs()["basic"]
         oracle = UptonOracle(copy.deepcopy(cfg), web).scrape()
-        res = Crawler(cfg, ("lance", {repr(path)}, 4)).crawl(trace=True)
+        res = Crawler(cfg, ("lance", {repr(path)}, 4)).crawl()
         assert res.documents() == oracle.documents, "documents differ"
-        assert res.fetched_urls == oracle.seen, "URL-seen set differs"
+        from tests.conftest import crawl_seen
+        assert crawl_seen(res) == oracle.seen, "URL-seen set differs"
         ray.shutdown()
         print("LANCE_GATE_OK")
     """)

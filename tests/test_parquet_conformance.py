@@ -7,6 +7,7 @@ import copy
 
 import pytest
 
+from tests.conftest import crawl_seen, crawl_sleeps, index_order
 from upton_ray.oracle import UptonOracle
 from upton_ray.scenarios import scenario_configs
 
@@ -40,12 +41,13 @@ def test_scenario_on_parquet_store(name, ray_session, fixture_web, parquet_web):
 
     cfg = CFGS[name]
     oracle = UptonOracle(copy.deepcopy(cfg), fixture_web).scrape()
-    res = Crawler(cfg, parquet_web).crawl(trace=True)
+    res = Crawler(cfg, parquet_web).crawl()
     assert res.documents() == oracle.documents, f"{name}: documents differ"
     if cfg.url_array is None:
-        assert res.index_urls == oracle.index_urls, f"{name}: index order differs"
-    assert res.fetched_urls == oracle.seen, f"{name}: URL-seen set differs"
-    assert res.sleeps == oracle.sleeps, f"{name}: sleep count differs"
+        assert index_order(cfg, parquet_web) == oracle.index_urls, \
+            f"{name}: index order differs"
+    assert crawl_seen(res) == oracle.seen, f"{name}: URL-seen set differs"
+    assert crawl_sleeps(res) == oracle.sleeps, f"{name}: sleep count differs"
 
 
 def test_generator_store_matches_parquet_store(ray_session, tmp_path):

@@ -140,16 +140,18 @@ def test_fully_resumed_run_does_no_work(crawled):
         c.shutdown()
 
 
-def test_resumed_trace_crawl_fetches_nothing(crawled):
+def test_resumed_crawl_fetches_nothing(crawled):
     """Completed groups are read back as cache reads: a resumed crawl
     neither fetches nor sleeps for a page an earlier run stashed."""
+    from tests.conftest import crawl_seen, crawl_sleeps
+
     for crawl in crawled:
         c = crawl.crawler()
-        res = c.crawl(trace=True)
+        res = c.crawl()
         c.shutdown()
         assert _key_rows(res.records_table()) == _key_rows(crawl.golden)
-        assert res.sleeps == 0, f"{crawl.kind}: resume must not sleep"
-        assert res.fetched_urls == set()
+        assert crawl_sleeps(res) == 0, f"{crawl.kind}: resume must not sleep"
+        assert crawl_seen(res) == set()
 
 
 def test_group_count_mismatch_fails_closed(crawled, tmp_path):

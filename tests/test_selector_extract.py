@@ -189,7 +189,7 @@ def test_css_adv_scenario_matches_basic_golden(ray_session, fixture_web):
     from upton_ray.scenarios import scenario_configs
     from upton_ray.synth import HEADLINES
 
-    res = Crawler(scenario_configs()["css_adv"], fixture_web).crawl(trace=True)
+    res = Crawler(scenario_configs()["css_adv"], fixture_web).crawl()
     assert res.documents() == [HEADLINES["webinar"], "",
                                HEADLINES["prosecutor"], HEADLINES["sixfacts"]]
 

@@ -65,7 +65,7 @@ def test_each_crawl_gets_a_fresh_walker(empty_cache, fixture_web):
     cfg = CFGS["list"]
     group = pa.table({"instance_index": pa.array([0], pa.int64()),
                       "url": pa.array(cfg.url_array, pa.string())})
-    outs = [fetch.make_group_walker(cfg, fixture_web, None)([0], group)
+    outs = [fetch.make_group_walker(cfg, fixture_web, None)([0], group)[0]
             for _ in range(2)]
     assert outs[0].equals(outs[1])
     walkers = list(empty_cache.values())
@@ -259,8 +259,9 @@ def test_empty_frontier_fetches_nothing(ray_session, tmp_path):
     c.shutdown()
     stash = str(tmp_path / "stash")
     c = Crawler(_url_cfg([], fetch_concurrency=3, stash_folder=stash), {})
-    assert c.crawl().records_table().num_rows == 0
-    assert c.metrics.num_rows == 0
+    res = c.crawl()
+    assert res.records_table().num_rows == 0
+    assert res.metrics.num_rows == 0
     ckpt = os.path.join(stash, "fetched_round1")
     assert not os.path.exists(ckpt) or not os.listdir(ckpt)
     c.shutdown()
@@ -297,8 +298,9 @@ def test_checkpointed_empty_group_writes_nothing(ray_session, tmp_path):
     stash = str(tmp_path / "stash")
     cfg = _url_cfg(urls, fetch_concurrency=n_groups, stash_folder=stash)
     c = Crawler(cfg, _web(urls))
-    assert c.crawl().records_table().num_rows == len(urls)
-    assert sorted(c.metrics["partition"].to_pylist()) == sorted(g)
+    res = c.crawl()
+    assert res.records_table().num_rows == len(urls)
+    assert sorted(res.metrics["partition"].to_pylist()) == sorted(g)
     c.shutdown()
     ckpt = os.path.join(stash, "fetched_round1")
     assert sorted(os.listdir(ckpt)) == sorted(f"bucket={b}" for b in g)
@@ -310,4 +312,77 @@ def test_checkpointed_empty_group_writes_nothing(ray_session, tmp_path):
     assert t.num_rows == len(urls)
     assert res.metrics.num_rows == 0, "the resume walks no group again"
     assert sorted(os.listdir(ckpt)) == sorted(f"bucket={b}" for b in g)
+    c.shutdown()
+
+
+def test_crawl_resolves_no_round1_counter(ray_session, monkeypatch):
+    """crawl() takes no ``ray.get`` on a round-1 counter object: an
+    uncheckpointed, paced URL-list crawl (no round-0 barrier) hands its
+    group tasks' counter refs to the CrawlResult unresolved, and reading
+    ``metrics`` afterwards gives the full counters."""
+    import ray
+
+    from upton_ray.engine import Crawler
+
+    urls = [f"http://h{h}.test/p/{i}" for i in range(6) for h in range(4)]
+    c = Crawler(_url_cfg(urls, sleep_time_between_requests=0.05,
+                         real_sleep=True, max_sleep=0.05,
+                         fetch_concurrency=2), _web(urls))
+    got, get = [], ray.get
+
+    def spy(refs, *a, **kw):
+        got.extend(refs if isinstance(refs, list) else [refs])
+        return get(refs, *a, **kw)
+
+    monkeypatch.setattr(ray, "get", spy)
+    res = c.crawl()
+    monkeypatch.undo()
+    assert res.counters and not set(res.counters) & set(got)
+    m = res.metrics
+    assert set(m["round"].to_pylist()) == {1}
+    for k in ("rows", "fetched", "slept"):
+        assert sum(m[k].to_pylist()) == len(urls), k
+    assert res.records_table().num_rows == len(urls)
+    c.shutdown()
+
+
+def test_robots_crawl_maps_batches_once(ray_session, monkeypatch):
+    """An uncheckpointed crawl's only Ray Data map is record extraction,
+    with the robots probe on: the probe runs as plain tasks."""
+    import ray.data
+
+    from upton_ray.config import CrawlConfig
+    from upton_ray.engine import Crawler
+    from upton_ray.extract import ExtractRecords
+    from upton_ray.synth import _sp
+
+    web = {
+        "http://r.test/robots.txt": [
+            _sp("pre", "User-agent: *\nDisallow: /secret", "", 0)],
+        "http://r.test/index.html": [
+            _sp("section#river/section/h1/a", "ok", "a.html", 0),
+            _sp("section#river/section/h1/a", "no", "secret/b.html", 1)],
+        "http://r.test/a.html": [_sp("h1.article-title", "Allowed", "", 0)],
+        "http://r.test/secret/b.html": [
+            _sp("h1.article-title", "Blocked", "", 0)],
+    }
+    c = Crawler(CrawlConfig(
+        index_url="http://r.test/index.html",
+        index_selector="section#river section h1 a",
+        extractor="css:h1.article-title",
+        respect_robots=True, fetch_robots=True,
+        sleep_time_between_requests=0,
+        num_seen_shards=1, fetch_concurrency=1), web)
+    fns, map_batches = [], ray.data.Dataset.map_batches
+
+    def spy(self, fn, *a, **kw):
+        fns.append(fn)
+        return map_batches(self, fn, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
+    res = c.crawl()
+    monkeypatch.undo()
+    assert len(fns) == 1 and isinstance(fns[0], ExtractRecords), fns
+    assert c.cfg.robots_txt["r.test"].startswith("User-agent")
+    assert res.documents() == ["Allowed", ""]
     c.shutdown()

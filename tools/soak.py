@@ -936,7 +936,7 @@ def _sitemap_crawl(s: Soak, n_hosts: int = 192,
                      for h in range(p.n_hosts)]
         crawler = Crawler(cfg, p, seeds=seeds)
         t0 = time.time()
-        n_records = crawler.crawl(trace=False).records.count()
+        n_records = crawler.crawl().records.count()
         wall = time.time() - t0
         crawler.shutdown()
         assert n_records == n_articles, (mode, n_records, n_articles)

@@ -5,7 +5,10 @@ fixed-size cluster.  This module is that submission target: it attaches to the
 cluster Ray gives the job (``ray.init(address="auto")`` semantics — we only
 call ``ray.init`` when no session exists, so the driver/test harness owning a
 session is never disturbed), builds a :class:`upton_ray.engine.Crawler` from
-flags, streams the crawl, and writes records + metrics to the output sink.
+flags, streams the crawl, writes its records to the output sink and prints
+one JSON line: the record count and rate, the per-round counter totals of
+:attr:`upton_ray.engine.CrawlResult.metrics` and round 0's frontier size
+and time.
 
 Examples
 --------
@@ -32,6 +35,10 @@ import json
 import os
 import sys
 import time
+
+# the counters of CrawlResult.metrics the JSON line totals per round
+REPORT_COUNTERS = ("fetched", "cache_hits", "slept", "errors",
+                   "robots_blocked")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,6 +91,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_crawl(args) -> int:
+    import pyarrow.compute as pc
     import ray
 
     from upton_ray import sinks
@@ -157,7 +165,14 @@ def cmd_crawl(args) -> int:
     crawler.shutdown()
     out = {"records": n, "sec": round(dt, 3),
            "records_per_sec": round(n / dt, 1) if dt else None,
-           "out": args.out, "stash": args.stash}
+           "out": args.out, "stash": args.stash,
+           "frontier_rows": res.stats["frontier_rows"],
+           "round0_s": round(res.stats["round0_s"], 3)}
+    m = res.metrics
+    for r in (0, 1):
+        rows = m.filter(pc.equal(m["round"], r))
+        out[f"round{r}"] = {k: int(pc.sum(rows[k]).as_py() or 0)
+                            for k in REPORT_COUNTERS}
     if distinct is not None:
         out["distinct_keys"] = distinct
     print(json.dumps(out))

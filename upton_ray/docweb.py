@@ -218,7 +218,7 @@ def crawl_documents(sf_dir: str, *, as_dataset: bool = False,
         web, seeds = web_from_documents(sf_dir)
     crawler = Crawler(crawl_config(), web, seeds=seeds)
     try:
-        res = crawler.crawl(trace=False)
+        res = crawler.crawl()
         ds = res.records.map_batches(
             lambda b: pa.table({
                 "instance_index": b["instance_index"],

@@ -18,10 +18,15 @@ sequential execution.  A fetch group (called "bucket" in the checkpoint
 layout and the lineage) is a corpus bucket on an unpaced crawl of a bucketed
 corpus and a host shard otherwise (see ``Crawler.fetch_instances``).
 
+Every crawl returns the pages its walkers emitted and their counters
+(:class:`CrawlResult`): each round-0 task returns one :data:`schema.METRICS`
+row for its index pages and each round-1 group task one row per fetch
+group, as object refs that are resolved only when the report is read.
+
 Checkpointing: when ``cfg.stash_folder`` is set, the frontier is written
 and read back, each fetch group writes its pages to
-``fetched_round1/bucket=<g>/`` plus a ``_SUCCESS`` marker and returns its
-counters row (``metrics.parquet``), and the seen set is dumped.  A re-run
+``fetched_round1/bucket=<g>/`` plus a ``_SUCCESS`` marker, the counter rows
+of the run become ``metrics.parquet``, and the seen set is dumped.  A re-run
 restores the seen set, skips the round-0 walk and every completed group,
 and walks only the rest — exactly the reference's stash-driven resume
 semantics (downloader.rb:70-98): a stashed page is never fetched, or slept
@@ -33,9 +38,9 @@ Scale notes (10^10-URL design point, tested single-node):
   each round-0 task returns beside its links, for the page offsets,
   frontier size and hot hosts up to ``INDEX_OFFSET_COLLECT_LIMIT`` rows —
   above it only the hot hosts, and ``shuffle.block_scan`` reads two ints
-  per block — and a sitemap level's child-file rows, (b) with a checkpoint,
-  one counters row per fetch group, and (c) trace-mode conformance
-  collections (tests only);
+  per block — and a sitemap level's child-file rows, and (b) one counters
+  row per round-0 task and per fetch group: with a checkpoint at the
+  round-1 barrier, otherwise when :attr:`CrawlResult.metrics` is read;
 * round 0, the ``instance_index`` attach, the sitemap probes and round 1
   run as plain Ray tasks over a per-process walker cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
@@ -81,8 +86,9 @@ import ray.data
 from upton_ray import schema
 from upton_ray.config import CrawlConfig
 from upton_ray.extract import ExtractRecords, extract_links_batch
-from upton_ray.fetch import (FETCHED_OUT, IndexWalker, fetch_counters,
-                             make_group_walker, make_store, per_process)
+from upton_ray.fetch import (FETCHED_OUT, INDEX_PAGES, IndexWalker,
+                             fetch_counters, make_group_walker, make_store,
+                             per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet, SeenShard
 from upton_ray.shuffle import (_agg_table, block_refs, block_scan, collect,
@@ -128,18 +134,29 @@ RECORDS_OUT = pa.schema([
     ("record", pa.list_(pa.string())), ("doc_kind", pa.string()),
 ])
 
+
+def _counter_rows(refs: list) -> pa.Table:
+    """The :data:`schema.METRICS` rows behind ``refs``, by (round,
+    partition)."""
+    return pa.concat_tables([schema.METRICS.empty_table()] + ray.get(refs)) \
+        .sort_by([("round", "ascending"), ("partition", "ascending")])
+
+
 @dataclass
 class CrawlResult:
-    records: object                      # ray.data.Dataset (lazy) or pa.Table (trace)
-    index_urls: Optional[list] = None    # trace: get_index output (order incl. Nones)
-    sleeps: Optional[int] = None         # trace: politeness sleep count
-    fetched_urls: Optional[set] = None   # trace: network-fetched URL set
-    metrics: Optional[pa.Table] = None   # schema.METRICS counter rows
+    records: object       # records Dataset (lazy), sorted in output order
+    pages: object         # round-1 FETCHED_OUT Dataset the records come from
+    index_pages: object   # round-0 INDEX_PAGES Dataset (empty: no round 0)
+    counters: list        # object refs of this run's METRICS rows
     stats: dict = field(default_factory=dict)
 
+    @property
+    def metrics(self) -> pa.Table:
+        """This run's counters, one :data:`schema.METRICS` row per round-0
+        task and per walked fetch group, resolved on read."""
+        return _counter_rows(self.counters)
+
     def records_table(self) -> pa.Table:
-        if isinstance(self.records, pa.Table):
-            return self.records
         t = collect(self.records, RECORDS_OUT)
         return t.sort_by([("instance_index", "ascending"),
                           ("pagination_index", "ascending"),
@@ -170,6 +187,11 @@ class CrawlResult:
                 else:
                     docs[-1].append(list(r["record"]))
         return docs
+
+
+def _no_index_pages():
+    """The index pages of a crawl without a round-0 walk."""
+    return ray.data.from_arrow(INDEX_PAGES.empty_table())
 
 
 def _page_keys(t: pa.Table) -> np.ndarray:
@@ -222,20 +244,20 @@ def _rank_links(links: pa.Table, base: int, _total: int) -> pa.Table:
         base + np.arange(links.num_rows, dtype=np.int64), pa.int64()))
 
 
-@ray.remote(num_cpus=0.5)
-def _index_task(walk, blocks: list, trace: bool):
+@ray.remote(num_cpus=0.5, num_returns=5)
+def _index_task(walk, blocks: list, partition: int):
     """One round-0 task: ``walk`` (a :func:`per_process` IndexWalker) runs
     each seed block's pagination chains, one call per block, so a walker's
     bucket cache sees one bucket's seeds at a time.  Returns the blocks'
-    links, their :data:`ROLLUP` rows and the rollup row count, plus the
-    index pages in trace mode."""
+    links, their :data:`ROLLUP` rows, the rollup row count, the
+    :data:`INDEX_PAGES` rows and their counters row."""
     pages = [walk(b) for b in blocks]
     links = pa.concat_tables([extract_links_batch(p) for p in pages])
     rollup = _page_host_counts(links)
-    out = (links, rollup, rollup.num_rows)
-    if trace:
-        out += (pa.concat_tables(pages, promote_options="permissive"),)
-    return out
+    index_pages = pa.concat_tables([p.select(INDEX_PAGES.names)
+                                    for p in pages])
+    return (links, rollup, rollup.num_rows, index_pages,
+            fetch_counters(index_pages, 0, partition))
 
 
 @ray.remote(num_returns=2)
@@ -260,7 +282,7 @@ def _split_groups(block: pa.Table, n_groups: int, hot_hosts: frozenset,
     return parts if n_groups > 1 else parts[0]
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _group_task(walk, groups: list, *slices):
     """One round-1 group task: ``walk`` is :func:`make_group_walker`'s."""
     return walk(groups, *slices)
@@ -290,8 +312,8 @@ class Crawler:
         # round 0's facts: frontier_rows, index_pages (with a link) or
         # sitemap_files, hot_hosts; crawl() adds round0_s
         self.stats: dict = {}
-        # checkpointed crawls: counter rows of the fetch groups this run walked
-        self.metrics: Optional[pa.Table] = None
+        # object refs of the METRICS rows of the tasks this crawl ran
+        self.counters: list = []
         if cfg.stash_folder and not cfg.seen_exact:
             # fail fast: filter-only shards can't enumerate their URLs, so a
             # seen checkpoint would persist an empty set and a resumed crawl
@@ -368,37 +390,32 @@ class Crawler:
 
     # --------------------------------------------------------------- round 0
 
-    def get_index(self, *, trace: bool = False):
+    def get_index(self):
         """Round 0: seeds -> index pages -> ordered frontier Dataset with
-        columns (url, seed_id, page_no, dom_pos, instance_index).
-        Returns (frontier_ds, trace_info)."""
+        columns (url, seed_id, page_no, dom_pos, instance_index).  Returns
+        (frontier, index_pages): the :data:`INDEX_PAGES` Dataset is empty
+        when a checkpointed frontier is read back.  Each task's counters
+        row joins :attr:`counters`."""
         cfg = self.cfg
         assert self.seeds, "no index seeds configured"
         ckpt = self._ckpt("frontier.parquet")
         if self._frontier_done(ckpt):
-            return ray.data.read_parquet(ckpt), None
+            return ray.data.read_parquet(ckpt), _no_index_pages()
 
         blocks = self._seed_blocks()
         walk = per_process(IndexWalker, cfg, self.web_ref, self.seen)
         # one task per contiguous run of blocks, at most fetch_concurrency
         runs = np.array_split(np.arange(len(blocks)),
                               min(cfg.fetch_concurrency, len(blocks)))
-        task = _index_task.options(num_returns=4 if trace else 3)
-        outs = [task.remote(walk, [blocks[i] for i in run], trace)
-                for run in runs]
-        trace_info = None
-        if trace:
-            pt = pa.concat_tables(ray.get([o[3] for o in outs]),
-                                  promote_options="permissive")
-            trace_info = {
-                "index_sleeps": int(pc.sum(pt["slept"]).as_py() or 0),
-                "pages": pt,
-            }
+        outs = [_index_task.remote(walk, [blocks[i] for i in run], j)
+                for j, run in enumerate(runs)]
+        self.counters += [o[4] for o in outs]
         # round-0 output is ~1/links_per_page of the crawl
         links = ray.data.from_arrow_refs([o[0] for o in outs])
         frontier, facts = self._assign_instance_index(
             links, rollup=[(o[1], o[2]) for o in outs])
-        return self._save_frontier(frontier, ckpt, **facts), trace_info
+        return (self._save_frontier(frontier, ckpt, **facts),
+                ray.data.from_arrow_refs([o[3] for o in outs]))
 
     def _frontier_done(self, ckpt: Optional[str]) -> bool:
         """True when an earlier run checkpointed the frontier; the round0
@@ -529,41 +546,36 @@ class Crawler:
         groups; then at most one group task per CPU slot walks the groups,
         each task its share one after another (:meth:`_walk_groups`).
 
+        Each group task's counter rows join :attr:`counters`, unresolved.
         With a checkpoint, each group writes ``fetched_round1/bucket=<g>/``
-        plus ``_SUCCESS`` and returns its counters row; the rows become
-        ``metrics.parquet`` and :attr:`metrics`.  Groups an earlier run
-        completed are not walked again: their pages are read back as cache
-        reads."""
+        plus ``_SUCCESS``, and :attr:`counters` become ``metrics.parquet``.
+        Groups an earlier run completed are not walked again: their pages
+        are read back as cache reads."""
         cfg = self.cfg
         paced = cfg.real_sleep and cfg.sleep_time_between_requests > 0
         n_buckets = None if paced else _bucket_count(self.web_ref)
         n_groups = n_buckets or cfg.fetch_concurrency
         ckpt = self._ckpt("fetched_round1")
+        done = self._done_groups(ckpt, n_groups) if ckpt else set()
+        outs = self._walk_groups(frontier, n_groups, n_buckets, paced, done,
+                                 ckpt)
+        self.counters += [c for _, c in outs]
         if not ckpt:
-            refs = self._walk_groups(frontier, n_groups, n_buckets, paced,
-                                     set(), None)
-            return (ray.data.from_arrow_refs(refs) if refs
+            return (ray.data.from_arrow_refs([p for p, _ in outs]) if outs
                     else ray.data.from_arrow(FETCHED_OUT.empty_table()))
-        done = self._done_groups(ckpt, n_groups)
-        stats = schema.METRICS.empty_table()
-        if len(done) < n_groups:
-            refs = self._walk_groups(frontier, n_groups, n_buckets, paced,
-                                     done, ckpt)
-            stats = pa.concat_tables([stats] + ray.get(refs)) \
-                .sort_by("partition")
-        walked = stats["partition"].to_pylist()
+        walked = _counter_rows([c for _, c in outs])["partition"].to_pylist()
         for g in walked:
             self._mark_done(f"round1/bucket={g}")
         if walked:
             self._dump_seen()
-        pq.write_table(stats, self._ckpt("metrics.parquet"))
-        self.metrics = stats
+        pq.write_table(_counter_rows(self.counters),
+                       self._ckpt("metrics.parquet"))
         return self._read_groups(ckpt, walked, sorted(done))
 
     def _walk_groups(self, frontier, n_groups: int, n_buckets, paced: bool,
                      done: set, ckpt: Optional[str]) -> list:
         """The group walk of :meth:`fetch_instances`, minus the groups in
-        ``done``: one object ref per group task.
+        ``done``: a (pages, counters) pair of object refs per group task.
 
         A task takes ``num_cpus`` of a CPU: a whole one, more on a bucketed
         corpus (each task decodes whole buckets into heap, so ~16 decode at
@@ -696,9 +708,9 @@ class Crawler:
 
     def _load_robots_from_web(self) -> None:
         """T3 completion: probe ``http://<host>/robots.txt`` for every seed
-        host THROUGH THE WEB SOURCE (distributed map_batches over the host
-        list; one (host, body) row per host reaches the driver — the host
-        list is always the small side) and merge the bodies into
+        host THROUGH THE WEB SOURCE (plain probe tasks over chunks of the
+        host list; one (host, body) row per host reaches the driver — the
+        host list is always the small side) and merge the bodies into
         ``cfg.robots_txt`` for the fetch workers to parse.  Pre-supplied
         entries win — they act as operator overrides."""
         cfg = self.cfg
@@ -743,91 +755,41 @@ class Crawler:
                 return pa.table({"host": pa.array(out_h, pa.string()),
                                  "body": pa.array(out_b, pa.string())})
 
-        ds = ray.data.from_arrow(pa.table({
-            "host": pa.array(hosts),
-            "scheme": pa.array([host_scheme[h] for h in hosts])}))
-        found = collect(ds.map_batches(
-            per_process(RobotsProbe), batch_format="pyarrow", batch_size=1024,
-            concurrency=min(4, max(1, len(hosts) // 256 + 1)), num_cpus=0.5),
-            pa.schema([("host", pa.string()), ("body", pa.string())]))
+        probe = ray.remote(num_cpus=0.5)(per_process(RobotsProbe))
+        t = pa.table({"host": pa.array(hosts),
+                      "scheme": pa.array([host_scheme[h] for h in hosts])})
+        # one probe task per 256 hosts, up to 4; more once one would
+        # probe over 1024
+        size = min(1024, -(-len(hosts) // min(4, len(hosts) // 256 + 1)))
+        found = pa.concat_tables(ray.get(
+            [probe.remote(t.slice(i, size))
+             for i in range(0, len(hosts), size)]))
         for h, b in zip(found["host"].to_pylist(), found["body"].to_pylist()):
             cfg.robots_txt[h] = b
 
-    def crawl(self, *, trace: bool = False) -> CrawlResult:
+    def crawl(self) -> CrawlResult:
+        """One crawl: round 0 (index pages, a sitemap or the URL list), the
+        round-1 fetch groups and record extraction.  Returns the lazy
+        records plan with the pages and the counters behind it; it waits
+        for no round-1 counter."""
         cfg = self.cfg
-        index_urls = None
+        self.counters = []
         if cfg.respect_robots and cfg.fetch_robots:
             self._load_robots_from_web()
         t0 = time.perf_counter()
         if cfg.url_array is not None:
-            frontier = self._frontier_from_url_array()
-            trace_info = None
+            frontier, index_pages = (self._frontier_from_url_array(),
+                                     _no_index_pages())
         elif cfg.sitemap_url:
-            frontier = self._frontier_from_sitemaps()
-            trace_info = None
+            frontier, index_pages = (self._frontier_from_sitemaps(),
+                                     _no_index_pages())
         else:
-            frontier, trace_info = self.get_index(trace=trace)
+            frontier, index_pages = self.get_index()
         self.stats["round0_s"] = time.perf_counter() - t0
-
-        if trace:
-            frontier_schema = pa.schema([
-                ("seed_id", pa.int32()), ("page_no", pa.int32()),
-                ("dom_pos", pa.int32()), ("url", pa.string()),
-                ("instance_index", pa.int64())])
-            ft = collect(frontier, frontier_schema)
-            if "dom_pos" in ft.column_names:
-                ft = ft.sort_by([("instance_index", "ascending")])
-                index_urls = ft["url"].to_pylist()
-            frontier = ray.data.from_arrow(ft)
-
-        fetched = self.fetch_instances(frontier)
-        if trace:
-            fetched = fetched.materialize()
-            fetched_t = collect(fetched, FETCHED_OUT)
-        records = self.extract_records(fetched)
-        records = records.sort(["instance_index", "pagination_index", "row_no"])
-
-        if not trace:
-            return CrawlResult(records=records, metrics=self.metrics,
-                               stats=dict(self.stats))
-
-        rt = collect(records, RECORDS_OUT)
-        rt = rt.sort_by([("instance_index", "ascending"),
-                         ("pagination_index", "ascending"),
-                         ("row_no", "ascending")])
-        sleeps = int(pc.sum(fetched_t["slept"]).as_py() or 0)
-        fetched_urls = set(
-            pc.filter(fetched_t["instance_url"], fetched_t["from_resource"]).to_pylist())
-        if trace_info is not None:
-            sleeps += trace_info["index_sleeps"]
-            pt = trace_info["pages"]
-            # index pages that were network fetches: their resolved URLs are
-            # not carried by the walker output; recompute from the fetch flags
-            fetched_urls |= set(self._index_fetch_urls(pt))
-        metrics = fetch_counters(fetched_t, -1)
-        self._dump_seen()
-        return CrawlResult(records=rt, index_urls=index_urls, sleeps=sleeps,
-                           fetched_urls=fetched_urls, metrics=metrics,
+        pages = self.fetch_instances(frontier)
+        records = self.extract_records(pages).sort(
+            ["instance_index", "pagination_index", "row_no"])
+        return CrawlResult(records=records, pages=pages,
+                           index_pages=index_pages,
+                           counters=list(self.counters),
                            stats=dict(self.stats))
-
-    def _index_fetch_urls(self, pages_t: pa.Table) -> list[str]:
-        """Reconstruct the index-page URLs that hit the network (trace only)."""
-        from upton_ray.urlops import next_index_page_url, resolve_url
-
-        cfg = self.cfg
-        out = []
-        sel = {s[0]: s[1] for s in (self.seeds or [])}
-        for row in pages_t.to_pylist():
-            if not row["from_resource"]:
-                continue
-            seed_url = sel[row["seed_id"]]
-            pidx = cfg.pagination_start_index + row["page_no"] * cfg.pagination_interval
-            if cfg.next_index_page_url is not None:   # P1 override hook
-                nxt = cfg.next_index_page_url(seed_url, pidx)
-            else:
-                nxt = next_index_page_url(
-                    seed_url, pidx, paginated=cfg.paginated,
-                    pagination_param=cfg.pagination_param,
-                    pagination_max_pages=cfg.pagination_max_pages)
-            out.append(resolve_url(nxt, seed_url) if nxt else seed_url)
-        return out

@@ -55,6 +55,12 @@ FETCHED_OUT = pa.schema([
     ("status", pa.int32()), ("robots_blocked", pa.bool_()),
 ])
 
+# the rows a crawl keeps of IndexWalker's output: one per fetched index page
+INDEX_PAGES = pa.schema([
+    ("url", pa.string()), ("from_resource", pa.bool_()),
+    ("slept", pa.bool_()), ("status", pa.int32()),
+])
+
 
 # ----------------------------------------------------------------- web stores
 
@@ -544,21 +550,24 @@ def per_process(factory, *args, **kwargs):
     return call
 
 
-def fetch_counters(fetched: pa.Table, partition: int) -> pa.Table:
-    """One :data:`schema.METRICS` row of round-1 counters over a fetched-page
-    table (``partition`` = its fetch group, -1 for a whole crawl)."""
+def fetch_counters(pages: pa.Table, round_: int, partition: int) -> pa.Table:
+    """One :data:`schema.METRICS` row of counters over one task's or fetch
+    group's pages (:data:`FETCHED_OUT` or :data:`INDEX_PAGES` rows; index
+    pages are never robots-blocked)."""
     def total(a) -> int:
         return int(pc.sum(a).as_py() or 0)
 
-    status = fetched["status"]
-    n_fetched = total(fetched["from_resource"])
+    status = pages["status"]
+    n_fetched = total(pages["from_resource"])
+    blocked = (total(pages["robots_blocked"])
+               if "robots_blocked" in pages.column_names else 0)
     return pa.Table.from_pydict({
-        "round": [1], "partition": [partition], "rows": [fetched.num_rows],
-        "fetched": [n_fetched], "cache_hits": [fetched.num_rows - n_fetched],
-        "slept": [total(fetched["slept"])],
+        "round": [round_], "partition": [partition], "rows": [pages.num_rows],
+        "fetched": [n_fetched], "cache_hits": [pages.num_rows - n_fetched],
+        "slept": [total(pages["slept"])],
         "errors": [total(pc.and_(pc.not_equal(status, 200),
                                  pc.not_equal(status, 0)))],
-        "robots_blocked": [total(fetched["robots_blocked"])],
+        "robots_blocked": [blocked],
     }, schema=schema.METRICS)
 
 
@@ -570,25 +579,22 @@ def make_group_walker(cfg, web_source, seen_handle,
     another over ONE InstanceWalker per worker process (the
     :func:`per_process` cache), so bucket caches persist across them.
     ``slices`` holds every group's frontier slices, group after group, each
-    group's in block order; a group with no row is skipped and writes
-    nothing.
+    group's in block order; a group with no row is skipped, writes nothing
+    and has no counters row.
 
-    Without ``ckpt_dir`` the task returns its groups' fetched pages.  With
-    it, each group checkpoints its own pages to ``<ckpt_dir>/bucket=<g>/``,
-    drops a ``_SUCCESS`` marker — the per-partition lineage unit: a crashed
-    run leaves markers only for completed groups, and the next run walks
-    just the rest — and contributes only its :func:`fetch_counters` row
-    (the page data stays on disk, so the barrier the engine takes over
-    these rows never holds the crawl's spans in the object store;
-    extraction re-reads the checkpoint files)."""
+    Returns ``(pages, counters)``: the groups' fetched pages and one
+    :func:`fetch_counters` row per walked group.  With ``ckpt_dir``, each
+    group checkpoints its own pages to ``<ckpt_dir>/bucket=<g>/`` and drops
+    a ``_SUCCESS`` marker — the per-partition lineage unit: a crashed run
+    leaves markers only for completed groups, and the next run walks just
+    the rest — and ``pages`` is empty (the page data stays on disk, so the
+    barrier the engine takes over the counters never holds the crawl's
+    spans in the object store; extraction re-reads the checkpoint files)."""
 
     walker = per_process(InstanceWalker, cfg, web_source, seen_handle,
                          pacer=pacer, hot_hosts=hot_hosts)
 
-    def walk_group(g: int, group: pa.Table) -> pa.Table:
-        out = walker(group)
-        if ckpt_dir is None:
-            return out
+    def checkpoint(g: int, out: pa.Table) -> None:
         import os
 
         import pyarrow.parquet as pq
@@ -606,19 +612,23 @@ def make_group_walker(cfg, web_source, seen_handle,
         # fixed filename: a Ray task retry overwrites instead of duplicating
         pq.write_table(out_ck, os.path.join(d, "data-0.parquet"))
         open(os.path.join(d, "_SUCCESS"), "w").close()
-        return fetch_counters(out, g)
 
-    def walk(groups: list, *slices: pa.Table) -> pa.Table:
+    def walk(groups: list, *slices: pa.Table):
         per = len(slices) // len(groups)
-        outs = []
+        pages, counters = [], [schema.METRICS.empty_table()]
         for k, g in enumerate(groups):
             parts = [s for s in slices[k * per:(k + 1) * per] if s.num_rows]
-            if parts:
-                outs.append(walk_group(g, pa.concat_tables(parts)))
-        if not outs:
-            return (FETCHED_OUT if ckpt_dir is None
-                    else schema.METRICS).empty_table()
-        return pa.concat_tables(outs, promote_options="permissive")
+            if not parts:
+                continue
+            out = walker(pa.concat_tables(parts))
+            counters.append(fetch_counters(out, 1, g))
+            if ckpt_dir is None:
+                pages.append(out)
+            else:
+                checkpoint(g, out)
+        return (pa.concat_tables(pages, promote_options="permissive")
+                if pages else FETCHED_OUT.empty_table(),
+                pa.concat_tables(counters))
 
     return walk
 
@@ -628,7 +638,9 @@ class IndexWalker:
 
     In: batch of seed rows (seed_id, url, selector).
     Out: one row per fetched index page:
-    (seed_id, page_no, base, selector, spans, from_resource, slept, status).
+    (seed_id, page_no, base, selector, spans, url, from_resource, slept,
+    status), where ``url`` is the page's resolved fetch URL; a crawl keeps
+    the :data:`INDEX_PAGES` columns beside its links.
 
     The chain control flow (early stop on empty page — Q7) only needs each
     page's SPAN COUNT and static error status, so the walk uses a light
@@ -729,6 +741,7 @@ class IndexWalker:
             "base": pa.array(rows["base"], pa.string()),
             "selector": pa.array(rows["selector"], pa.string()),
             "spans": spans if n else schema.spans_array([]),
+            "url": pa.array(rows["fetch_url"], pa.string()),
             "from_resource": pa.array(from_resource),
             "slept": pa.array(from_resource),   # politeness per network fetch (Q8)
             "status": pa.array(rows["status"], pa.int32()),

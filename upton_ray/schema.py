@@ -87,13 +87,14 @@ LINEAGE = pa.schema(
 )
 
 # per-partition counters (the engine's structured replacement for @verbose
-# puts): one row per round-1 fetch group — the group walker's stats row, the
-# rows of the checkpoint's metrics.parquet and CrawlResult.metrics
+# puts), mergeable by summing: one row per round-0 task over its index pages
+# and per round-1 fetch group over its instance pages — the rows of
+# CrawlResult.metrics and of the checkpoint's metrics.parquet
 METRICS = pa.schema(
     [
-        ("round", pa.int32()),
-        ("partition", pa.int32()),   # fetch group; -1 = a whole trace crawl
-        ("rows", pa.int64()),        # fetched-page rows the group emitted
+        ("round", pa.int32()),       # 0 = index pages, 1 = instance pages
+        ("partition", pa.int32()),   # round-0 task / round-1 fetch group
+        ("rows", pa.int64()),        # page rows the partition emitted
         ("fetched", pa.int64()),
         ("cache_hits", pa.int64()),
         ("slept", pa.int64()),       # politeness sleeps (reference: upton.rb:220-223)

@@ -17,20 +17,13 @@ import os
 
 import pyarrow as pa
 
-from upton_ray import schema
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
 def _record_rows(records_ds):
-    """Yield CSV rows from a records Dataset/table in Upton order."""
-    if isinstance(records_ds, pa.Table):
-        batches = [records_ds.sort_by([("instance_index", "ascending"),
-                                       ("pagination_index", "ascending"),
-                                       ("row_no", "ascending")])]
-    else:
-        records_ds = records_ds.sort(["instance_index", "pagination_index", "row_no"])
-        batches = records_ds.iter_batches(batch_format="pyarrow", batch_size=4096)
-    for b in batches:
+    """Yield CSV rows from a records Dataset in Upton order."""
+    records_ds = records_ds.sort(["instance_index", "pagination_index", "row_no"])
+    for b in records_ds.iter_batches(batch_format="pyarrow", batch_size=4096):
         kinds = b["doc_kind"].to_pylist()
         recs = b["record"].to_pylist()
         for kind, rec in zip(kinds, recs):
