@@ -429,6 +429,43 @@ def queries() -> dict[str, Callable[[str], Any]]:
     return _driver_rotate(q)
 
 
+# every key a driver round has checked: the union of CORRECTNESS_r*.json,
+# in file order (tests/test_entry.py pins it to the files)
+DRIVER_GATED = [
+    "crawl_documents", "crawl_basic", "crawl_list", "crawl_table",
+    "crawl_paginated", "crawl_robots", "crawl_continuation",
+    "url_parts", "url_canonical", "pagination_successor",
+    "dedup_exact", "fingerprint", "winnow_fingerprint",
+    "token_count", "token_pieces", "quality_score", "lang_id",
+    "simhash", "minhash_dedup", "ngram_jaccard", "ann_topk",
+    "ann_ivf", "embedding_dedup", "embedding_dedup_lsh",
+    "events_window", "sessionize", "events_sliding",
+    "term_frequencies", "value_quantiles", "asof_join_events",
+    "range_join_events", "approx_distinct_users", "crawl_bfs",
+    "lineitem_pricing", "nation_revenue", "frontier_topk",
+    "media_decode", "media_resize", "frame_sample", "crawl_csv",
+    "crawl_selectors", "ann_pq", "redact_pii", "dedup_keep_best",
+    "ann_range_search", "doc_length_histogram", "sample_stratified",
+    "dedup_clusters", "tfidf_top_term", "doc_chunk", "ann_recall",
+    "media_decode_real", "media_phash_real", "media_resize_real",
+    "frame_sample_real", "media_caption", "seeded_shuffle",
+    "contamination_check", "semi_join_events", "group_quantiles",
+    "type_token_ratio", "length_rank", "dedup_filter",
+    "repetition_score", "dup_ngrams", "sequence_pack",
+    "q3_top_orders", "customer_orders_join", "user_events_join",
+    "customers_no_orders", "top_orders_per_customer",
+    "length_ntile", "nation_year_rollup", "table_profile",
+    "bucketed_customer_orders", "group_zscore", "funnel_conversion",
+    "winsorize_values", "percentile_rank", "pivot_events",
+    "melt_events", "bm25_score", "hash_split", "interleave_sources",
+    "oov_rate", "source_gate", "decontaminate_large", "event_dedup",
+    "span_explode", "span_kind_hist", "mad_outliers", "span_pack",
+    "balanced_sample", "dsir_select", "retention_cohorts",
+    "readability_score", "url_dedup", "ngram_containment",
+    "rrf_fuse", "host_share", "incremental_profile",
+]
+
+
 def _driver_rotate(q: dict[str, Callable[[str], Any]]) -> dict[str, Callable[[str], Any]]:
     """Reorder queries() for the driver's CORRECTNESS snapshot window.
 
@@ -440,44 +477,12 @@ def _driver_rotate(q: dict[str, Callable[[str], Any]]) -> dict[str, Callable[[st
     2. never driver-gated, oracle-checked at atol=1e-9 but not bit-exact
        (``float_reassoc``), which a hash-equality gate could flag;
     3. never driver-gated rows-only ops (approximate/iterative by design);
-    4. every key already in a CORRECTNESS_r*.json (``gated``), last.
+    4. every key already in a CORRECTNESS_r*.json (:data:`DRIVER_GATED`),
+       last.
 
     Pure reordering: same keys, same callables, same oracle pairing (the
     driver joins queries()/oracle_sql() by key, not position).
     """
-    gated = [  # the union of CORRECTNESS_r01..r05.json, in file order
-        "crawl_documents", "crawl_basic", "crawl_list", "crawl_table",
-        "crawl_paginated", "crawl_robots", "crawl_continuation",
-        "url_parts", "url_canonical", "pagination_successor",
-        "dedup_exact", "fingerprint", "winnow_fingerprint",
-        "token_count", "token_pieces", "quality_score", "lang_id",
-        "simhash", "minhash_dedup", "ngram_jaccard", "ann_topk",
-        "ann_ivf", "embedding_dedup", "embedding_dedup_lsh",
-        "events_window", "sessionize", "events_sliding",
-        "term_frequencies", "value_quantiles", "asof_join_events",
-        "range_join_events", "approx_distinct_users", "crawl_bfs",
-        "lineitem_pricing", "nation_revenue", "frontier_topk",
-        "media_decode", "media_resize", "frame_sample", "crawl_csv",
-        "crawl_selectors", "ann_pq", "redact_pii", "dedup_keep_best",
-        "ann_range_search", "doc_length_histogram", "sample_stratified",
-        "dedup_clusters", "tfidf_top_term", "doc_chunk", "ann_recall",
-        "media_decode_real", "media_phash_real", "media_resize_real",
-        "frame_sample_real", "media_caption", "seeded_shuffle",
-        "contamination_check", "semi_join_events", "group_quantiles",
-        "type_token_ratio", "length_rank", "dedup_filter",
-        "repetition_score", "dup_ngrams", "sequence_pack",
-        "q3_top_orders", "customer_orders_join", "user_events_join",
-        "customers_no_orders", "top_orders_per_customer",
-        "length_ntile", "nation_year_rollup", "table_profile",
-        "bucketed_customer_orders", "group_zscore", "funnel_conversion",
-        "winsorize_values", "percentile_rank", "pivot_events",
-        "melt_events", "bm25_score", "hash_split", "interleave_sources",
-        "oov_rate", "source_gate", "decontaminate_large", "event_dedup",
-        "span_explode", "span_kind_hist", "mad_outliers", "span_pack",
-        "balanced_sample", "dsir_select", "retention_cohorts",
-        "readability_score", "url_dedup", "ngram_containment",
-        "rrf_fuse", "host_share", "incremental_profile",
-    ]
     float_reassoc = [
         # oracle-checked at atol=1e-9 (tools/check_queries.py) but NOT
         # bit-exact across engines: the centroid average reassociates
@@ -496,12 +501,12 @@ def _driver_rotate(q: dict[str, Callable[[str], Any]]) -> dict[str, Callable[[st
         "feature_corr",
     ]
     oracles = oracle_sql()
-    late = set(gated) | set(float_reassoc)
+    late = set(DRIVER_GATED) | set(float_reassoc)
     fresh = [k for k in q if k not in late]
     order = ([k for k in fresh if k in oracles]
-             + [k for k in float_reassoc if k in q and k not in gated]
+             + [k for k in float_reassoc if k in q and k not in DRIVER_GATED]
              + [k for k in fresh if k not in oracles]
-             + [k for k in gated if k in q])
+             + [k for k in DRIVER_GATED if k in q])
     assert set(order) == set(q) and len(order) == len(q)
     return {k: q[k] for k in order}
 

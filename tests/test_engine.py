@@ -41,7 +41,8 @@ def test_scenario_matches_oracle(name, ray_session, fixture_web):
 def test_scenario_counters_match_oracle(name, ray_session, fixture_web):
     """The report counters equal the golden ones: the crawl's sleeps and
     network fetches are the oracle's (neither logs a sitemap-file or robots
-    probe read), and each round's rows are its pages' rows."""
+    probe read), its errors are the oracle's network fetches that answered
+    an error, and each round's rows are its pages' rows."""
     import copy
 
     import pyarrow.compute as pc
@@ -59,6 +60,10 @@ def test_scenario_counters_match_oracle(name, ray_session, fixture_web):
 
     assert total("slept") == oracle.sleeps
     assert total("fetched") == len(oracle.fetch_log)
+    overlay = cfg.status_overlay or {}
+    assert total("errors") == sum(overlay.get(u, 200) != 200
+                                  for u in oracle.fetch_log), \
+        f"{name}: errors count network error answers only"
     pages = {0: collect(res.index_pages, INDEX_PAGES).num_rows,
              1: collect(res.pages, FETCHED_OUT).num_rows}
     for r, n in pages.items():

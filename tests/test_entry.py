@@ -52,6 +52,16 @@ def test_driver_window_is_rotated_and_oracle_checked():
     assert not again, f"window wastes slots on already-checked: {again}"
 
 
+def test_driver_gated_list_matches_round_files():
+    """``DRIVER_GATED``, kept by hand, is the union of every
+    CORRECTNESS_r*.json's keys in file order: a new round file must land
+    with its keys added there, or the rotation puts checked queries first."""
+    union: dict = {}
+    for p in sorted(REPO.glob("CORRECTNESS_r*.json")):
+        union.update(dict.fromkeys(json.loads(p.read_text())))
+    assert e.DRIVER_GATED == list(union)
+
+
 def test_rotation_is_a_permutation():
     """_driver_rotate must not add/drop/duplicate keys."""
     q = e.queries()

@@ -59,11 +59,12 @@ Scale notes (10^10-URL design point, tested single-node):
 ``instance_index`` is a global prefix-sum over per-index-page link counts,
 and a fetch group gathers its rows from every frontier block.  Under real
 politeness pacing a cold ``sitemap_polite`` crawl (perfbench, 1-core host,
-``num_cpus=2``) reaches ~0.82 of its skew floor, the hottest host's pages
-× delay: round 0, the group walk's start and the record stages cost the
-rest.  Removing it would mean assigning indices post-hoc from the records
-themselves; that belongs inside ``crawl()`` and must keep its checkpoint,
-seeding and hot-host splitting.
+``num_cpus=2``) reaches ~0.87 of its skew floor, the hottest host's pages
+× delay (``frontier.hottest_host_floor_fraction``): round 0, the group
+walk's start and the record stages cost the rest.  Removing it would
+mean assigning indices post-hoc from the records themselves; that belongs
+inside ``crawl()`` and must keep its checkpoint, seeding and hot-host
+splitting.
 """
 
 from __future__ import annotations

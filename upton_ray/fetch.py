@@ -17,10 +17,18 @@ HTTP GET per URL with a filesystem stash; errors map to the empty page
   retry (``max_retries``; the reference's ``retry`` is infinite) lives in
   :class:`HttpWebStore`, the store that talks to a real network.
 
+Every page goes through one batched kernel, :meth:`_FetchState.fetch` (the
+reference's ``get_page``, upton.rb:206-225): one seen-set check, the error
+answers, one politeness loop and one body lookup.  Its status rule: a row's
+``status`` is the answer of its network fetch, 0 when none happened (a
+cache hit, also of a stashed error page; a robots-blocked row; an empty
+URL), so a fetch counter means the same in every round.
+
 ``IndexWalker`` runs the inherently-sequential per-seed pagination chain (P2:
 early-stop on empty page) — parallel across seeds, sequential within one.
 ``InstanceWalker`` fetches frontier batches vectorized, including the
-depth-limited instance-continuation quirk (P4/Q5, upton.rb:321-334).
+depth-limited instance-continuation quirk (P4/Q5, upton.rb:321-334), one
+level of every chain per kernel call.
 Both run as plain Ray tasks through :func:`per_process`: each worker process
 builds a stage's walker (store/scheduler/robots state) once and reuses it
 for every later batch, with no actor pool to start per crawl.
@@ -491,10 +499,26 @@ def make_store(web_source):
 # ------------------------------------------------------------------ walkers
 
 
-class _FetchState:
-    """Shared per-walker fetch machinery (store + stash + politeness + robots)."""
+def _assemble(n: int, parts: list) -> pa.Array:
+    """Spans of ``n`` rows from ``(positions, spans)`` parts; a row in no
+    part gets the empty page."""
+    pool = pa.concat_arrays(
+        [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
+         for _, p in parts] + [schema.spans_array([EMPTY_SPANS])])
+    take = np.full(n, len(pool) - 1, dtype=np.int64)
+    if parts:
+        take[np.concatenate([np.asarray(i, dtype=np.int64)
+                             for i, _ in parts])] = np.arange(len(pool) - 1)
+    return pool.take(pa.array(take))
 
-    def __init__(self, cfg: CrawlConfig, web_source, seen_handle):
+
+class _FetchState:
+    """Per-walker fetch machinery (store + stash + politeness + robots +
+    hot-host leases) and :meth:`fetch`, the one kernel every page goes
+    through."""
+
+    def __init__(self, cfg: CrawlConfig, web_source, seen_handle,
+                 pacer=None, hot_hosts: frozenset = frozenset()):
         self.cfg = cfg
         self.store = make_store(web_source)
         self.seen = seen_handle           # SeenSet handle or None
@@ -514,6 +538,11 @@ class _FetchState:
             per_host_delay=per_host_delay)
         self.robots = RobotsCache(rules)
         self.statuses = cfg.status_overlay or {}
+        # skew handling: hot hosts are split into salted sub-queues on several
+        # workers, so they lease from ONE global bucket (a SeenShard actor)
+        # instead of this worker's local heap
+        self.pacer = pacer
+        self.hot_hosts = hot_hosts
 
     def seen_key(self, urls):
         """Seen-set keys: raw URLs (reference-exact) or canonical form when
@@ -524,6 +553,89 @@ class _FetchState:
         from upton_ray.urlops import canonicalize_urls
 
         return canonicalize_urls(urls)
+
+    def _lease_batch(self, urls) -> None:
+        """Seed the local EDF deadlines from the GLOBAL pacer for these
+        network fetches' hot hosts (one RPC per host per batch — their
+        queues may live on several workers, so the local heap alone can't
+        be authoritative).  The pacer returns a clock-domain-free WAIT; the
+        ordinary wait_turn loop then paces the leased window honestly in
+        this worker's wall-clock."""
+        if self.pacer is None or not self.hot_hosts:
+            return
+        cnt = Counter(h for h in hosts_of(urls) if h in self.hot_hosts)
+        if not cnt:
+            return
+        items = list(cnt.items())
+        waits = ray.get([self.pacer.lease.remote(h, c, self.sched.host_delay(h))
+                         for h, c in items])
+        mono = time.monotonic()
+        for (h, _c), wait in zip(items, waits):
+            self.sched.next_allowed[h] = max(self.sched.next_allowed[h],
+                                             mono + wait)
+
+    def fetch(self, urls: np.ndarray, stash: bool, known_empty=None):
+        """Fetch ``urls`` (an object array, none empty) as the reference's
+        ``get_page`` does each one (upton.rb:206-225): a stash check, a
+        network fetch on a miss, a politeness wait per network fetch (Q8),
+        and an error answer read as the empty page (M8).
+
+        Returns ``(spans, from_resource, status)`` aligned with ``urls``;
+        a row's ``slept`` is its ``from_resource``.  ``status`` is the
+        answer of the row's network fetch, 0 when there was none (a cache
+        hit, also of a stashed error page).  A row's body is empty when its
+        fetch answered an error, when it hits a stashed error page, or when
+        ``known_empty`` says so; every other body is looked up once."""
+        n = len(urls)
+        seen = self.seen if stash else None
+        from_res = (seen.check_and_add(self.seen_key(urls))
+                    if seen is not None and n else np.ones(n, dtype=bool))
+        net = np.flatnonzero(from_res)
+        status = np.zeros(n, dtype=np.int32)
+        status[net] = ([self.statuses.get(u, 200) for u in urls[net]]
+                       if self.statuses else 200)
+        err = from_res & (status != 200)
+        empty = err.copy() if known_empty is None else err | known_empty
+        if seen is not None:
+            # error pages are stashed as empty bodies (downloader.rb:86-98):
+            # record them so later cache hits of the same URL stay empty
+            if err.any():
+                seen.record_bad(self.seen_key(urls[err]))
+            hits = np.flatnonzero(~from_res & ~empty)
+            if len(hits):
+                empty[hits[seen.bad_mask(self.seen_key(urls[hits]))]] = True
+
+        parts: list = []              # (positions, spans) looked up so far
+        if self.cfg.real_sleep and self.sched.delay and len(net):
+            # earliest-deadline-first over this worker's heap (hot hosts
+            # start at their leased window); a body is looked up once
+            # cached or fetched at its slot
+            sched = self.sched
+            self._lease_batch(urls[net])
+            prefetch = getattr(self.store, "prefetch", None)
+            ready = np.flatnonzero(~from_res & ~empty).tolist()
+            chunk_s = 0.0                 # the last lookup chunk's time
+            for j in net[sched.order_batch(urls[net])]:
+                h = host_of(urls[j])
+                # look bodies up inside the politeness wait while the slot
+                # is further away than one chunk's lookup
+                while ready and (sched.next_allowed[h]
+                                 - time.monotonic() > chunk_s):
+                    t, chunk = time.monotonic(), ready[:LOOKUP_CHUNK]
+                    del ready[:LOOKUP_CHUNK]
+                    parts.append((chunk, self.store.lookup_table(urls[chunk])))
+                    chunk_s = time.monotonic() - t
+                sched.wait_turn(h)
+                if not empty[j]:
+                    if prefetch is not None:
+                        prefetch(urls[j])     # wire-paced GET (network stores)
+                    ready.append(j)
+        else:
+            ready = np.flatnonzero(~empty)
+        if len(ready):
+            parts.append((ready, self.store.lookup_table(urls[ready])))
+        return _assemble(n, parts), from_res, status
+
 
 # per-worker-process stage objects (walkers, probes). LRU-bounded: a walker's
 # store can hold several decoded corpus buckets, and spent crawls' walkers
@@ -644,9 +756,11 @@ class IndexWalker:
 
     The chain control flow (early stop on empty page — Q7) only needs each
     page's SPAN COUNT and static error status, so the walk uses a light
-    ``page_len`` probe; page bodies are then fetched with ONE vectorized
-    ``lookup_table`` and stash accounting with ONE batched ``check_and_add``
-    per task — no per-page RPCs or python span materialization.
+    ``page_len`` probe; the task's pages then go through ONE
+    :meth:`_FetchState.fetch` (stash ``cfg.index_debug``), which paces a
+    paced walk and looks the bodies up — one batched seen-set round trip
+    per task, no per-page RPC or Python span materialization.  ``status``
+    follows the kernel's rule: 0 for a page read from the stash.
     """
 
     def __init__(self, cfg: CrawlConfig, web_source, seen_handle=None):
@@ -662,7 +776,7 @@ class IndexWalker:
         cfg = self.cfg
         st = self.st
         rows = {k: [] for k in ("seed_id", "page_no", "base", "selector",
-                                "fetch_url", "status", "force_empty")}
+                                "fetch_url", "force_empty")}
         for row in batch.to_pylist():
             seed_url, selector = row["url"], row["selector"]
             # get_index_pages loop (upton.rb:295-311): stop on "" successor,
@@ -683,15 +797,14 @@ class IndexWalker:
                 nxt = resolve_url(nxt, seed_url)
                 if nxt == prev_url:
                     break
-                status = st.statuses.get(nxt, 200)
-                force_empty = status != 200 or nxt in self.local_bad
+                force_empty = (st.statuses.get(nxt, 200) != 200
+                               or nxt in self.local_bad)
                 n_spans = 0 if force_empty else (st.store.page_len(nxt) or 0)
                 rows["seed_id"].append(row["seed_id"])
                 rows["page_no"].append(page_no)
                 rows["base"].append(seed_url)   # Q3: resolve base is the SEED url
                 rows["selector"].append(selector)
                 rows["fetch_url"].append(nxt)
-                rows["status"].append(status)
                 rows["force_empty"].append(force_empty)
                 prev_url = nxt
                 pagination_index += cfg.pagination_interval
@@ -699,52 +812,26 @@ class IndexWalker:
                 if n_spans == 0:
                     break
 
-        urls = np.array(rows["fetch_url"], dtype=object)
-        n = len(urls)
-        # stash accounting: one batched RPC, in walk order (fetch-once)
-        if cfg.index_debug and st.seen is not None and n:
-            from_resource = st.seen.check_and_add(st.seen_key(urls))
-            err = [u for u, fe, stt in zip(urls, rows["force_empty"], rows["status"])
-                   if stt != 200]
-            if err:
-                st.seen.record_bad(st.seen_key(err))
-        else:
-            from_resource = np.ones(n, dtype=bool)
-        if cfg.real_sleep and st.sched.delay and n:
-            # EDF order across the block's chains: one chain's politeness
-            # wait absorbs the others' fetches, so the block costs its
-            # longest chain's floor, not the sum of chains
-            prefetch = getattr(st.store, "prefetch", None)
-            force = np.array(rows["force_empty"], dtype=bool)
-            for j in st.sched.order_batch(urls):
-                if from_resource[j]:
-                    st.sched.wait_turn(host_of(urls[j]))
-                    if prefetch is not None and not force[j]:
-                        # network store: the GET goes on the wire NOW, at
-                        # the paced instant — the batched lookup below
-                        # assembles from the pinned result
-                        prefetch(urls[j])
-            # round 1 starts once every round-0 task has returned, with
-            # walkers of its own: wait out this block's last deadlines so
-            # no host's first instance fetch follows its index page sooner
-            # than its delay
-            st.sched.wait_all()
-
-        # vectorized body fetch; forced-empty rows look up "" (never present)
-        lookup_urls = np.where(np.array(rows["force_empty"], dtype=bool), "", urls)             if n else urls
-        spans = st.store.lookup_table(lookup_urls)
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
+        # EDF order across the block's chains: one chain's politeness wait
+        # absorbs the others' fetches, so the block costs its longest
+        # chain's floor, not the sum of chains
+        spans, from_resource, status = st.fetch(
+            np.array(rows["fetch_url"], dtype=object), cfg.index_debug,
+            np.array(rows["force_empty"], dtype=bool))
+        # round 1 starts once every round-0 task has returned, with walkers
+        # of its own: wait out this block's last deadlines so no host's
+        # first instance fetch follows its index page sooner than its delay
+        st.sched.wait_all()
         return pa.table({
             "seed_id": pa.array(rows["seed_id"], pa.int32()),
             "page_no": pa.array(rows["page_no"], pa.int32()),
             "base": pa.array(rows["base"], pa.string()),
             "selector": pa.array(rows["selector"], pa.string()),
-            "spans": spans if n else schema.spans_array([]),
+            "spans": spans,
             "url": pa.array(rows["fetch_url"], pa.string()),
             "from_resource": pa.array(from_resource),
             "slept": pa.array(from_resource),   # politeness per network fetch (Q8)
-            "status": pa.array(rows["status"], pa.int32()),
+            "status": pa.array(status, pa.int32()),
         })
 
 
@@ -755,222 +842,64 @@ class InstanceWalker:
     Out: one row per fetched instance page:
     (instance_index, pagination_index, instance_url, spans, from_resource,
      slept, status, robots_blocked).
+
+    The batch, and then each continuation level, goes through the same
+    masks (empty URL, robots) and one :meth:`_FetchState.fetch` (stash
+    ``cfg.debug``).  ``status`` follows the kernel's rule: 0 for a row
+    with no network fetch (a cache hit, a robots-blocked row or an empty
+    URL).
     """
 
     def __init__(self, cfg: CrawlConfig, web_source, seen_handle=None,
                  pacer=None, hot_hosts: frozenset = frozenset()):
-        self.st = _FetchState(cfg, web_source, seen_handle)
+        self.st = _FetchState(cfg, web_source, seen_handle, pacer, hot_hosts)
         self.cfg = cfg
-        # skew handling: hot hosts are split into salted sub-queues on several
-        # workers, so they lease from ONE global bucket (a SeenShard actor)
-        # instead of this worker's local heap
-        self.pacer = pacer
-        self.hot_hosts = hot_hosts
 
-    def _lease_batch(self, urls, from_resource) -> None:
-        """Seed the local EDF deadlines from the GLOBAL pacer for this
-        batch's hot hosts (one RPC per host per batch — their queues may
-        live on several workers, so the local heap alone can't be
-        authoritative).  The pacer returns a clock-domain-free WAIT; the
-        ordinary wait_turn loop then paces the leased window honestly in
-        this worker's wall-clock."""
-        if self.pacer is None or not self.hot_hosts:
-            return
-        sched = self.st.sched
-        hosts = hosts_of(np.asarray(urls, dtype=object))
-        cnt = Counter(h for j, h in enumerate(hosts)
-                      if from_resource[j] and h in self.hot_hosts)
-        if not cnt:
-            return
-        items = list(cnt.items())
-        waits = ray.get([self.pacer.lease.remote(h, c, sched.host_delay(h))
-                         for h, c in items])
-        mono = time.monotonic()
-        for (h, _c), wait in zip(items, waits):
-            sched.next_allowed[h] = max(sched.next_allowed[h], mono + wait)
-
-    def _fetch_one(self, url, stash: bool):
-        """Sequential-path fetch (continuations).
-        Returns (spans, from_resource, slept, status, robots_blocked)."""
-        st = self.st
-        if url is None or url == "":
-            return EMPTY_SPANS, False, False, 0, False      # M7 nil-url guard
-        if not st.robots.allowed_mask(np.array([url], dtype=object))[0]:
-            return EMPTY_SPANS, False, False, 0, True
-        from_resource = True
-        if stash and st.seen is not None:
-            from_resource = bool(st.seen.check_and_add(st.seen_key([url]))[0])
-        slept = False
-        status = 200
-        if from_resource:
-            status = st.statuses.get(url, 200)
-            if self.cfg.real_sleep:
-                # a hot host's singleton (continuation) fetch consumes a
-                # global token and honors the leased window too
-                self._lease_batch([url], [True])
-            st.sched.wait_turn(host_of(url))
-            slept = True           # politeness applies to error/empty fetches too (Q8)
-            if status != 200:
-                if stash and st.seen is not None:
-                    st.seen.record_bad(st.seen_key([url]))   # error page stashed as empty body
-                return EMPTY_SPANS, True, slept, status, False
-        elif st.seen is not None and st.seen.bad_mask(st.seen_key([url]))[0]:
-            return EMPTY_SPANS, False, False, 200, False  # cached empty body
-        body = st.store.lookup_one(url)
-        return (body or EMPTY_SPANS), from_resource, slept, status, False
+    def _fetch_rows(self, iidx, depth: int, urls) -> pa.Table:
+        """FETCHED_OUT rows of one level: ``urls`` (may hold None or "",
+        the M7 nil-url guard) at ``pagination_index`` ``depth``."""
+        n = len(urls)
+        valid = np.array([u is not None and u != "" for u in urls], dtype=bool)
+        ok = valid.copy()
+        ok[valid] = self.st.robots.allowed_mask(urls[valid])
+        rows = np.flatnonzero(ok)
+        spans, fetched, status = self.st.fetch(urls[rows], self.cfg.debug)
+        from_resource = np.zeros(n, dtype=bool)
+        from_resource[rows] = fetched
+        statuses = np.zeros(n, dtype=np.int32)
+        statuses[rows] = status
+        return pa.table({
+            "instance_index": pa.array(iidx, pa.int64()),
+            "pagination_index": pa.array(np.full(n, depth, dtype=np.int32)),
+            "instance_url": pa.array([u or "" for u in urls], pa.string()),
+            "spans": spans if len(rows) == n else _assemble(n, [(rows, spans)]),
+            "from_resource": pa.array(from_resource),
+            "slept": pa.array(from_resource),
+            "status": pa.array(statuses),
+            "robots_blocked": pa.array(valid & ~ok),
+        })
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        st = self.st
         urls = batch["url"].to_numpy(zero_copy_only=False)
         iidx = batch["instance_index"].to_numpy(zero_copy_only=False)
-        n = len(urls)
-
-        valid = np.array([u is not None and u != "" for u in urls], dtype=bool)
-        vpos = np.flatnonzero(valid)
-        vurls = urls[vpos]
-
-        robots_ok = st.robots.allowed_mask(vurls) if len(vurls) else np.ones(0, bool)
-        fetchable = vpos[robots_ok]
-        furls = urls[fetchable]
-
-        # stash gate: batched check_and_add preserves fetch-once semantics
-        if cfg.debug and st.seen is not None:
-            from_res = st.seen.check_and_add(st.seen_key(furls))
-        else:
-            from_res = np.ones(len(furls), dtype=bool)
-
-        statuses = np.full(n, 0, dtype=np.int32)
-        slept = np.zeros(n, dtype=bool)
-        # body lookups as (positions in furls, spans); a paced crawl
-        # releases a row for lookup once cached or fetched at its slot
-        parts: list = []
-        released = list(range(len(furls)))
-        if st.sched.delay and cfg.real_sleep:
-            self._lease_batch(furls, from_res)
-            released = np.flatnonzero(~from_res).tolist()
-            chunk_s = 0.0                 # the last lookup chunk's time
-            # earliest-deadline-first over this worker's heap (hot hosts
-            # start at their leased window; others at their local state)
-            prefetch = getattr(st.store, "prefetch", None)
-            for j in st.sched.order_batch(furls):
-                if from_res[j]:
-                    u = furls[j]
-                    h = host_of(u)
-                    # look bodies up inside the politeness wait while the
-                    # slot is further away than one chunk's lookup
-                    while released and (st.sched.next_allowed[h]
-                                        - time.monotonic() > chunk_s):
-                        t, chunk = time.monotonic(), released[:LOOKUP_CHUNK]
-                        del released[:LOOKUP_CHUNK]
-                        parts.append((chunk, st.store.lookup_table(
-                            furls[chunk])))
-                        chunk_s = time.monotonic() - t
-                    statuses[fetchable[j]] = st.statuses.get(u, 200)
-                    st.sched.wait_turn(h)
-                    slept[fetchable[j]] = True
-                    if prefetch is not None and statuses[fetchable[j]] == 200:
-                        prefetch(u)       # wire-paced GET (network stores)
-                    released.append(j)
-        else:
-            fr_rows = fetchable[from_res]
-            slept[fr_rows] = True
-            if st.statuses:
-                statuses[fr_rows] = [st.statuses.get(u, 200) for u in furls[from_res]]
-            else:
-                statuses[fr_rows] = 200
-        # error pages are stashed as empty bodies (downloader.rb:86-98):
-        # record them so later cache hits of the same URL stay empty
-        if cfg.debug and st.seen is not None:
-            err_urls = urls[(statuses != 200) & (statuses != 0)]
-            if len(err_urls):
-                st.seen.record_bad(st.seen_key(err_urls))
-            hit_rows = fetchable[~from_res]
-            if len(hit_rows):
-                bad_hits = st.seen.bad_mask(st.seen_key(urls[hit_rows]))
-                statuses[hit_rows[bad_hits]] = -1   # cached empty body
-
-        # vectorized body lookup for every fetchable row not looked up yet
-        if released:
-            parts.append((released, st.store.lookup_table(furls[released])))
-
-        # assemble aligned spans for the whole batch via sentinel-take:
-        # row i of `pool` = spans of furls[pos[i]]; last row = empty spans
-        pool = pa.concat_arrays(
-            [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
-             for _, p in parts] + [schema.spans_array([EMPTY_SPANS])])
-        pos = np.array([i for idx, _ in parts for i in idx], dtype=np.int64)
-        take_idx = np.full(n, len(pool) - 1, dtype=np.int64)
-        take_idx[fetchable[pos]] = np.arange(len(pos))
-        # error statuses (and cached-empty hits) -> empty page (M8), row kept
-        bad = (statuses != 200) & (statuses != 0)
-        take_idx[bad] = len(pool) - 1
-        statuses[statuses == -1] = 200
-        aligned = pool.take(pa.array(take_idx))
-
-        from_resource = np.zeros(n, dtype=bool)
-        from_resource[fetchable] = from_res
-        robots_blocked = np.zeros(n, dtype=bool)
-        robots_blocked[vpos[~robots_ok]] = True
-
-        out = pa.table({
-            "instance_index": pa.array(iidx, pa.int64()),
-            "pagination_index": pa.array(np.zeros(n, dtype=np.int32)),
-            "instance_url": pa.array([u or "" for u in urls], pa.string()),
-            "spans": aligned,
-            "from_resource": pa.array(from_resource),
-            "slept": pa.array(slept),
-            "status": pa.array(statuses, pa.int32()),
-            "robots_blocked": pa.array(robots_blocked),
-        })
-        if cfg.next_instance_page_url is not None:
-            out = self._continuations(out)
-        return out
-
-    def _continuations(self, out: pa.Table) -> pa.Table:
-        """Instance pagination (P4): sequentially walk successor URLs per
-        instance. Reference quirk Q5: pagination_index is never incremented in
-        the loop (upton.rb:326), so a stateless successor yields at most
-        depth 2 — replicated exactly by calling succ(url, 0+1) each step and
-        stopping when the successor repeats."""
-        cfg = self.cfg
-        succ = cfg.next_instance_page_url
-        extra = {k: [] for k in out.column_names}
-        lens = pc.list_value_length(out["spans"]).to_numpy(zero_copy_only=False)
-        for i in range(out.num_rows):
-            if lens[i] == 0:
-                continue
-            url = out["instance_url"][i].as_py()
-            prev_url = url
-            pagination_index = 0
-            depth = 1
-            while True:
-                nxt = succ(url, pagination_index + 1)
-                if nxt == prev_url or nxt == "":
-                    break
-                spans, from_res, slept, status, rb = self._fetch_one(nxt, cfg.debug)
-                extra["instance_index"].append(out["instance_index"][i].as_py())
-                extra["pagination_index"].append(depth)
-                extra["instance_url"].append(nxt)
-                extra["spans"].append(spans)
-                extra["from_resource"].append(from_res)
-                extra["slept"].append(slept)
-                extra["status"].append(status)
-                extra["robots_blocked"].append(rb)
-                prev_url = nxt
-                depth += 1
-                if len(spans) == 0:
-                    break
-        if not extra["instance_index"]:
-            return out
-        extra_t = pa.table({
-            "instance_index": pa.array(extra["instance_index"], pa.int64()),
-            "pagination_index": pa.array(extra["pagination_index"], pa.int32()),
-            "instance_url": pa.array(extra["instance_url"], pa.string()),
-            "spans": schema.spans_array(extra["spans"]),
-            "from_resource": pa.array(extra["from_resource"], pa.bool_()),
-            "slept": pa.array(extra["slept"], pa.bool_()),
-            "status": pa.array(extra["status"], pa.int32()),
-            "robots_blocked": pa.array(extra["robots_blocked"], pa.bool_()),
-        })
-        return pa.concat_tables([out, extra_t]).combine_chunks()
+        levels = [self._fetch_rows(iidx, 0, urls)]
+        succ = self.cfg.next_instance_page_url
+        # instance pagination (P4), one level of every live chain at a time.
+        # Quirk Q5: pagination_index is never incremented in the loop
+        # (upton.rb:326), so each step asks succ(instance_url, 0+1) and a
+        # chain stops when its successor repeats — a stateless successor
+        # yields at most depth 2
+        first = prev = urls
+        while succ is not None:
+            lens = pc.list_value_length(levels[-1]["spans"]).to_numpy(
+                zero_copy_only=False)
+            live = np.flatnonzero(lens > 0)
+            nxt = np.array([succ(first[i], 1) for i in live], dtype=object)
+            keep = np.array([u != p and u != "" for u, p in zip(nxt, prev[live])],
+                            dtype=bool)
+            if not keep.any():
+                break
+            first, prev, iidx = first[live[keep]], nxt[keep], iidx[live[keep]]
+            levels.append(self._fetch_rows(iidx, len(levels), prev))
+        return (pa.concat_tables(levels).combine_chunks() if len(levels) > 1
+                else levels[0])
