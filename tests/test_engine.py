@@ -211,68 +211,51 @@ def test_custom_index_successor_hook(ray_session):
         c.shutdown()
 
 
-def test_distributed_instance_index_equals_collected(ray_session, tmp_path,
-                                                     monkeypatch):
-    """The sort-rank path (``INDEX_OFFSET_COLLECT_LIMIT`` = 0) must assign
-    IDENTICAL instance indices to the collect-and-broadcast path — the
-    ordering golden every crawl gate depends on.  Its sorted links span
-    several non-empty blocks, so a non-zero block base is exercised."""
-    import ray
+def test_instance_index_matches_oracle_per_seed(ray_session):
+    """Seed bases + within-seed ranks give Upton's numbering: on a
+    multi-host web walked by several round-0 tasks, every record's
+    (instance_index, instance_url) is the sequential oracle's, run seed by
+    seed in seed_id order, whatever order the seeds are listed in."""
+    import copy
 
-    from upton_ray import engine, shuffle, sinks, synth
+    import pyarrow.compute as pc
+
+    from upton_ray import synth
     from upton_ray.config import CrawlConfig
 
-    p = synth.ScaleParams(n_hosts=6, pages_per_host=30, links_per_page=5,
-                          spans_per_page=8, media_fraction=0.25,
-                          zipf_alpha=0.3, seed=11)
-    corpus = str(tmp_path / "corpus")
-    sinks.write_web(synth.scale_web(p, parallelism=4), corpus, num_buckets=4)
-
-    def cfg():
-        return CrawlConfig(
-            index_selector="section#river section h1 a",
-            extractor="css:h1.article-title",
-            paginated=True, pagination_param="p", pagination_max_pages=1000,
-            sleep_time_between_requests=0, debug=True, index_debug=True,
-            num_seen_shards=2, fetch_concurrency=2, fetch_batch_size=64)
-
-    seeds = [(h, synth.index_url(p, h), "section#river section h1 a")
+    p = synth.ScaleParams(n_hosts=6, pages_per_host=12, links_per_page=5,
+                          spans_per_page=4, zipf_alpha=0.8, seed=11)
+    web = {u: synth.gen_page(p, u) for u in synth.all_urls(p)}
+    sel = "section#river section h1 a"
+    cfg = CrawlConfig(
+        index_selector=sel, extractor="css:h1.article-title",
+        paginated=True, pagination_param="p", pagination_max_pages=1000,
+        sleep_time_between_requests=0, num_seen_shards=2,
+        fetch_concurrency=2, fetch_batch_size=8)
+    # seed ids neither dense nor in host order
+    seeds = [((h * 5) % p.n_hosts * 10 + 3, synth.index_url(p, h), sel)
              for h in range(p.n_hosts)]
 
-    def rows(c):
-        t = c.crawl().records_table()
-        return list(zip(t["instance_index"].to_pylist(),
-                        t["instance_url"].to_pylist(),
-                        [tuple(r) for r in t["record"].to_pylist()]))
+    want, base = [], 0
+    for _, url, _ in sorted(seeds):
+        c = copy.deepcopy(cfg)
+        c.index_url = url
+        res = UptonOracle(c, web).scrape()
+        want += [(base + r["instance_index"], r["instance_url"])
+                 for r in res.records_rows]
+        base += len(res.index_urls)
 
-    c1 = Crawler(cfg(), ("parquet", corpus, 4), seeds=seeds)
-    base = rows(c1)
-    c1.shutdown()
-
-    live_blocks = []
-    assign = Crawler._assign_instance_index
-
-    def reblocked(self, links, rollup=None):
-        # the crawl's links arrive in one block per round-0 task: hand the
-        # sort several shuffled ones so the ranks cross block bases
-        return assign(self, links.random_shuffle(seed=3).repartition(4),
-                      rollup=rollup)
-
-    def spy(ds, fn, *args, **kw):
-        ds = ds.materialize()
-        live_blocks.append(sum(1 for t in ray.get(ds.to_arrow_refs())
-                               if t.num_rows))
-        return shuffle.block_scan(ds, fn, *args, **kw)
-
-    monkeypatch.setattr(engine, "INDEX_OFFSET_COLLECT_LIMIT", 0)
-    monkeypatch.setattr(engine, "block_scan", spy)
-    monkeypatch.setattr(Crawler, "_assign_instance_index", reblocked)
-    c2 = Crawler(cfg(), ("parquet", corpus, 4), seeds=seeds)
-    dist = rows(c2)
-    c2.shutdown()
-    assert len(live_blocks) == 1 and live_blocks[0] >= 2
-    assert dist == base
-    assert len(base) == sum(p.n_articles(h) for h in range(p.n_hosts))
+    c = Crawler(copy.deepcopy(cfg), web, seeds=seeds)
+    try:
+        res = c.crawl()
+        t = res.records_table()
+        m = res.metrics
+    finally:
+        c.shutdown()
+    assert m.filter(pc.equal(m["round"], 0)).num_rows >= 2
+    assert list(zip(t["instance_index"].to_pylist(),
+                    t["instance_url"].to_pylist())) == want
+    assert len(want) == sum(p.n_articles(h) for h in range(p.n_hosts))
 
 
 def test_repeated_seed_id_fails_closed(ray_session):
@@ -291,32 +274,59 @@ def test_repeated_seed_id_fails_closed(ray_session):
             seeds=[(i, u, s) for i, (_, u, s) in enumerate(seeds)])
 
 
-def test_attach_instance_index_fails_closed_on_unknown_page():
-    """The collect path's sorted-key lookup: offset + dom_pos for known
-    (seed_id, page_no) pages, a ValueError (never index 0) for a page
-    missing from the rollup."""
+def test_attach_instance_index_fails_closed_on_unknown_seed():
+    """The attach adds the seed's base to the link's rank within its seed
+    in (page_no, dom_pos) order and keeps the rows' order; a link of a
+    seed with no base raises ValueError (never index 0)."""
     import numpy as np
     import pyarrow as pa
 
-    from upton_ray.engine import _attach_instance_index, _page_keys
+    from upton_ray.engine import _attach_instance_index
 
-    rollup = pa.table({"seed_id": pa.array([1, 0, 0], pa.int32()),
-                       "page_no": pa.array([1, 2, 1], pa.int32())})
-    keys = _page_keys(rollup)
-    o = np.argsort(keys)
-    keys, offs = keys[o], np.array([0, 3, 5], dtype=np.int64)  # (0,1) (0,2) (1,1)
+    seeds = np.array([0, 4], dtype=np.int32)
+    bases = np.array([0, 3], dtype=np.int64)
 
-    def links(seeds, pages):
-        n = len(seeds)
-        return pa.table({"seed_id": pa.array(seeds, pa.int32()),
+    def links(rows):
+        s, p, d = zip(*rows) if rows else ((), (), ())
+        return pa.table({"seed_id": pa.array(s, pa.int32()),
+                         "page_no": pa.array(p, pa.int32()),
+                         "dom_pos": pa.array(d, pa.int32())})
+
+    got = _attach_instance_index(
+        links([(4, 1, 0), (0, 1, 0), (4, 0, 1), (0, 0, 0), (4, 0, 0),
+               (0, 0, 1)]), seeds, bases)
+    assert got["instance_index"].to_pylist() == [5, 2, 4, 0, 3, 1]
+    assert _attach_instance_index(links([]), seeds, bases).num_rows == 0
+    for rows in ([(0, 0, 0), (2, 0, 0)], [(5, 0, 0)], [(-1, 0, 0)]):
+        with pytest.raises(ValueError, match=f"seed {rows[-1][0]} has links "
+                                             "but no instance_index base"):
+            _attach_instance_index(links(rows), seeds, bases)
+
+
+def test_seed_split_across_blocks_fails_closed(ray_session):
+    """A seed's links come from one block (one walker call walks its whole
+    chain): a seed whose links arrive in two blocks has no single base, so
+    the numbering refuses it, naming the seed."""
+    import pyarrow as pa
+    import ray.data
+
+    from upton_ray.config import CrawlConfig
+
+    def block(seed, pages):
+        n = len(pages)
+        return pa.table({"seed_id": pa.array([seed] * n, pa.int32()),
                          "page_no": pa.array(pages, pa.int32()),
-                         "dom_pos": pa.array(range(n), pa.int32())})
+                         "dom_pos": pa.array([0] * n, pa.int32()),
+                         "url": [f"http://h.test/{seed}/{q}" for q in pages]})
 
-    got = _attach_instance_index(links([1, 0, 0], [1, 2, 1]), keys, offs)
-    assert got["instance_index"].to_pylist() == [5, 4, 2]
-    for seeds, pages in (([0, 0], [1, 3]), ([2], [1]), ([0], [0])):
-        with pytest.raises(ValueError):
-            _attach_instance_index(links(seeds, pages), keys, offs)
+    c = Crawler(CrawlConfig(index_selector="a", debug=False), {},
+                seeds=[(1, "http://h.test/", "a"), (7, "http://h.test/", "a")])
+    ok, _ = c._assign_instance_index(ray.data.from_arrow(
+        [block(7, [0]), block(1, [0, 1])]))
+    assert sorted(ok.to_pandas()["instance_index"]) == [0, 1, 2]
+    with pytest.raises(ValueError, match="seed 7 has links in two blocks"):
+        c._assign_instance_index(ray.data.from_arrow(
+            [block(7, [0]), block(1, [0]), block(7, [1])]))
 
 
 def _scan_hot_hosts(urls, threshold: int) -> list:
@@ -331,25 +341,19 @@ def _scan_hot_hosts(urls, threshold: int) -> list:
     return sorted(h for h, c in n.items() if c > threshold)
 
 
-@pytest.mark.parametrize("limit", [None, 0])
 @pytest.mark.parametrize("name", ["basic", "paginated", "paginated_error",
                                   "dedup_stash", "sitemap"])
-def test_stats_equal_frontier_scan(name, limit, ray_session, fixture_web,
-                                   monkeypatch):
-    """Every crawl returns what round 0 knows, from the round-0 rollup
-    (both ``instance_index`` paths) or the URL list: a crawl's stats equal
-    a scan of the round-0 frontier (rows, index pages or sitemap files,
-    hot hosts)."""
+def test_stats_equal_frontier_scan(name, ray_session, fixture_web):
+    """Every crawl returns what round 0 knows, from the round-0 rollup or
+    the URL list: a crawl's stats equal a scan of the round-0 frontier
+    (rows, index pages or sitemap files, hot hosts)."""
     import copy
 
     import pyarrow as pa
 
-    from upton_ray import engine
     from upton_ray.shuffle import collect
     from upton_ray.sitemap import expand_levels
 
-    if limit is not None:
-        monkeypatch.setattr(engine, "INDEX_OFFSET_COLLECT_LIMIT", limit)
     cfg = copy.deepcopy(CFGS[name])
     cfg.hot_host_threshold = 1
     c = Crawler(copy.deepcopy(cfg), fixture_web)

@@ -38,6 +38,7 @@ class StubSeen:
         return np.array([u in self.bad for u in urls], dtype=bool)
 
     def dump_bad(self):
+        self.calls["dump_bad"] += 1
         return sorted(self.bad)
 
 
@@ -124,3 +125,19 @@ def test_continuations_batch_their_seen_rpcs():
     assert all(pc.list_value_length(pages["spans"]).to_pylist())
     assert seen.calls["check_and_add"] == 2
     assert seen.calls["bad_mask"] == 0, "no cache hit, no bad-set lookup"
+
+
+def test_index_walker_snapshots_bad_set_only_when_index_pages_stash():
+    """An index page is a cache hit only when ``index_debug`` stashes index
+    pages, so only then does an IndexWalker pull the bad set; stashing
+    instance pages alone (``debug``) pulls nothing."""
+    web = _web([GOOD])
+    seeds = pa.table({"seed_id": pa.array([0], pa.int32()), "url": [GOOD],
+                      "selector": ["a"]})
+    for index_debug, dumps in ((False, 0), (True, 1)):
+        seen = StubSeen()
+        cfg = CrawlConfig(index_url=GOOD, index_selector="a", debug=True,
+                          index_debug=index_debug)
+        pages = IndexWalker(cfg, web, seen)(seeds)
+        assert pages.num_rows == 1
+        assert seen.calls["dump_bad"] == dumps, index_debug

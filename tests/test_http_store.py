@@ -617,3 +617,55 @@ def test_partial_lookups_take_only_their_pins():
         assert store.n_requests == len(urls)
     finally:
         srv.shutdown()
+
+
+def test_paced_cache_hit_waits_for_its_fetch():
+    """A paced batch that holds a cache hit of a URL it fetches later over
+    the network sends that GET only at the URL's paced slot, once: the hit
+    takes the fetch's body instead of being looked up ahead of the wait."""
+    import time as _time
+
+    from tests.test_fetch_kernel import StubSeen
+    from upton_ray.config import CrawlConfig
+    from upton_ray.fetch import InstanceWalker
+
+    import pyarrow as pa
+
+    hits: list = []
+
+    class H(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_GET(self):
+            hits.append((self.path, _time.monotonic()))
+            body = json.dumps([{"kind": "p", "text": self.path,
+                                "media_ref": "", "offset": 0}]).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *a):
+            pass
+
+    srv = _serve(H)
+    try:
+        delay = 0.2
+        urls = ["http://a.test/2", "http://a.test/1", "http://a.test/1"]
+        cfg = CrawlConfig(url_array=urls, sleep_time_between_requests=delay,
+                          real_sleep=True, max_sleep=delay, debug=True)
+        src = ("http", {"url_map": {"http://a.test/": f"http://127.0.0.1:"
+                                                      f"{srv.server_port}/"},
+                        "timeout": 5.0, "max_retries": 1})
+        batch = pa.table({"instance_index": pa.array([0, 1, 2], pa.int64()),
+                          "url": urls})
+        pages = InstanceWalker(cfg, src, StubSeen())(batch)
+        assert [s[0]["text"] for s in pages["spans"].to_pylist()] == \
+            ["/2", "/1", "/1"]
+        assert pages["from_resource"].to_pylist() == [True, True, False]
+        assert [p for p, _ in hits] == ["/2", "/1"], "one GET per URL"
+        gap = hits[1][1] - hits[0][1]
+        assert gap >= 0.9 * delay, gap
+    finally:
+        srv.shutdown()

@@ -33,14 +33,14 @@ semantics (downloader.rb:70-98): a stashed page is never fetched, or slept
 for, again.
 
 Scale notes (10^10-URL design point, tested single-node):
-* the only rows the driver fetches are (a) round 0's rollup of link counts
-  per (seed, index page, host), ~1/links_per_page of the frontier, which
-  each round-0 task returns beside its links, for the page offsets,
-  frontier size and hot hosts up to ``INDEX_OFFSET_COLLECT_LIMIT`` rows —
-  above it only the hot hosts, and ``shuffle.block_scan`` reads two ints
-  per block — and a sitemap level's child-file rows, and (b) one counters
-  row per round-0 task and per fetch group: with a checkpoint at the
-  round-1 barrier, otherwise when :attr:`CrawlResult.metrics` is read;
+* the only rows the driver fetches are (a) round 0's rollup, which each
+  round-0 task returns beside its links: one link-count row per seed (per
+  sitemap file on a sitemap crawl), one int per task — its index pages
+  with a link — and, only with ``hot_host_threshold`` set, one link-count
+  row per (task, host), for the seed bases, frontier size and hot hosts;
+  (b) a sitemap level's child-file rows; and (c) one counters row per
+  round-0 task and per fetch group: with a checkpoint at the round-1
+  barrier, otherwise when :attr:`CrawlResult.metrics` is read;
 * round 0, the ``instance_index`` attach, the sitemap probes and round 1
   run as plain Ray tasks over a per-process walker cache
   (:func:`upton_ray.fetch.per_process`): each worker process builds a
@@ -56,8 +56,8 @@ Scale notes (10^10-URL design point, tested single-node):
 
 ``Crawler.crawl`` is the only crawl path.  Its one inter-round BARRIER
 (round 0 completes before round 1 fetches) is deliberate: Upton's
-``instance_index`` is a global prefix-sum over per-index-page link counts,
-and a fetch group gathers its rows from every frontier block.  Under real
+``instance_index`` is a global prefix-sum over per-seed link counts, and
+a fetch group gathers its rows from every frontier block.  Under real
 politeness pacing a cold ``sitemap_polite`` crawl (perfbench, 1-core host,
 ``num_cpus=2``) reaches ~0.87 of its skew floor, the hottest host's pages
 × delay (``frontier.hottest_host_floor_fraction``): round 0, the group
@@ -92,18 +92,14 @@ from upton_ray.fetch import (FETCHED_OUT, INDEX_PAGES, IndexWalker,
                              per_process)
 from upton_ray.frontier import salt_hosts
 from upton_ray.seen import SeenSet, SeenShard
-from upton_ray.shuffle import (_agg_table, block_refs, block_scan, collect,
-                               group_agg, split_by)
+from upton_ray.shuffle import _agg_table, block_refs, collect, split_by
 from upton_ray.urlops import hosts_of, shard_hashes
 
 
-# Rollup row count above which ``Crawler._assign_instance_index`` ranks the
-# sorted links instead of collecting the per-page link counts to the driver.
-INDEX_OFFSET_COLLECT_LIMIT = 2_000_000
-
-# the round-0 rollup: links per (seed_id, page_no, host)
-ROLLUP = pa.schema([("seed_id", pa.int32()), ("page_no", pa.int32()),
-                    ("host", pa.string()), ("size", pa.int64())])
+# the round-0 rollup of one links block: its links per seed and, with
+# hot-host splitting on, its links per host
+SEED_COUNTS = pa.schema([("seed_id", pa.int32()), ("size", pa.int64())])
+HOST_COUNTS = pa.schema([("host", pa.string()), ("size", pa.int64())])
 
 # CPU share of one paced round-1 group task: a paced walk mostly waits
 PACED_GROUP_CPUS = 0.25
@@ -195,37 +191,41 @@ def _no_index_pages():
     return ray.data.from_arrow(INDEX_PAGES.empty_table())
 
 
-def _page_keys(t: pa.Table) -> np.ndarray:
-    """One int64 key per (seed_id, page_no) row, ``(seed << 32) + page``:
-    ordered like the (seed_id, page_no) pair for any int32 page."""
-    s = t["seed_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    p = t["page_no"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return (s << 32) + p
-
-
-def _attach_instance_index(links: pa.Table, keys: np.ndarray,
-                           offs: np.ndarray) -> pa.Table:
-    """``instance_index`` = the link's page offset + ``dom_pos``, looking the
-    page up in sorted ``_page_keys`` (``offs`` aligned with ``keys``).  A
-    link whose page has no offset raises ``ValueError``."""
-    k = _page_keys(links)
-    pos = np.searchsorted(keys, k)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == k[found]
+def _attach_instance_index(links: pa.Table, seeds: np.ndarray,
+                           bases: np.ndarray) -> pa.Table:
+    """``instance_index`` = the base of the link's seed (``bases`` aligned
+    with the sorted ``seeds``) + the link's rank within its seed in
+    (page_no, dom_pos) order; the rows keep their order.  A link whose seed
+    has no base raises ``ValueError``."""
+    s = links["seed_id"].to_numpy(zero_copy_only=False)
+    pos = np.searchsorted(seeds, s)
+    found = pos < len(seeds)
+    found[found] = seeds[pos[found]] == s[found]
     if not found.all():
-        raise ValueError(f"{int((~found).sum())} links have no (seed_id, "
-                         "page_no) offset in the index-page rollup")
-    d = links["dom_pos"].to_numpy(zero_copy_only=False)
+        raise ValueError(f"seed {int(s[~found][0])} has links but no "
+                         "instance_index base in the round-0 rollup")
+    o = np.lexsort((links["dom_pos"].to_numpy(zero_copy_only=False),
+                    links["page_no"].to_numpy(zero_copy_only=False), s))
+    rank = np.empty(len(s), dtype=np.int64)
+    rank[o] = np.arange(len(s)) - np.searchsorted(s[o], s[o])
     return links.append_column("instance_index",
-                               pa.array(offs[pos] + d, pa.int64()))
+                               pa.array(bases[pos] + rank, pa.int64()))
 
 
-def _page_host_counts(links: pa.Table) -> pa.Table:
-    """The :data:`ROLLUP` rows of one block of links."""
-    hosts = hosts_of(links["url"].to_numpy(zero_copy_only=False))
-    return _agg_table(links.select(["seed_id", "page_no"]).append_column(
-        "host", pa.array(hosts, pa.string())), ROLLUP.names[:3],
-        {"size": (None, "count_all")})
+def _rollup(links: pa.Table, threshold: Optional[int]) -> tuple:
+    """One links block's rollup: its :data:`SEED_COUNTS` rows, its count of
+    index pages with a link, and its :data:`HOST_COUNTS` rows — none unless
+    ``threshold`` turns hot-host splitting on."""
+    def count(t: pa.Table, keys: list) -> pa.Table:
+        return _agg_table(t, keys, {"size": (None, "count_all")})
+
+    hosts = HOST_COUNTS.empty_table()
+    if threshold:
+        hosts = count(pa.table({"host": pa.array(hosts_of(
+            links["url"].to_numpy(zero_copy_only=False)), pa.string())}),
+            ["host"])
+    return (count(links, ["seed_id"]),
+            count(links, ["seed_id", "page_no"]).num_rows, hosts)
 
 
 def _hot_hosts(t: pa.Table, threshold: Optional[int]) -> list:
@@ -238,36 +238,23 @@ def _hot_hosts(t: pa.Table, threshold: Optional[int]) -> list:
                   .to_pylist())
 
 
-def _rank_links(links: pa.Table, base: int, _total: int) -> pa.Table:
-    """``instance_index`` = the link's rank in (seed_id, page_no, dom_pos)
-    order, for one block of the sorted links (see ``block_scan``)."""
-    return links.append_column("instance_index", pa.array(
-        base + np.arange(links.num_rows, dtype=np.int64), pa.int64()))
-
-
-@ray.remote(num_cpus=0.5, num_returns=5)
-def _index_task(walk, blocks: list, partition: int):
+@ray.remote(num_cpus=0.5, num_returns=4)
+def _index_task(walk, blocks: list, partition: int,
+                threshold: Optional[int]):
     """One round-0 task: ``walk`` (a :func:`per_process` IndexWalker) runs
     each seed block's pagination chains, one call per block, so a walker's
     bucket cache sees one bucket's seeds at a time.  Returns the blocks'
-    links, their :data:`ROLLUP` rows, the rollup row count, the
-    :data:`INDEX_PAGES` rows and their counters row."""
+    links, their :func:`_rollup`, the :data:`INDEX_PAGES` rows and their
+    counters row."""
     pages = [walk(b) for b in blocks]
     links = pa.concat_tables([extract_links_batch(p) for p in pages])
-    rollup = _page_host_counts(links)
     index_pages = pa.concat_tables([p.select(INDEX_PAGES.names)
                                     for p in pages])
-    return (links, rollup, rollup.num_rows, index_pages,
+    return (links, _rollup(links, threshold), index_pages,
             fetch_counters(index_pages, 0, partition))
 
 
-@ray.remote(num_returns=2)
-def _rollup_task(links: pa.Table):
-    """The :data:`ROLLUP` rows of one links block and their count."""
-    rollup = _page_host_counts(links)
-    return rollup, rollup.num_rows
-
-
+_rollup_task = ray.remote(_rollup)
 _attach_task = ray.remote(_attach_instance_index)
 
 
@@ -408,15 +395,16 @@ class Crawler:
         # one task per contiguous run of blocks, at most fetch_concurrency
         runs = np.array_split(np.arange(len(blocks)),
                               min(cfg.fetch_concurrency, len(blocks)))
-        outs = [_index_task.remote(walk, [blocks[i] for i in run], j)
+        outs = [_index_task.remote(walk, [blocks[i] for i in run], j,
+                                   cfg.hot_host_threshold)
                 for j, run in enumerate(runs)]
-        self.counters += [o[4] for o in outs]
+        self.counters += [o[3] for o in outs]
         # round-0 output is ~1/links_per_page of the crawl
         links = ray.data.from_arrow_refs([o[0] for o in outs])
         frontier, facts = self._assign_instance_index(
-            links, rollup=[(o[1], o[2]) for o in outs])
+            links, rollup=[o[1] for o in outs])
         return (self._save_frontier(frontier, ckpt, **facts),
-                ray.data.from_arrow_refs([o[3] for o in outs]))
+                ray.data.from_arrow_refs([o[2] for o in outs]))
 
     def _frontier_done(self, ckpt: Optional[str]) -> bool:
         """True when an earlier run checkpointed the frontier; the round0
@@ -442,54 +430,46 @@ class Crawler:
         return ray.data.read_parquet(ckpt)
 
     def _assign_instance_index(self, links, rollup: Optional[list] = None):
-        """Deterministic ``instance_index`` = exclusive prefix-sum of
-        per-(seed, page) link counts + ``dom_pos`` — Upton's sequential
-        numbering, computed distributed.  ``links`` is a materialized
-        Dataset; ``rollup`` holds (:data:`ROLLUP` rows, row count) object
-        refs per task that made links — round 0's tasks — or, when None,
-        one task per block of ``links`` makes them.  Returns (frontier,
-        facts): frontier_rows, index_pages and hot_hosts.
+        """Deterministic ``instance_index``: Upton's sequential numbering
+        (seed order, then index-page order, then DOM position), computed
+        distributed.  ``links`` is a materialized Dataset; ``rollup`` holds
+        a :func:`_rollup` object ref per task that made links — round 0's
+        tasks — or, when None, one task per block of ``links`` makes them.
+        Returns (frontier, facts): frontier_rows, index_pages and
+        hot_hosts.
 
-        Up to ``INDEX_OFFSET_COLLECT_LIMIT`` rows the driver gets the
-        rollup (it merges a page that spans blocks) and every fact comes
-        from it; the offsets are broadcast as sorted int64 page keys that
-        one task per links block looks up by ``np.searchsorted``.  Above it
-        — a 10^10-URL crawl has ~10^8+ index pages — the links are sorted
-        by (seed_id, page_no, dom_pos) and ranked with ``block_scan``:
-        ``dom_pos`` is dense from 0 within each page, so a link's rank in
-        that order IS its page offset + ``dom_pos``; the facts come from
-        ``group_agg`` over the rollup, the threshold filter in its reduce
-        tasks.  Both paths give identical indices and facts (pinned by
-        test)."""
+        A seed's links all come from one block: its whole pagination chain
+        is walked in one IndexWalker call, and a sitemap file is read by
+        one probe.  ``dom_pos`` is dense from 0 within each page, so a
+        link's index is the link count of the seeds with a smaller
+        ``seed_id`` — its seed's base — plus its rank within its seed in
+        (page_no, dom_pos) order.  The driver gets one row per seed, one
+        int per block and, with hot-host splitting on, one row per (block,
+        host); it broadcasts the bases, and one task per links block adds
+        the ranks.  A seed that arrives from two blocks raises
+        ``ValueError``."""
         threshold = self.cfg.hot_host_threshold
         refs = block_refs(links)
         if rollup is None:
-            rollup = [_rollup_task.remote(r) for r in refs]
-        if sum(ray.get([n for _, n in rollup])) > INDEX_OFFSET_COLLECT_LIMIT:
-            rows = ray.data.from_arrow_refs([r for r, _ in rollup])
-            cut = threshold or np.iinfo(np.int64).max     # off: none is hot
-            hot = group_agg(
-                rows, ["host"], {"size": ("size", "sum")},
-                post=lambda t: t.filter(pc.greater(t["size"], cut)))
-            return block_scan(links.sort(["seed_id", "page_no", "dom_pos"]),
-                              _rank_links), {
-                "frontier_rows": links.count(), "index_pages": group_agg(
-                    rows, ["seed_id", "page_no"], {}).count(),
-                "hot_hosts": _hot_hosts(collect(hot, ROLLUP), threshold)}
-
-        t = pa.concat_tables(ray.get([r for r, _ in rollup]))
-        per_page = t.group_by(["seed_id", "page_no"]).aggregate(
-            [("size", "sum")])
-        sz = per_page["size_sum"].to_numpy(zero_copy_only=False)
-        keys = _page_keys(per_page)
-        o = np.argsort(keys, kind="stable")
-        keys = keys[o]
-        offs = np.r_[0, np.cumsum(sz[o])][:-1]
-        keys_ref, offs_ref = ray.put(keys), ray.put(offs)
+            rollup = [_rollup_task.remote(r, threshold) for r in refs]
+        parts = ray.get(rollup)
+        counts = pa.concat_tables([SEED_COUNTS.empty_table()]
+                                  + [p[0] for p in parts]).sort_by("seed_id")
+        seeds = counts["seed_id"].to_numpy()
+        sizes = counts["size"].to_numpy()
+        twice = seeds[1:][seeds[1:] == seeds[:-1]]
+        if len(twice):
+            raise ValueError(f"seed {int(twice[0])} has links in two blocks: "
+                             "its instance_index base would be ambiguous")
+        bases = np.cumsum(sizes) - sizes          # exclusive prefix sum
+        seeds_ref, bases_ref = ray.put(seeds), ray.put(bases)
         return ray.data.from_arrow_refs(
-            [_attach_task.remote(r, keys_ref, offs_ref) for r in refs]), {
-            "frontier_rows": int(sz.sum()), "index_pages": len(keys),
-            "hot_hosts": _hot_hosts(t, threshold)}
+            [_attach_task.remote(r, seeds_ref, bases_ref) for r in refs]), {
+            "frontier_rows": int(sizes.sum()),
+            "index_pages": sum(p[1] for p in parts),
+            "hot_hosts": _hot_hosts(pa.concat_tables(
+                [HOST_COUNTS.empty_table()] + [p[2] for p in parts]),
+                threshold)}
 
     def _frontier_from_sitemaps(self):
         """Sitemap-seeded frontier (cfg.sitemap_url): expand the sitemap /

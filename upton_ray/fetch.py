@@ -585,7 +585,9 @@ class _FetchState:
         answer of the row's network fetch, 0 when there was none (a cache
         hit, also of a stashed error page).  A row's body is empty when its
         fetch answered an error, when it hits a stashed error page, or when
-        ``known_empty`` says so; every other body is looked up once."""
+        ``known_empty`` says so; every other body is looked up once (on a
+        paced batch, a cache hit of a URL the batch fetches takes that
+        fetch's body)."""
         n = len(urls)
         seen = self.seen if stash else None
         from_res = (seen.check_and_add(self.seen_key(urls))
@@ -606,6 +608,7 @@ class _FetchState:
                 empty[hits[seen.bad_mask(self.seen_key(urls[hits]))]] = True
 
         parts: list = []              # (positions, spans) looked up so far
+        src = None                    # row -> row whose body it takes
         if self.cfg.real_sleep and self.sched.delay and len(net):
             # earliest-deadline-first over this worker's heap (hot hosts
             # start at their leased window); a body is looked up once
@@ -613,7 +616,16 @@ class _FetchState:
             sched = self.sched
             self._lease_batch(urls[net])
             prefetch = getattr(self.store, "prefetch", None)
-            ready = np.flatnonzero(~from_res & ~empty).tolist()
+            ready = np.flatnonzero(~from_res & ~empty)
+            # a cache hit of a URL this batch fetches over the network takes
+            # that fetch's body: looked up ahead, its GET would go on the
+            # wire before the fetch's politeness wait
+            fetched = dict(zip(urls[net], net))
+            dup = np.array([u in fetched for u in urls[ready]], dtype=bool)
+            if dup.any():
+                src = np.arange(n)
+                src[ready[dup]] = [fetched[u] for u in urls[ready[dup]]]
+            ready = ready[~dup].tolist()
             chunk_s = 0.0                 # the last lookup chunk's time
             for j in net[sched.order_batch(urls[net])]:
                 h = host_of(urls[j])
@@ -634,7 +646,9 @@ class _FetchState:
             ready = np.flatnonzero(~empty)
         if len(ready):
             parts.append((ready, self.store.lookup_table(urls[ready])))
-        return _assemble(n, parts), from_res, status
+        spans = _assemble(n, parts)
+        return (spans if src is None else spans.take(pa.array(src))), \
+            from_res, status
 
 
 # per-worker-process stage objects (walkers, probes). LRU-bounded: a walker's
@@ -767,9 +781,11 @@ class IndexWalker:
         self.st = _FetchState(cfg, web_source, seen_handle)
         self.cfg = cfg
         # error pages are stashed as empty bodies; the bad set is static
-        # within a run (statuses come from cfg) so snapshot it once per walker
+        # within a run (statuses come from cfg) so snapshot it once per
+        # walker — only when index pages are stash-gated, since no other
+        # index page is ever a cache hit
         self.local_bad: set = set()
-        if seen_handle is not None and (cfg.index_debug or cfg.debug):
+        if seen_handle is not None and cfg.index_debug:
             self.local_bad = set(seen_handle.dump_bad())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
